@@ -196,12 +196,10 @@ def _r128_hotspot(
 ) -> CaseResult:
     """Event kernel at radix 128 — the regime the array kernel targets.
 
-    At radix 8 both kernels spend most of each grant in shared per-packet
-    bookkeeping (queue pops, stats, channel scheduling), which caps any
-    arbitration-only speedup near 2x (Amdahl). At radix 128 the event
-    kernel's per-wake arbitration scan is O(radix^2) Python, while the
-    array kernel's is a handful of numpy row operations — this pair is
-    where the ``kernel_speedup`` headline comes from.
+    At radix 128 the event kernel still reads one per-output demand count
+    per (output, input) pair each wake, O(radix^2) Python, while the
+    array kernel's arbitration is a handful of numpy row operations —
+    this pair is where the ``kernel_speedup`` headline comes from.
     """
     config = _paper_config(radix=128)
     result = Simulation(config, _r128_workload(), seed=1, probe=probe).run(horizon)

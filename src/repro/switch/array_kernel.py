@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -50,12 +50,13 @@ from ..obs.probe import Probe, resolve_hooks
 from ..qos.ssvc_arbiter import SSVCArbiter
 from ..qos.three_class import ThreeClassArbiter
 from ..types import CounterMode, FlowId, TrafficClass
+from .buffers import FlitBuffer
 from .crossbar import ArbiterFactory
 from .events import GrantEvent, PacketDelivered
 from .flit import Packet
-from .simulator import Simulation, SimulationResult, _checked_injector
+from .simulator import Simulation, SimulationResult, _checked_injector, _top_up
 
-if False:  # TYPE_CHECKING — imported lazily at runtime to avoid a cycle
+if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle
     from ..traffic.flows import Workload
     from ..traffic.generators import FlowSource
 
@@ -349,42 +350,21 @@ class ArraySimulation(Simulation):
             refresh_entry(dst, i)
 
         # ------------------------------------------------- arrival plumbing
-        def _queue_of(flow: FlowId):  # noqa: ANN202 - FlitBuffer, kept terse
-            port = inputs[flow.src]
-            if flow.traffic_class is TrafficClass.GB:
-                return port.gb_queues[flow.dst]
-            if flow.traffic_class is TrafficClass.GL:
-                return port.gl_queue
-            return port.be_queue
-
-        # Saturating sources probe their buffer every wake; precompute the
-        # target queue, capacity, and id-burn hook per source so the common
-        # buffer-still-full probe is one arithmetic compare (the event
-        # kernel spends a throwaway make_packet + rollback per probe).
-        # Range-length sources (length 0 below) draw packet lengths from
-        # their RNG, so they keep the reference path verbatim.
-        saturating: Dict[int, List[tuple]] = {}
-        arrival_heap: List = []
+        # Same source grouping and per-input overflow as the event kernel.
+        saturating: Dict[int, List[Tuple["FlowSource", FlitBuffer]]] = {}
+        arrival_heap: List[Tuple[int, int, "FlowSource"]] = []
         for idx, source in enumerate(sources):
             if source.saturating:
-                if isinstance(source.packet_length, int):
-                    queue = _queue_of(source.flow)
-                    entry = (
-                        source,
-                        source.packet_length,
-                        queue,
-                        queue.capacity_flits,
-                        source.skip_packet,
-                    )
-                else:
-                    entry = (source, 0, None, None, None)
-                saturating.setdefault(source.flow.src, []).append(entry)
+                saturating.setdefault(source.flow.src, []).append(
+                    (source, inputs[source.flow.src].queue_for(source.flow))
+                )
             else:
                 t0 = source.peek_time()
                 if t0 is not None:
                     heapq.heappush(arrival_heap, (t0, idx, source))
 
-        overflow: Dict[FlowId, Deque[Packet]] = {}
+        overflow: List[Dict[FlowId, Deque[Packet]]] = [{} for _ in range(n)]
+        backlogged_flows = 0
 
         wake_heap: List[int] = [0]
         pending_wakes = {0}
@@ -403,74 +383,53 @@ class ArraySimulation(Simulation):
             for t in injector.wake_cycles():
                 wake(t)
 
-        def inject_arrival(packet: Packet, now: int) -> None:
-            """Admit one scheduled arrival, mirroring head state on success."""
+        def inject_arrival(packet: Packet, now: int) -> Optional[Deque[Packet]]:
+            """Admit one scheduled arrival, mirroring head state on success.
+
+            Returns the flow's overflow queue when the packet waits there.
+            """
+            nonlocal backlogged_flows
             port = inputs[packet.src]
-            flow_overflow = overflow.get(packet.flow)
-            if flow_overflow:
-                flow_overflow.append(packet)  # FIFO behind older packets
-                return
+            backlog = overflow[packet.src]
+            queued = backlog.get(packet.flow)
+            if queued is not None:
+                queued.append(packet)  # FIFO behind older packets
+                return queued
             if port.try_inject(packet, now):
                 occ_nz[packet.src] = True
                 # A one-packet queue means this inject created the head.
                 if len(port.queue_for(packet)) == 1:
                     note_new_head(packet.flow, packet.flits, packet.dst)
-            else:
-                overflow.setdefault(packet.flow, deque()).append(packet)
+                return None
+            queued = backlog[packet.flow] = deque((packet,))
+            backlogged_flows += 1
+            return queued
+
+        on_created = stats.on_created
 
         def top_up_input(port_index: int, now: int) -> None:
-            # Same id/created_count accounting as the event kernel: the
-            # fixed-length path prechecks capacity arithmetically and burns
-            # the abandoned attempt's id (exactly the make_packet + rollback
-            # of the reference, minus the throwaway Packet).
             entries = saturating.get(port_index)
             if entries is None:
                 return
             port = inputs[port_index]
-            for source, length, queue, cap, burn_id in entries:
-                injected = False
-                if length:
-                    if cap is not None and queue.occupancy_flits + length > cap:
-                        burn_id()  # the probe the event kernel rolls back
-                        continue
-                    was_empty = queue.head() is None
-                    while cap is None or queue.occupancy_flits + length <= cap:
-                        packet = source.make_packet(now)
-                        stats.on_created(packet)
-                        if not port.try_inject(packet, now):
-                            raise SimulationError("fits() and try_inject() disagree")
-                        injected = True
-                    burn_id()
-                else:
-                    queue = None
-                    was_empty = False
-                    while True:
-                        packet = source.make_packet(now)
-                        if queue is None:
-                            queue = port.queue_for(packet)
-                            was_empty = queue.head() is None
-                        if not queue.fits(packet):
-                            source.created_count -= 1  # not offered after all
-                            break
-                        stats.on_created(packet)
-                        if not port.try_inject(packet, now):
-                            raise SimulationError("fits() and try_inject() disagree")
-                        injected = True
-                if injected:
+            for source, queue in entries:
+                admitted = _top_up(source, port, queue, now, on_created)
+                if admitted:
                     occ_nz[port_index] = True
-                    if was_empty:
+                    if len(queue) == admitted:  # the queue was empty before
                         head = queue.head()
                         assert head is not None
                         note_new_head(source.flow, head.flits, head.dst)
 
-        def drain_overflow(now: int) -> None:
-            nonlocal overflow_scans
-            if not overflow:
+        def drain_overflow(port_index: int, now: int) -> None:
+            nonlocal overflow_scans, backlogged_flows
+            backlog = overflow[port_index]
+            if not backlog:
                 return
-            overflow_scans += len(overflow)
+            overflow_scans += len(backlog)
+            port = inputs[port_index]
             drained = []
-            for flow, queue in overflow.items():
-                port = inputs[flow.src]
+            for flow, queue in backlog.items():
                 packet = queue[0]
                 if not port.try_inject(packet, now):
                     continue  # buffer still full — the common case
@@ -487,7 +446,8 @@ class ArraySimulation(Simulation):
                 if not queue:
                     drained.append(flow)
             for flow in drained:
-                del overflow[flow]
+                del backlog[flow]
+            backlogged_flows -= len(drained)
 
         # ------------------------------------------------------- main loop
         while wake_heap:
@@ -527,24 +487,21 @@ class ArraySimulation(Simulation):
                 _, idx, source = heapq.heappop(arrival_heap)
                 packet = source.pop_scheduled()
                 stats.on_created(packet)
-                inject_arrival(packet, now)
+                queued = inject_arrival(packet, now)
                 arrivals += 1
-                if gauge_hook is not None:
-                    queued = overflow.get(packet.flow)
-                    if queued is not None:
-                        if len(overflow) > max_overflow_flows:
-                            max_overflow_flows = len(overflow)
-                        if len(queued) > max_overflow_depth:
-                            max_overflow_depth = len(queued)
+                if gauge_hook is not None and queued is not None:
+                    if backlogged_flows > max_overflow_flows:
+                        max_overflow_flows = backlogged_flows
+                    if len(queued) > max_overflow_depth:
+                        max_overflow_depth = len(queued)
                 next_time = source.peek_time()
                 if next_time is not None:
                     heapq.heappush(arrival_heap, (next_time, idx, source))
                     heap_pushes += 1
                     wake(int(next_time))
 
-            # 2. Refill buffers: overflow first (older packets), then
-            #    saturating sources.
-            drain_overflow(now)
+            # 2. Top up saturating sources (overflow drains after grants
+            #    only, as in the event kernel).
             for port_index in saturating:
                 top_up_input(port_index, now)
 
@@ -837,7 +794,7 @@ class ArraySimulation(Simulation):
                             )
                         )
                 wake(delivered)
-                drain_overflow(now)
+                drain_overflow(w, now)
                 top_up_input(w, now)
                 for o_t, i_t in touched:
                     refresh_entry(o_t, i_t)

@@ -21,11 +21,11 @@ Capacities are in flits; a packet is admitted only if it fits entirely.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Union
 
 from ..config import SwitchConfig
 from ..errors import BufferError_, SimulationError
-from ..types import TrafficClass
+from ..types import FlowId, TrafficClass
 from .flit import Packet
 
 
@@ -50,6 +50,9 @@ class FlitBuffer:
 
     def __bool__(self) -> bool:
         return bool(self._queue)
+
+    def __iter__(self) -> Iterator[Packet]:
+        return iter(self._queue)
 
     @property
     def occupancy_flits(self) -> int:
@@ -170,11 +173,15 @@ class InputPort:
         # queued_flits read in the arbitration loop is O(1), not a sum over
         # radix+2 queues.
         self._total_occupancy = 0
+        #: packets buffered per output across all classes, maintained on the
+        #: same two mutation paths: a zero entry proves no head (of any
+        #: class) can request that output, so the kernel skips the scan.
+        self.to_output: List[int] = [0] * config.radix
 
     # ------------------------------------------------------------- admission
 
-    def queue_for(self, packet: Packet) -> FlitBuffer:
-        """The buffer a packet of this class/destination lands in."""
+    def queue_for(self, packet: Union[Packet, FlowId]) -> FlitBuffer:
+        """The buffer a packet (or every packet of a flow) lands in."""
         if packet.traffic_class is TrafficClass.GB:
             try:
                 return self.gb_queues[packet.dst]
@@ -215,6 +222,7 @@ class InputPort:
         packet.injected_cycle = now
         queue.push(packet)
         self._total_occupancy += packet.flits
+        self.to_output[packet.dst] += 1
         return True
 
     # -------------------------------------------------------------- requests
@@ -331,6 +339,7 @@ class InputPort:
             )
         queue.pop()
         self._total_occupancy -= packet.flits
+        self.to_output[packet.dst] -= 1
 
     @property
     def total_occupancy_flits(self) -> int:
@@ -353,21 +362,32 @@ class InputPort:
 
         Returns the recomputed total. Contract (pinned by
         tests/test_voq_occupancy_faults.py): ``_total_occupancy`` equals
-        the sum of all class queues' audited occupancies at every point —
-        in particular, packet-drop and packet-dup fault injections, which
-        fire only after :meth:`pop_packet` removed the granted packet,
-        can never leak flits into (or out of) this counter and wedge
-        admission.
+        the sum of all class queues' audited occupancies, and
+        ``to_output[o]`` equals the number of queued packets addressed to
+        ``o``, at every point — in particular, packet-drop and packet-dup
+        fault injections, which fire only after :meth:`pop_packet` removed
+        the granted packet, can never leak into (or out of) either count
+        and wedge admission or hide a head from arbitration.
 
         Raises:
             BufferError_: if any queue's own accounting drifted.
             SimulationError: if the queues are consistent but the port's
-                incremental total disagrees with their sum.
+                incremental total or per-output counts disagree with them.
         """
-        actual = sum(queue.audit() for queue in self.all_queues())
+        queues = self.all_queues()
+        actual = sum(queue.audit() for queue in queues)
         if actual != self._total_occupancy:
             raise SimulationError(
                 f"input {self.port} occupancy leak: incremental total says "
                 f"{self._total_occupancy} flits but queues hold {actual}"
+            )
+        per_output = [0] * self.config.radix
+        for queue in queues:
+            for packet in queue:
+                per_output[packet.dst] += 1
+        if per_output != self.to_output:
+            raise SimulationError(
+                f"input {self.port} occupancy leak: per-output packet counts "
+                f"say {self.to_output} but queues hold {per_output}"
             )
         return actual

@@ -32,7 +32,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,9 +45,10 @@ from ..obs.probe import Probe, resolve_hooks
 from ..qos.iterative import IterativeArbiter
 from ..types import FlowId, TrafficClass
 
-if False:  # TYPE_CHECKING — imported lazily at runtime to avoid a cycle
+if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle
     from ..traffic.flows import Workload
     from ..traffic.generators import FlowSource
+from .buffers import FlitBuffer, InputPort
 from .crossbar import ArbiterFactory, SwizzleSwitch
 from .events import GrantEvent, PacketDelivered
 from .flit import Packet, fresh_packet_ids
@@ -189,6 +190,47 @@ def _checked_injector(
                 f"output {spec.output} has no auxVC counter to flip"
             )
     return injector
+
+
+def _top_up(
+    source: "FlowSource",
+    port: InputPort,
+    queue: FlitBuffer,
+    now: int,
+    on_created: Callable[[Packet], None],
+) -> int:
+    """Fill ``queue`` from saturating ``source`` until the next packet won't fit.
+
+    ``queue`` is the buffer the source's flow lands in at ``port``. Every
+    call ends with one abandoned attempt that consumes a packet id but is
+    not counted as created, so packet ids are the same however often a
+    kernel probes a full buffer. A fixed-length source's fit test is
+    arithmetic, so the abandoned attempt only burns its id
+    (:meth:`FlowSource.skip_packet`); a range-length source must draw the
+    length from its RNG, so it builds the packet and rolls the count back.
+    Returns the number of packets admitted.
+    """
+    admitted = 0
+    length = source.packet_length
+    if isinstance(length, int):
+        capacity = queue.capacity_flits
+        while queue.occupancy_flits + length <= capacity:
+            packet = source.make_packet(now)
+            on_created(packet)
+            if not port.try_inject(packet, now):
+                raise SimulationError("fits() and try_inject() disagree")
+            admitted += 1
+        source.skip_packet()
+        return admitted
+    while True:
+        packet = source.make_packet(now)
+        if not queue.fits(packet):
+            source.created_count -= 1  # not offered after all
+            return admitted
+        on_created(packet)
+        if not port.try_inject(packet, now):
+            raise SimulationError("fits() and try_inject() disagree")
+        admitted += 1
 
 
 class Simulation:
@@ -409,19 +451,27 @@ class Simulation:
         fault_drops = 0
         fault_dups = 0
 
-        # Saturating sources grouped by input so top-up is O(active inputs).
-        saturating: Dict[int, List[FlowSource]] = {}
+        # Saturating sources grouped by input, each with the buffer its
+        # flow lands in, so top-up is O(active inputs).
+        saturating: Dict[int, List[Tuple[FlowSource, FlitBuffer]]] = {}
         # Scheduled arrivals as a heap of (next_time, tiebreak, source).
         arrival_heap: List = []
         for idx, source in enumerate(sources):
             if source.saturating:
-                saturating.setdefault(source.flow.src, []).append(source)
+                saturating.setdefault(source.flow.src, []).append(
+                    (source, inputs[source.flow.src].queue_for(source.flow))
+                )
             else:
                 t0 = source.peek_time()
                 if t0 is not None:
                     heapq.heappush(arrival_heap, (t0, idx, source))
 
-        overflow: Dict[FlowId, Deque[Packet]] = {}
+        # Source-side overflow queues per input, each dict in the order its
+        # flows (most recently) became backlogged. Buffer space frees only
+        # in pop_packet, so only the input a grant just freed can admit a
+        # backlogged packet: that input alone is drained, after each grant.
+        overflow: List[Dict[FlowId, Deque[Packet]]] = [{} for _ in range(radix)]
+        backlogged_flows = 0
 
         # Packet-chaining state per output: (last winner, its delivery
         # cycle, packets chained so far). See SwitchConfig.packet_chaining.
@@ -451,37 +501,33 @@ class Simulation:
             for t in injector.wake_cycles():
                 wake(t)
 
-        def top_up_input(port_index: int, now: int) -> None:
-            for source in saturating.get(port_index, ()):  # keep buffers full
-                port = inputs[port_index]
-                queue = None
-                while True:
-                    packet = source.make_packet(now)
-                    if queue is None:
-                        queue = port.queue_for(packet)
-                    if not queue.fits(packet):
-                        source.created_count -= 1  # not offered after all
-                        break
-                    stats.on_created(packet)
-                    if not port.try_inject(packet, now):
-                        raise SimulationError("fits() and try_inject() disagree")
+        on_created = stats.on_created
 
-        def drain_overflow(now: int) -> None:
-            # Scans are O(flows with backlog): flows whose queue empties are
-            # pruned from the dict, so long-drained flows cost nothing here.
-            nonlocal overflow_scans
-            if not overflow:
+        def top_up_input(port_index: int, now: int) -> None:
+            entries = saturating.get(port_index)
+            if entries is not None:  # keep buffers full
+                port = inputs[port_index]
+                for source, queue in entries:
+                    _top_up(source, port, queue, now, on_created)
+
+        def drain_overflow(port_index: int, now: int) -> None:
+            # Scans are O(flows with backlog at this input): flows whose
+            # queue empties are pruned, so drained flows cost nothing here.
+            nonlocal overflow_scans, backlogged_flows
+            backlog = overflow[port_index]
+            if not backlog:
                 return
-            overflow_scans += len(overflow)
+            overflow_scans += len(backlog)
+            port = inputs[port_index]
             drained = []
-            for flow, queue in overflow.items():
-                port = inputs[flow.src]
+            for flow, queue in backlog.items():
                 while queue and port.try_inject(queue[0], now):
                     queue.popleft()
                 if not queue:
                     drained.append(flow)
             for flow in drained:
-                del overflow[flow]
+                del backlog[flow]
+            backlogged_flows -= len(drained)
 
         def book_grant(
             o: int, in_port: int, packet: Packet, contenders: int, now: int
@@ -586,9 +632,10 @@ class Simulation:
                         )
                     )
             wake(delivered)
-            # Freed buffer space: admit waiting/saturating packets now
-            # so their injection timestamps are exact.
-            drain_overflow(now)
+            # Freed buffer space at this input (and only here): admit
+            # waiting/saturating packets now so their injection timestamps
+            # are exact.
+            drain_overflow(in_port, now)
             top_up_input(in_port, now)
             return delivered
 
@@ -604,29 +651,28 @@ class Simulation:
                 _, idx, source = heapq.heappop(arrival_heap)
                 packet = source.pop_scheduled()
                 stats.on_created(packet)
-                flow_overflow = overflow.get(packet.flow)
-                port = inputs[packet.src]
-                if flow_overflow:
-                    flow_overflow.append(packet)  # FIFO behind older packets
-                elif not port.try_inject(packet, now):
-                    overflow.setdefault(packet.flow, deque()).append(packet)
+                backlog = overflow[packet.src]
+                queued = backlog.get(packet.flow)
+                if queued is not None:
+                    queued.append(packet)  # FIFO behind older packets
+                elif not inputs[packet.src].try_inject(packet, now):
+                    queued = backlog[packet.flow] = deque((packet,))
+                    backlogged_flows += 1
                 arrivals += 1
-                if gauge_hook is not None:
-                    queued = overflow.get(packet.flow)
-                    if queued is not None:
-                        if len(overflow) > max_overflow_flows:
-                            max_overflow_flows = len(overflow)
-                        if len(queued) > max_overflow_depth:
-                            max_overflow_depth = len(queued)
+                if gauge_hook is not None and queued is not None:
+                    if backlogged_flows > max_overflow_flows:
+                        max_overflow_flows = backlogged_flows
+                    if len(queued) > max_overflow_depth:
+                        max_overflow_depth = len(queued)
                 next_time = source.peek_time()
                 if next_time is not None:
                     heapq.heappush(arrival_heap, (next_time, idx, source))
                     heap_pushes += 1
                     wake(int(next_time))
 
-            # 2. Refill buffers: overflow first (older packets), then
-            #    saturating sources.
-            drain_overflow(now)
+            # 2. Top up saturating sources. Backlogged overflow needs no
+            #    retry here: no buffer space freed since its input's last
+            #    drain, which ran right after that input's last grant.
             for port_index in saturating:
                 top_up_input(port_index, now)
 
@@ -711,23 +757,30 @@ class Simulation:
                 continue
 
             # 3b. Per-output arbiters: arbitrate idle outputs, rotating the
-            #     start to avoid bias.
+            #     start to avoid bias. Only free inputs holding a packet for
+            #     the output are visited: any other input has no head, no
+            #     masked GL head and no fault-masked request for it, so an
+            #     output no free input holds a packet for is skipped whole
+            #     (GLPolicer.eligible is pure, so skipping it is too).
             for k in range(radix):
                 o = (now + k) % radix
                 channel = outputs[o]
                 if not channel.is_idle(now):
+                    continue
+                holders = [
+                    port
+                    for port in inputs
+                    if port.to_output[o] and port.busy_until <= now
+                ]
+                if not holders:
                     continue
                 arbiter = arbiters[o]
                 policer = policers[o]
                 allow_gl = policer is None or policer.eligible(now)
                 requests = []
                 gl_denied_inputs = []
-                for port in inputs:
-                    if port.busy_until > now:
-                        continue
+                for port in holders:
                     queued = port.total_occupancy_flits
-                    if queued == 0:
-                        continue  # empty input: no head, no masked GL
                     if faults_stall and injector.stalled(port.port, now):
                         # A stalled input raises nothing this cycle: no
                         # request and no policer-throttle decision either.

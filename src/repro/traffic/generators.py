@@ -239,12 +239,12 @@ class FlowSource:
     def skip_packet(self) -> None:
         """Consume one packet id without creating a packet.
 
-        The event kernel's saturating top-up discovers a full buffer by
-        building the next packet and rolling ``created_count`` back — which
-        still burns one id from the shared stream. A kernel that prechecks
-        capacity arithmetically (possible only for fixed packet lengths,
-        where :meth:`_draw_length` consumes no randomness) calls this once
-        per abandoned top-up so downstream packet ids stay bit-identical.
+        A saturating top-up always ends with one abandoned attempt that
+        burns an id from the shared stream. For fixed packet lengths, where
+        :meth:`_draw_length` consumes no randomness, the kernels precheck
+        capacity arithmetically and call this instead of building the
+        packet and rolling ``created_count`` back, so packet ids are the
+        same either way.
         """
         if not isinstance(self.packet_length, int):
             raise TrafficError(

@@ -4,9 +4,10 @@ The array kernel's whole claim (docs/KERNELS.md) is that batching one
 cycle's arbitration into numpy row operations changes *nothing* observable:
 same grants, same event stream (to the repr), same probe counters, same
 QoS metrics — under uniform load, the Fig. 4 hotspot, GL policing, an
-active fault plan, and at radix 128. These tests pin that contract, plus
-its boundaries (the configurations the kernel refuses at construction)
-and its interaction with the sweep executor at ``--jobs 1/2/4``.
+active fault plan, range-length saturating sources, and at radix 128.
+These tests pin that contract, plus its boundaries (the configurations
+the kernel refuses at construction) and its interaction with the sweep
+executor at ``--jobs 1/2/4``.
 """
 
 from __future__ import annotations
@@ -68,6 +69,17 @@ def _scenario(name: str, horizon: int = HORIZON):
             ),
         )
         return _paper_config(), fig4_workload(inject_rate=None), plan
+    if name == "range-topup":
+        # Saturating sources that draw packet lengths take the top-up's
+        # build-and-roll-back path instead of the arithmetic precheck.
+        workload = Workload(name="range-topup")
+        for src in range(4):
+            workload.add(
+                gb_flow(src, 0, reserved_rate=0.2, packet_length=(2, 8))
+            )
+        workload.add(be_flow(1, 2, packet_length=(2, 8)))
+        workload.add(be_flow(2, 2, packet_length=(2, 8), inject_rate=0.3))
+        return _paper_config(radix=4, channel_bits=64), workload, None
     if name == "r128":
         workload = Workload(name="hotspot-r128")
         for src in range(128):
@@ -76,7 +88,7 @@ def _scenario(name: str, horizon: int = HORIZON):
     raise AssertionError(name)
 
 
-SCENARIOS = ("uniform", "hotspot", "gl-policed", "faulted", "r128")
+SCENARIOS = ("uniform", "hotspot", "gl-policed", "faulted", "range-topup", "r128")
 
 
 def _run(sim_cls, name: str, horizon: int):

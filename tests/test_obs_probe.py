@@ -6,9 +6,10 @@ import json
 import pytest
 
 from repro.config import GLPolicerConfig, QoSConfig, SwitchConfig
+from repro.faults import FaultPlan, input_stall
 from repro.obs import CountingProbe, NDJSONTraceProbe, Probe, RunReport
 from repro.switch.simulator import Simulation
-from repro.traffic.flows import Workload, be_flow, gb_flow
+from repro.traffic.flows import Workload, be_flow, gb_flow, gl_flow
 from repro.traffic.generators import TraceInjection
 from repro.types import FlowId, TrafficClass
 
@@ -95,8 +96,8 @@ class TestKernelCounters:
         workload.add(
             be_flow(0, 0, packet_length=8, process=TraceInjection([0] * 6))
         )
-        # Unrelated long-lived traffic keeps producing wakes (and thus
-        # drain_overflow calls) long after the backlog cleared.
+        # Unrelated long-lived traffic keeps producing wakes and grants
+        # long after the backlog cleared.
         workload.add(
             be_flow(1, 1, packet_length=2,
                     process=TraceInjection(list(range(0, 4000, 4))))
@@ -108,6 +109,52 @@ class TestKernelCounters:
         scanned = probe.value("kernel.overflow_flows_scanned")
         assert 0 < scanned < 100, scanned
         assert probe.maxima["kernel.overflow_flows"] == 1
+
+    def test_grant_drains_only_its_own_input(self):
+        """Buffer space frees only where a packet was granted, so a grant
+        at input 1 retries input 1's backlog and none of input 0's. Input
+        0 is stalled all run: its backlogged flow is never granted, so no
+        scan may ever visit it."""
+        horizon = 2_000
+        workload = Workload(name="per-input-drain")
+        # 8-flit packets into 16-flit buffers: two fit, the rest wait.
+        workload.add(
+            be_flow(0, 0, packet_length=8, process=TraceInjection([0] * 4))
+        )
+        workload.add(
+            be_flow(1, 1, packet_length=8, process=TraceInjection([0] * 6))
+        )
+        plan = FaultPlan(seed=0, faults=(input_stall(0, start=0, duration=horizon),))
+        probe = CountingProbe()
+        result = Simulation(config(), workload, seed=1, probe=probe,
+                            warmup_cycles=0, fault_plan=plan).run(horizon)
+        assert result.grants == 6  # input 1's packets only
+        assert probe.maxima["kernel.overflow_flows"] == 2  # both backlogged
+        # Input 1's first four grants each retry its one backlogged flow
+        # and admit one packet; the fourth empties it.
+        assert probe.value("kernel.overflow_flows_scanned") == 4
+
+    def test_outputs_without_buffered_packets_are_never_arbitrated(self):
+        """The per-output demand index skips outputs no input holds a
+        packet for: their arbiters are never consulted, and the zero-rate
+        GL policer notes throttles only where a GL head is waiting."""
+        times = list(range(0, 400, 8))
+        workload = Workload(name="demand-index")
+        workload.add(gl_flow(0, 1, packet_length=2, process=TraceInjection(times)))
+        workload.add(be_flow(2, 3, packet_length=4, process=TraceInjection(times)))
+        sim = Simulation(config(), workload, seed=1, warmup_cycles=0)
+        arbitrated = []
+        for o, arbiter in enumerate(sim.switch.arbiters):
+            def recording(requests, now, o=o, select=arbiter.select):
+                arbitrated.append(o)
+                return select(requests, now)
+
+            arbiter.select = recording
+        result = sim.run(500)
+        assert result.grants == 2 * len(times)
+        assert set(arbitrated) == {1, 3}
+        assert result.gl_throttle_events[1] > 0
+        assert [result.gl_throttle_events[o] for o in (0, 2, 3)] == [0, 0, 0]
 
 
 class TestNDJSONTrace:

@@ -62,8 +62,9 @@ class TestFlitBufferAudit:
             buf.audit()
 
 
-def _run_and_audit(config_voq: bool, plan: FaultPlan, arbiter) -> None:
-    """Run 4000 cycles under the plan, then audit every port's books."""
+def _run_and_audit(config_voq: bool, plan: FaultPlan, arbiter) -> Simulation:
+    """Run 4000 cycles under the plan, audit every port's books, and
+    return the finished simulation."""
     from repro.experiments.common import make_arbiter_factory, voq_config
 
     if config_voq:
@@ -87,6 +88,7 @@ def _run_and_audit(config_voq: bool, plan: FaultPlan, arbiter) -> None:
     assert result.stats.total_delivered_flits > 0
     for port in sim.switch.inputs:
         port.audit_occupancy()  # raises on any leak
+    return sim
 
 
 @pytest.mark.parametrize("fault", [None, "drop", "dup", "both"])
@@ -119,5 +121,39 @@ def test_audit_occupancy_reports_port_level_drift():
     packet = _packet(4)
     assert port.try_inject(packet, now=0)
     port._total_occupancy += 2
+    with pytest.raises(SimulationError, match="occupancy leak"):
+        port.audit_occupancy()
+
+
+@pytest.mark.parametrize("fault", ["drop", "dup"])
+@pytest.mark.parametrize(
+    "config_voq, arbiter", [(False, "three-class"), (True, "islip")],
+    ids=["classic", "voq"],
+)
+def test_audit_catches_demand_index_drift_after_faulted_run(
+    fault, config_voq, arbiter
+):
+    """The per-output packet counts the kernel skips outputs by are
+    audited as well: after a drop/dup run balances, one count nudged off
+    the queue contents is reported as a leak."""
+    spec = packet_drop(0.2, output=0) if fault == "drop" else packet_dup(0.2, output=1)
+    sim = _run_and_audit(config_voq, FaultPlan(seed=5, faults=(spec,)), arbiter)
+    port = sim.switch.inputs[2]
+    port.to_output[3] += 1
+    with pytest.raises(SimulationError, match="occupancy leak"):
+        port.audit_occupancy()
+
+
+def test_audit_occupancy_reports_demand_index_drift():
+    """A per-output count that disagrees with the queues is caught even
+    when the flit totals agree."""
+    from repro.config import SwitchConfig
+    from repro.switch.buffers import InputPort
+
+    port = InputPort(0, SwitchConfig(radix=4))
+    assert port.try_inject(_packet(4, dst=1), now=0)
+    assert port.to_output == [0, 1, 0, 0]
+    port.to_output[1] -= 1
+    port.to_output[2] += 1
     with pytest.raises(SimulationError, match="occupancy leak"):
         port.audit_occupancy()
