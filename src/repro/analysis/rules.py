@@ -775,168 +775,3 @@ class IterativeArbiterContractRule(Rule):
                 "phases must stay pure — mutate in the accept phase or "
                 "in match()",
             )
-
-
-#: Calls whose return value is an OS-level socket that must be released.
-_RL014_ACQUIRERS = frozenset(
-    {
-        "socket.socket", "socket.create_connection",
-        "socket.create_server", "socket.socketpair",
-    }
-)
-
-#: Attribute calls that mint a dependent stream from an existing socket
-#: (``sock.makefile(...)`` hands out a buffered file object holding the
-#: socket open; ``server.accept()`` hands out a brand-new connection).
-_RL014_METHOD_ACQUIRERS = frozenset({"makefile", "accept"})
-
-#: Method names that count as releasing the resource.
-_RL014_RELEASERS = frozenset({"close", "shutdown", "server_close", "detach"})
-
-
-def _rl014_scope_statements(fn: ast.AST) -> "list[ast.AST]":
-    """Every node in ``fn``'s own body, not descending into nested
-    function/class scopes (those are visited as their own functions, and a
-    socket created there is that scope's responsibility)."""
-    out: "list[ast.AST]" = []
-    stack: "list[ast.AST]" = list(
-        fn.body  # type: ignore[attr-defined]
-    )
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child,
-                (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef),
-            ):
-                continue
-            stack.append(child)
-    return out
-
-
-def _rl014_is_acquirer(call: ast.Call) -> bool:
-    name = dotted_name(call.func)
-    if name in _RL014_ACQUIRERS:
-        return True
-    return (
-        isinstance(call.func, ast.Attribute)
-        and call.func.attr in _RL014_METHOD_ACQUIRERS
-    )
-
-
-def _rl014_mentions(node: ast.AST, name: str) -> bool:
-    return any(
-        isinstance(sub, ast.Name) and sub.id == name for sub in ast.walk(node)
-    )
-
-
-@register
-class DaemonResourceCleanupRule(Rule):
-    """RL014: daemon/socket resources need finally or context-manager cleanup.
-
-    The serve layer (``repro.serve``, ``docs/SERVICE.md``) holds OS-level
-    resources — listening sockets, accepted connections, the buffered
-    streams ``makefile()`` mints from them — whose leak mode is silent: a
-    daemon that drops a connection object without closing it keeps the
-    file descriptor (and the peer's half of the TCP stream) alive until
-    process exit, which in a long-lived ``repro-serve`` process means
-    "forever". The crash-safety contract makes this worse than a resource
-    hygiene nit: the drain path promises every fsync'd catalog entry is
-    durable *and* every client gets either a result or a loud error, and
-    both promises route through sockets being deterministically released.
-
-    Flagged: a local-variable assignment from ``socket.socket(...)``,
-    ``socket.create_connection(...)``, ``socket.create_server(...)``,
-    ``socketpair(...)``, ``<x>.makefile(...)``, or ``<x>.accept()`` whose
-    name is never guaranteed released in the same function. Released
-    means any of:
-
-    * the name is a ``with`` context (``with sock:``, ``with
-      contextlib.closing(sock) as ...``),
-    * ``<name>.close()`` / ``.shutdown()`` / ``.server_close()`` /
-      ``.detach()`` appears in the ``finally`` of a ``try`` in the same
-      function (a bare happy-path ``close()`` does NOT count — the
-      exception path is exactly where daemons leak),
-    * ownership escapes: the name is returned, yielded, stored on an
-      attribute (``self.sock = ...``), or registered with an exit stack
-      (``stack.enter_context``/``push``/``callback``).
-    """
-
-    id = "RL014"
-    name = "daemon-resource-cleanup"
-    severity = Severity.ERROR
-    description = (
-        "socket/daemon resource acquired without finally or "
-        "context-manager cleanup"
-    )
-    node_types = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-    def visit(self, node: ast.AST, ctx: ModuleContext) -> None:
-        assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        scope = _rl014_scope_statements(node)
-        acquisitions: "list[tuple[str, ast.Assign]]" = []
-        for stmt in scope:
-            if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
-                continue
-            target = stmt.targets[0]
-            value = stmt.value
-            if not isinstance(value, ast.Call) or not _rl014_is_acquirer(value):
-                continue
-            if isinstance(target, ast.Name):
-                acquisitions.append((target.id, stmt))
-            elif isinstance(target, (ast.Tuple, ast.List)):
-                # conn, addr = server.accept() — the first element is the
-                # socket; the rest (peer address) needs no cleanup.
-                first = target.elts[0] if target.elts else None
-                if isinstance(first, ast.Name):
-                    acquisitions.append((first.id, stmt))
-            # an Attribute target (self.sock = ...) hands the resource to
-            # the object's lifecycle — close() belongs to its owner, not
-            # this function.
-        for name, stmt in acquisitions:
-            if not self._released(name, scope):
-                ctx.report(
-                    self,
-                    stmt,
-                    f"{name!r} holds an OS socket/stream but is never "
-                    "released on the exception path; use `with`, close it "
-                    "in a `finally`, or hand ownership out (return / "
-                    "attribute / ExitStack)",
-                )
-
-    @staticmethod
-    def _released(name: str, scope: "list[ast.AST]") -> bool:
-        for node in scope:
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    if _rl014_mentions(item.context_expr, name):
-                        return True
-            elif isinstance(node, ast.Try):
-                for stmt in node.finalbody:
-                    for sub in ast.walk(stmt):
-                        if (
-                            isinstance(sub, ast.Call)
-                            and isinstance(sub.func, ast.Attribute)
-                            and sub.func.attr in _RL014_RELEASERS
-                            and _rl014_mentions(sub.func.value, name)
-                        ):
-                            return True
-            elif isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)):
-                if node.value is not None and _rl014_mentions(node.value, name):
-                    return True
-            elif isinstance(node, ast.Assign):
-                # self.sock = sock — ownership moves to the object.
-                if any(
-                    isinstance(t, ast.Attribute) for t in node.targets
-                ) and _rl014_mentions(node.value, name):
-                    return True
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in ("enter_context", "push", "callback")
-                    and any(_rl014_mentions(arg, name) for arg in node.args)
-                ):
-                    return True
-        return False

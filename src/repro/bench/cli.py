@@ -375,7 +375,7 @@ def _catalog_cache(quick: bool) -> JSONDict:
     serve every point as a verified cache hit. The report carries the
     hit rate (a warm pass below 1.0 means the cache-key contract broke)
     and the warm/cold wall ratio — the headline number for what
-    ``--catalog`` / ``repro-serve`` buys a resubmitted sweep.
+    ``--catalog`` buys a resubmitted sweep.
     """
     case = next(c for c in SUITE if c.name == SWEEP_SERIAL_CASE)
     with tempfile.TemporaryDirectory(prefix="repro-bench-catalog-") as tmp:
@@ -531,12 +531,7 @@ def main(argv: "list[str] | None" = None) -> int:
         "--catalog", metavar="FILE", default=None,
         help="durable result cache for the sweep cases; every case uses its "
         "own FILE.<case-name> so the serial/parallel pair cannot share "
-        "cached points and fake the speedup (see docs/SERVICE.md)",
-    )
-    resilience_group.add_argument(
-        "--serve-url", metavar="HOST:PORT", default=None,
-        help="ship the sweep cases to a running repro-serve daemon instead "
-        "of executing locally (see docs/SERVICE.md)",
+        "cached points and fake the speedup (see docs/CATALOG.md)",
     )
     args = parser.parse_args(argv)
     if args.threshold < 0:
@@ -553,7 +548,6 @@ def main(argv: "list[str] | None" = None) -> int:
         or args.journal is not None
         or args.resume is not None
         or args.catalog is not None
-        or args.serve_url is not None
     )
     created_options: List[ResilienceOptions] = []
     created_catalogs: List[RunCatalog] = []
@@ -583,8 +577,7 @@ def main(argv: "list[str] | None" = None) -> int:
                 catalog = RunCatalog(f"{args.catalog}.{case_name}")
                 created_catalogs.append(catalog)
             options = ResilienceOptions(
-                retry=retry, on_failure=policy, journal=journal,
-                catalog=catalog, serve_url=args.serve_url,
+                retry=retry, on_failure=policy, journal=journal, catalog=catalog
             )
             created_options.append(options)
             return options

@@ -6,9 +6,9 @@ under its content key (:func:`repro.resilience.point_key` — a blake2b
 digest of the worker's dotted name plus the point's index, label, seed,
 and params), together with the full envelope repr the key was derived
 from, the value's exact ``repr``, and an integrity hash binding the two.
-Any later invocation — a resumed CLI run, a ``repro-serve`` daemon
-restart, a different job count — that submits an already-catalogued
-point gets the recorded value back instantly instead of recomputing it.
+Any later invocation — a resumed CLI run, a rerun after a crash, a
+different job count — that submits an already-catalogued point gets the
+recorded value back instantly instead of recomputing it.
 
 Cache hits are *checked*, never trusted: a lookup re-derives the
 envelope from the live point and asserts it matches the stored envelope
@@ -28,10 +28,10 @@ existing file is *always* loaded (the whole point is surviving
 invocations), a missing one is created.
 
 The store is thread-safe (one lock around the index and the append
-handle) because the serve daemon reads stats from its monitor thread
-while the job thread records; it is **not** multi-process-safe — the
-daemon is the single writer in the service topology, and CLI runs own
-their catalog file for the duration of the invocation.
+handle), so a caller may read :meth:`RunCatalog.stats` from one thread
+while another records; it is **not** multi-process-safe — worker
+processes never touch it (the parent records every result), and a CLI
+run owns its catalog file for the duration of the invocation.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class RunCatalog:
         return len(self._entries)
 
     def stats(self) -> Dict[str, Any]:
-        """Snapshot of the store for CLIs and the serve daemon."""
+        """Snapshot of the store for CLIs and reports."""
         with self._lock:
             restorable = sum(
                 1 for entry in self._entries.values() if entry["restorable"]

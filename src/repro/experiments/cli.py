@@ -234,14 +234,7 @@ def main(argv: "list[str] | None" = None) -> int:
         metavar="FILE",
         help="durable cross-invocation result cache: already-catalogued "
         "sweep points are served as verified cache hits, newly computed "
-        "points are catalogued for future runs (see docs/SERVICE.md)",
-    )
-    resilience_group.add_argument(
-        "--serve-url",
-        metavar="HOST:PORT",
-        help="ship sweep execution to a running repro-serve daemon instead "
-        "of executing locally; local --journal/--catalog still record the "
-        "verified results (see docs/SERVICE.md)",
+        "points are catalogued for future runs (see docs/CATALOG.md)",
     )
     args = parser.parse_args(argv)
     if args.jobs < 1:
@@ -252,7 +245,7 @@ def main(argv: "list[str] | None" = None) -> int:
     resilience_requested = bool(
         args.retries or args.point_timeout is not None or args.journal
         or args.resume or args.on_failure != FailurePolicy.FAIL_FAST.value
-        or args.catalog or args.serve_url
+        or args.catalog
     )
     if resilience_requested and args.experiment == "custom":
         parser.error("resilience flags apply to sweep experiments, not "
@@ -302,7 +295,6 @@ def main(argv: "list[str] | None" = None) -> int:
                 on_failure=FailurePolicy(args.on_failure),
                 journal=journal,
                 catalog=catalog,
-                serve_url=args.serve_url,
             )
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -1,32 +1,32 @@
-"""Deterministic fan-out of sweep points over a process pool.
+"""Deterministic fan-out of sweep points: one supervised execution path.
 
 All process-based parallelism in this repository goes through
 :class:`SweepExecutor` (lint rule RL009 forbids importing
 ``multiprocessing``/``concurrent.futures`` anywhere else). The executor
 guarantees that for a fixed point list the merged results are identical —
-value for value, in order — whether it runs serially, with 2 jobs, or
-with 40: each point carries its own seed, workers never share mutable
-state, and results merge by the point's ``index``, not completion order.
+value for value, in order — whether it runs with 1 job, 2, or 40: each
+point carries its own seed, workers never share mutable state, and
+results merge by the point's ``index``, not completion order.
 
-Failure surfacing is part of the contract: a point that raises inside a
-worker is shipped back as data and re-raised here as a
-:class:`~repro.errors.SimulationError` naming the point; a worker process
-that dies outright (``BrokenProcessPool``) is reported with the labels of
-the chunk it was running. Neither case hangs the parent.
+Every sweep takes the same path. ``jobs=1`` runs each point inline in
+this process; ``jobs >= 2`` runs one supervised process per point, at
+most ``jobs`` at a time, so a hung worker can be killed by the watchdog
+without taking other points with it. On top of that path the
+:class:`repro.resilience.ResilienceOptions` bundle adds checkpointing,
+cache hits, retries, per-point timeouts, and salvage:
 
-Resilient execution (:class:`repro.resilience.ResilienceOptions`) layers
-checkpointing, retries, per-point timeouts, salvage, and clean
-cancellation on top of that contract without weakening it:
-
-* when no resilience feature is requested the executor runs the exact
-  historical chunked path — bit-identical behavior, verified by the CI
-  serial-vs-parallel diff;
-* when resilience is active, points run one process per point so a hung
-  worker can be killed by the watchdog, completed points are checkpointed
-  to the run journal the moment they finish, failed points are retried
-  under the deterministic backoff policy, and SIGINT/SIGTERM drain
-  in-flight points before exiting with a resumable journal
-  (:class:`~repro.errors.SweepInterrupted`);
+* a point that raises is reported as a
+  :class:`~repro.errors.SimulationError` naming the point, its failure
+  kind (``[error]``, ``[worker-died]``, ``[timeout]``) and the worker's
+  traceback; a worker process that dies outright is detected through its
+  closed pipe. Neither case hangs the parent;
+* completed points are checkpointed to the run journal (and the run
+  catalog) the moment they finish, and failed points are retried under
+  the deterministic backoff policy;
+* the first SIGINT/SIGTERM drains — running points finish and are
+  recorded, nothing new starts — and the sweep then raises
+  :class:`~repro.errors.SweepInterrupted`; the second signal stops at
+  once, still leaving a consistent, resumable journal;
 * determinism survives all of it because every point's seed is stateless:
   a retried or resumed point recomputes the same bits, and the journal
   *asserts* that on every re-execution.
@@ -42,8 +42,6 @@ import signal
 import threading
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.connection import Connection, wait as _connection_wait
 from multiprocessing.context import BaseContext
 from multiprocessing.process import BaseProcess
@@ -63,11 +61,6 @@ from .envelope import PointResult, SweepPoint
 #: A worker function: takes one envelope, returns a picklable payload.
 PointFn = Callable[[SweepPoint], Any]
 
-#: ``(index, ok, payload)`` triples shipped back from a worker chunk;
-#: payload is the point's return value on success, or the formatted
-#: traceback text on failure.
-_ChunkItem = Tuple[int, bool, Any]
-
 #: Environment hook for chaos testing: a sweep point whose ``label``
 #: equals this variable's value fails every attempt (kind ``chaos``)
 #: without executing. The CI chaos job sets it to knock a hole into a
@@ -76,26 +69,8 @@ _ChunkItem = Tuple[int, bool, Any]
 CHAOS_ENV = "REPRO_CHAOS_FAIL_LABEL"
 
 
-def _run_chunk(fn: PointFn, points: Sequence[SweepPoint]) -> List[_ChunkItem]:
-    """Worker-side body: run a chunk of points, shipping failures as data.
-
-    Stops at the first failing point in the chunk — later points in the
-    same chunk would only be discarded by the parent anyway once it
-    raises for the failure.
-    """
-    out: List[_ChunkItem] = []
-    for point in points:
-        try:
-            out.append((point.index, True, fn(point)))
-        except Exception as exc:  # noqa: BLE001 - shipped back, re-raised by parent
-            detail = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-            out.append((point.index, False, detail))
-            break
-    return out
-
-
 def _run_point_child(fn: PointFn, point: SweepPoint, conn: Connection) -> None:
-    """Child-process body for resilient execution: one point, one pipe.
+    """Child-process body: one point, one pipe.
 
     Ships ``(True, value)`` or ``(False, traceback_text)`` back to the
     parent. If the *value* itself cannot be pickled through the pipe, a
@@ -133,47 +108,35 @@ class SweepExecutor:
     """Map a function over sweep points, optionally across processes.
 
     Args:
-        jobs: worker process count. ``1`` (the default) is the serial
-            path — no pool is created and results are bit-identical to
-            calling ``fn`` in a plain loop.
-        chunk_size: points per submitted task. Defaults to
-            ``ceil(len(points) / (jobs * 4))`` so each worker sees ~4
-            tasks — small enough to balance uneven point costs, large
-            enough to amortize pickling. Ignored by the resilient path,
-            which runs one process per point so the watchdog can kill a
-            single hung point.
-        resilience: journaling/retry/salvage bundle. ``None`` — or a
-            bundle with every feature off — selects the exact historical
-            execution path.
+        jobs: worker process count. ``1`` (the default) runs every point
+            inline in this process; ``>= 2`` runs one supervised process
+            per point, at most ``jobs`` at a time.
+        resilience: journal/catalog/retry/salvage bundle. ``None`` runs
+            with the defaults: no journal, no catalog, no retries,
+            fail-fast.
 
     Attributes:
-        last_fallback: why the most recent :meth:`map` call ran serially
-            despite ``jobs > 1`` (``None`` when it actually fanned out).
+        last_fallback: why the most recent :meth:`map`/:meth:`run` call
+            ran inline despite ``jobs > 1`` (``None`` when it fanned out
+            or when ``jobs == 1``).
     """
 
     def __init__(
-        self,
-        jobs: int = 1,
-        chunk_size: Optional[int] = None,
-        resilience: Optional[ResilienceOptions] = None,
+        self, jobs: int = 1, resilience: Optional[ResilienceOptions] = None
     ) -> None:
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigError(f"chunk_size must be >= 1, got {chunk_size}")
         self.jobs = jobs
-        self.chunk_size = chunk_size
         self.resilience = resilience
         self.last_fallback: Optional[str] = None
 
     def map(self, fn: PointFn, points: Sequence[SweepPoint]) -> List[PointResult]:
         """Run ``fn`` over every point; results in original point order.
 
-        With active resilience options this delegates to :meth:`run`; the
-        returned list then has explicit holes under
-        :attr:`~repro.resilience.FailurePolicy.SALVAGE` (the outcome —
-        appended to ``resilience.outcomes`` — says exactly which points
-        are missing and why).
+        The results of :meth:`run`. Under
+        :attr:`~repro.resilience.FailurePolicy.SALVAGE` the list has
+        explicit holes (the outcome, appended to ``resilience.outcomes``,
+        says exactly which points are missing and why).
 
         Raises:
             ConfigError: on duplicate point indices.
@@ -182,25 +145,10 @@ class SweepExecutor:
                 failed point(s).
             SweepInterrupted: when SIGINT/SIGTERM cancelled the sweep.
         """
-        pts = self._validated(points)
-        if self.resilience is not None and self.resilience.serve_url is not None:
-            return self._map_remote(fn, pts).results
-        if self.resilience is not None and self.resilience.active:
-            return self.run(fn, pts).results
-        self.last_fallback = None
-        if self.jobs == 1:
-            return self._map_serial(fn, pts)
-        if len(pts) < 2:
-            self.last_fallback = "fewer than 2 points"
-            return self._map_serial(fn, pts)
-        unpicklable = self._pickle_check(fn, pts)
-        if unpicklable is not None:
-            self.last_fallback = unpicklable
-            return self._map_parallel_fallback(fn, pts)
-        return self._map_parallel(fn, pts)
+        return self.run(fn, points).results
 
     def run(self, fn: PointFn, points: Sequence[SweepPoint]) -> SweepOutcome:
-        """Resilient execution: journal, retries, watchdog, salvage, drain.
+        """Run the sweep: journal, catalog, retries, watchdog, salvage, drain.
 
         Always returns a :class:`~repro.resilience.SweepOutcome` (also
         appended to ``resilience.outcomes`` when a bundle is attached) —
@@ -208,32 +156,10 @@ class SweepExecutor:
         after appending the outcome, and on cancellation, where it raises
         :class:`~repro.errors.SweepInterrupted` carrying the outcome.
         """
+        self.last_fallback = None
         pts = self._validated(points)
         options = self.resilience if self.resilience is not None else ResilienceOptions()
-        if options.serve_url is not None:
-            return self._map_remote(fn, pts)
-        runner = _ResilientRun(self, fn, pts, options)
-        return runner.execute()
-
-    def _map_remote(self, fn: PointFn, pts: List[SweepPoint]) -> SweepOutcome:
-        """Ship the whole sweep to a ``repro-serve`` daemon.
-
-        The client restores the daemon's repr-transported values, asserts
-        the merged hash against the daemon's, and records every point
-        into the locally attached journal/catalog (with the usual
-        bit-identity asserts) — so a remote run leaves the same resumable
-        artifacts behind as a local one.
-        """
-        # Imported lazily: repro.serve depends on this module, and the
-        # client is only needed when a sweep actually goes remote.
-        from ..serve.client import ServeClient
-
-        options = self.resilience
-        assert options is not None and options.serve_url is not None
-        client = ServeClient(options.serve_url)
-        return client.submit(fn, pts, options)
-
-    # ------------------------------------------------------------- validation
+        return _SweepRun(self, fn, pts, options).execute()
 
     @staticmethod
     def _validated(points: Sequence[SweepPoint]) -> List[SweepPoint]:
@@ -261,72 +187,9 @@ class SweepExecutor:
             return "sweep points are not picklable"
         return None
 
-    # ------------------------------------------------------------ legacy path
-
-    @staticmethod
-    def _map_serial(fn: PointFn, pts: Sequence[SweepPoint]) -> List[PointResult]:
-        results: List[PointResult] = []
-        for point in pts:
-            try:
-                value = fn(point)
-            except SimulationError:
-                raise
-            except Exception as exc:
-                raise SimulationError(
-                    f"sweep point {point.index} ({point.label}) failed: "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
-            results.append(PointResult(point, value))
-        return results
-
-    def _map_parallel_fallback(
-        self, fn: PointFn, pts: Sequence[SweepPoint]
-    ) -> List[PointResult]:
-        """Serial execution taken when fan-out is unsafe (kept as a named
-        step so ``last_fallback`` consumers can distinguish it in traces)."""
-        return self._map_serial(fn, pts)
-
-    def _map_parallel(self, fn: PointFn, pts: Sequence[SweepPoint]) -> List[PointResult]:
-        chunk = self.chunk_size or max(1, -(-len(pts) // (self.jobs * 4)))
-        chunks = [pts[i : i + chunk] for i in range(0, len(pts), chunk)]
-        values: Dict[int, Any] = {}
-        failures: Dict[int, str] = {}
-        pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(chunks)))
-        try:
-            futures = [(c, pool.submit(_run_chunk, fn, c)) for c in chunks]
-            for chunk_points, future in futures:
-                try:
-                    items = future.result()
-                except BrokenProcessPool as exc:
-                    labels = ", ".join(p.label for p in chunk_points)
-                    raise SimulationError(
-                        "worker process died while running sweep "
-                        f"points [{labels}]"
-                    ) from exc
-                for index, ok, payload in items:
-                    if ok:
-                        values[index] = payload
-                    else:
-                        failures[index] = str(payload)
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-        if failures:
-            order = {point.index: pos for pos, point in enumerate(pts)}
-            first = min(failures, key=lambda idx: order[idx])
-            label = next(p.label for p in pts if p.index == first)
-            raise SimulationError(
-                f"sweep point {first} ({label}) failed in worker:\n"
-                f"{failures[first]}"
-            )
-        missing = [p for p in pts if p.index not in values]
-        if missing:
-            names = ", ".join(p.label for p in missing)
-            raise SimulationError(f"sweep lost results for points [{names}]")
-        return [PointResult(point, values[point.index]) for point in pts]
-
 
 class _Running:
-    """One in-flight resilient worker: process, pipe, attempt, deadline."""
+    """One in-flight worker: process, pipe, attempt, deadline."""
 
     __slots__ = ("proc", "conn", "point", "attempt", "deadline")
 
@@ -345,12 +208,12 @@ class _Running:
         self.deadline = deadline
 
 
-class _ResilientRun:
-    """State machine for one resilient sweep execution.
+class _SweepRun:
+    """State machine for one sweep execution.
 
-    Separated from :class:`SweepExecutor` so the legacy path stays
-    textually untouched and every piece of resilient state (queues,
-    signal counters, outcome accounting) lives and dies with one run.
+    Separated from :class:`SweepExecutor` so every piece of per-run state
+    (queues, signal counters, outcome accounting) lives and dies with one
+    run.
     """
 
     def __init__(
@@ -428,7 +291,7 @@ class _ResilientRun:
         return self._finish()
 
     def _serial_reason(self, pending: List[SweepPoint]) -> Optional[str]:
-        """Why resilient execution runs in-process, or None to fan out."""
+        """Why the sweep runs in-process, or None to fan out."""
         if self.executor.jobs == 1:
             return "jobs=1"
         if len(pending) < 2:
@@ -438,8 +301,7 @@ class _ResilientRun:
             if reason is None:
                 return None
         self.executor.last_fallback = reason
-        if reason != "jobs=1":
-            self.outcome.notes.append(f"ran serially: {reason}")
+        self.outcome.notes.append(f"ran serially: {reason}")
         return reason
 
     def _install_signal_handlers(self) -> List[Tuple[int, Any]]:
@@ -703,8 +565,7 @@ class _ResilientRun:
                 self._count("resilience.journal_appends")
         if self.catalog is not None:
             # Same determinism assert against the durable store; the probe
-            # count lands only after the entry is fsync'd (the serve
-            # daemon's crash drill relies on that ordering).
+            # count lands only after the entry is fsync'd.
             if self.catalog.record(self.fn_name, self.sweep_id, point, value):
                 self._count("catalog.appends")
         self.values[point.index] = value
@@ -790,7 +651,7 @@ class _ResilientRun:
                 outcome=self.outcome,
             )
         # A missing point that is neither a failure, an abort casualty, nor
-        # cancellation is an executor bug — surface it like the legacy path.
+        # cancellation is an executor bug — surface it loudly.
         holes = [
             p
             for p in self.pts

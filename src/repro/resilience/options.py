@@ -31,17 +31,13 @@ class ResilienceOptions:
 
     Attributes:
         retry: retry/timeout/backoff budget (default: no retries, no
-            timeout — identical to the historical executor).
-        on_failure: ``FAIL_FAST`` (default, historical) or ``SALVAGE``.
+            timeout).
+        on_failure: ``FAIL_FAST`` (default) or ``SALVAGE``.
         journal: shared checkpoint store, or None to run unjournaled.
         catalog: durable cross-invocation result cache
             (:class:`repro.catalog.RunCatalog`), or None. Catalogued
             points are served as verified cache hits; newly computed
             points are catalogued for every future run.
-        serve_url: ``host:port`` of a ``repro-serve`` daemon. When set,
-            :meth:`repro.parallel.SweepExecutor.map` ships the whole
-            sweep to the daemon instead of executing locally; the local
-            journal/catalog (when attached) still record the results.
         probe: sink for ``resilience.*`` / ``catalog.*`` counters and
             trace events; None falls back to the executor's ambient probe.
         outcomes: every sweep's outcome, appended in execution order —
@@ -52,25 +48,8 @@ class ResilienceOptions:
     on_failure: FailurePolicy = FailurePolicy.FAIL_FAST
     journal: Optional[RunJournal] = None
     catalog: "Optional[RunCatalog]" = None
-    serve_url: Optional[str] = None
     probe: "Optional[Probe]" = None
     outcomes: List[SweepOutcome] = field(default_factory=list)
-
-    @property
-    def active(self) -> bool:
-        """True when any resilience feature deviates from the historical path.
-
-        The executor uses this to keep the legacy chunked code path —
-        byte-identical behavior — whenever resilience adds nothing.
-        """
-        return (
-            self.journal is not None
-            or self.catalog is not None
-            or self.serve_url is not None
-            or self.retry.retries > 0
-            or self.retry.point_timeout is not None
-            or self.on_failure is not FailurePolicy.FAIL_FAST
-        )
 
     @property
     def failed(self) -> bool:

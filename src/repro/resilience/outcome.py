@@ -64,8 +64,8 @@ class SweepOutcome:
             ``failures`` instead).
         failures: points that exhausted their retry budget, in point order.
         resumed: points restored from the journal without re-execution.
-        cache_hits: points served from the run catalog (locally or by the
-            serve daemon) without re-execution.
+        cache_hits: points served from the run catalog without
+            re-execution.
         retried: retry attempts performed (not points — a point retried
             twice counts 2).
         timeouts: attempts killed by the per-point watchdog.

@@ -42,16 +42,6 @@ def flaky_until_marker(point: SweepPoint) -> int:
     return square(point)
 
 
-def opaque(point: SweepPoint) -> object:
-    """Return a value whose repr is not a Python literal.
-
-    Journals and catalogs record it as non-restorable; the serve daemon
-    must refuse to repr-transport it to a client.
-    """
-    del point
-    return object()
-
-
 def fail_at(point: SweepPoint) -> int:
     """Fail the marked point on every attempt (a permanent fault)."""
     if point.index == point.param("fail_index"):

@@ -102,21 +102,6 @@ RULE_CASES = [
         "        return offers\n",
     ),
     (
-        "RL014",
-        "import socket\n"
-        "def f(host):\n"
-        "    sock = socket.create_connection((host, 80))\n"
-        "    sock.sendall(b'ping')\n"
-        "    sock.close()\n",
-        "import socket\n"
-        "def f(host):\n"
-        "    sock = socket.create_connection((host, 80))\n"
-        "    try:\n"
-        "        sock.sendall(b'ping')\n"
-        "    finally:\n"
-        "        sock.close()\n",
-    ),
-    (
         "RC101",
         "def f(arb, reqs, now):\n    w = arb.select(reqs, now)\n    w.use()\n",
         "def f(arb, reqs, now):\n    w = arb.select(reqs, now)\n    arb.commit(w, now)\n",
@@ -365,70 +350,6 @@ def test_iterative_contract_pointer_writes_need_accept_phase():
         "        return {}\n"
     )
     assert "RL013" not in open_ids(unrelated)
-
-
-def test_daemon_cleanup_fixture_pair():
-    from pathlib import Path
-
-    fixtures = Path(__file__).resolve().parent / "fixtures" / "analysis"
-    engine = Engine(select={"RL014"})
-    bad = engine.lint_paths([str(fixtures / "bad_serve_module.py")])
-    # One finding per leaked resource in the bad fixture.
-    assert len([f for f in bad.open_findings if f.rule_id == "RL014"]) == 4
-    good = engine.lint_paths([str(fixtures / "good_serve_module.py")])
-    assert good.open_findings == []
-
-
-def test_daemon_cleanup_applies_outside_guarded_packages():
-    # The serve/catalog layers live outside the determinism-guarded
-    # packages; the rule must fire on plain paths too.
-    source = (
-        "import socket\n"
-        "def f(host):\n"
-        "    sock = socket.create_connection((host, 80))\n"
-        "    sock.sendall(b'x')\n"
-    )
-    assert "RL014" in open_ids(source, path=PLAIN_PATH)
-
-
-def test_daemon_cleanup_accepts_ownership_escapes():
-    for source in (
-        # returned to the caller
-        "import socket\n"
-        "def f(host):\n"
-        "    sock = socket.create_connection((host, 80))\n"
-        "    return sock\n",
-        # stored on an attribute (object lifecycle)
-        "import socket\n"
-        "class C:\n"
-        "    def open(self, host):\n"
-        "        sock = socket.create_connection((host, 80))\n"
-        "        self.sock = sock\n",
-        # with-statement context
-        "import socket\n"
-        "def f(host):\n"
-        "    with socket.create_connection((host, 80)) as sock:\n"
-        "        sock.sendall(b'x')\n",
-        # registered with an exit stack
-        "import socket\n"
-        "def f(host, stack):\n"
-        "    sock = socket.create_connection((host, 80))\n"
-        "    stack.callback(sock.close)\n",
-    ):
-        assert "RL014" not in open_ids(source, path=PLAIN_PATH), source
-
-
-def test_daemon_cleanup_flags_makefile_and_accept():
-    for source in (
-        "def f(sock):\n"
-        "    stream = sock.makefile('rwb')\n"
-        "    stream.write(b'x')\n",
-        "def f(server):\n"
-        "    conn, addr = server.accept()\n"
-        "    conn.sendall(b'x')\n"
-        "    return addr\n",
-    ):
-        assert "RL014" in open_ids(source, path=PLAIN_PATH), source
 
 
 def test_iterative_contract_flags_backlog_mutation():

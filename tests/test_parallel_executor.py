@@ -1,9 +1,9 @@
 """Unit tests for the deterministic sweep executor and its envelopes.
 
 Worker functions live at module level so they pickle into real worker
-processes; the suite exercises every dispatch path (serial, parallel,
-each fallback) plus the failure-surfacing contract: a crashed point is
-*named*, never hung on.
+processes; the suite exercises inline (``jobs=1``) and fanned-out runs,
+each inline fallback, and the failure-surfacing contract: a crashed
+point is *named*, never hung on.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import signal
 import pytest
 
 from repro.errors import ConfigError, SimulationError
+from repro.resilience import FailurePolicy, ResilienceOptions
 from repro.parallel import (
     PointResult,
     SweepExecutor,
@@ -80,7 +81,9 @@ def test_result_hash_is_order_and_value_sensitive():
 
 def test_serial_map_preserves_point_order_and_pairing():
     points = _points(5)
-    results = SweepExecutor(jobs=1).map(_times_ten, points)
+    executor = SweepExecutor(jobs=1)
+    results = executor.map(_times_ten, points)
+    assert executor.last_fallback is None
     assert [r.value for r in results] == [0, 10, 20, 30, 40]
     assert [r.point for r in results] == points
     assert all(isinstance(r, PointResult) for r in results)
@@ -89,7 +92,7 @@ def test_serial_map_preserves_point_order_and_pairing():
 def test_parallel_map_matches_serial_exactly():
     points = _points(7)
     serial = SweepExecutor(jobs=1).map(_echo_params, points)
-    executor = SweepExecutor(jobs=2, chunk_size=1)  # force cross-worker order
+    executor = SweepExecutor(jobs=2)
     parallel = executor.map(_echo_params, points)
     assert executor.last_fallback is None
     assert [r.value for r in parallel] == [r.value for r in serial]
@@ -107,11 +110,9 @@ def test_duplicate_point_index_is_rejected():
         SweepExecutor(jobs=1).map(_times_ten, points)
 
 
-def test_constructor_validates_jobs_and_chunk_size():
+def test_constructor_validates_jobs():
     with pytest.raises(ConfigError):
         SweepExecutor(jobs=0)
-    with pytest.raises(ConfigError):
-        SweepExecutor(jobs=2, chunk_size=0)
 
 
 # ---------------------------------------------------------------- fallbacks
@@ -122,6 +123,16 @@ def test_single_point_falls_back_to_serial():
     results = executor.map(_times_ten, _points(1))
     assert executor.last_fallback == "fewer than 2 points"
     assert [r.value for r in results] == [0]
+
+
+def test_last_fallback_is_reset_by_every_run():
+    options = ResilienceOptions(on_failure=FailurePolicy.SALVAGE)
+    executor = SweepExecutor(jobs=2, resilience=options)
+    executor.map(_times_ten, _points(1))
+    assert executor.last_fallback == "fewer than 2 points"
+    results = executor.map(_times_ten, _points(4))
+    assert executor.last_fallback is None
+    assert [r.value for r in results] == [0, 10, 20, 30]
 
 
 def test_unpicklable_fn_falls_back_to_serial_with_same_results():
@@ -152,12 +163,15 @@ def test_serial_crash_names_the_point():
 
 def test_worker_crash_names_the_point_and_carries_the_traceback():
     with pytest.raises(SimulationError) as excinfo:
-        SweepExecutor(jobs=2, chunk_size=1).map(_boom_on_two, _points(4))
+        SweepExecutor(jobs=2).map(_boom_on_two, _points(4))
     message = str(excinfo.value)
-    assert "sweep point 2 (p2) failed in worker" in message
+    assert "sweep point 2 (p2) failed" in message
+    assert "[error]" in message
     assert "ValueError: boom" in message
 
 
 def test_dead_worker_process_raises_instead_of_hanging():
-    with pytest.raises(SimulationError, match="worker process died"):
-        SweepExecutor(jobs=2, chunk_size=2).map(_kill_self, _points(4))
+    with pytest.raises(
+        SimulationError, match=r"sweep point \d \(p\d\) failed .*\[worker-died\]"
+    ):
+        SweepExecutor(jobs=2).map(_kill_self, _points(4))

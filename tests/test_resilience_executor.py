@@ -263,17 +263,6 @@ class TestCancellation:
 
 
 class TestLegacyPathPreserved:
-    def test_inactive_options_take_the_historical_path(self) -> None:
-        """Default ResilienceOptions must not change executor behavior."""
-        points = _points()
-        options = ResilienceOptions()
-        assert not options.active
-        executor = SweepExecutor(jobs=2, resilience=options)
-        results = executor.map(workers.square, points)
-        assert [r.value for r in results] == _expected(points)
-        # The legacy path records no outcomes — nothing to report.
-        assert options.outcomes == []
-
     def test_active_options_reject_bad_config_like_legacy(self) -> None:
         options = ResilienceOptions(retry=RetryPolicy(retries=1))
         executor = SweepExecutor(jobs=2, resilience=options)
