@@ -196,10 +196,11 @@ def _r128_hotspot(
 ) -> CaseResult:
     """Event kernel at radix 128 — the regime the array kernel targets.
 
-    At radix 128 the event kernel still reads one per-output demand count
-    per (output, input) pair each wake, O(radix^2) Python, while the
-    array kernel's arbitration is a handful of numpy row operations —
-    this pair is where the ``kernel_speedup`` headline comes from.
+    At radix 128 the event kernel still scans every input for each of
+    the 8 hot outputs each wake, O(radix) Python per contended output,
+    while the array kernel's arbitration is a handful of numpy row
+    operations — this pair is where the ``kernel_speedup`` headline comes
+    from.
     """
     config = _paper_config(radix=128)
     result = Simulation(config, _r128_workload(), seed=1, probe=probe).run(horizon)

@@ -53,8 +53,14 @@ from ..types import CounterMode, FlowId, TrafficClass
 from .buffers import FlitBuffer
 from .crossbar import ArbiterFactory
 from .events import GrantEvent, PacketDelivered
-from .flit import Packet
-from .simulator import Simulation, SimulationResult, _checked_injector, _top_up
+from .flit import Packet, fresh_packet_ids
+from .simulator import (
+    Simulation,
+    SimulationResult,
+    _checked_injector,
+    _saturating_refill,
+    _top_up,
+)
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle
     from ..traffic.flows import Workload
@@ -131,7 +137,12 @@ class ArraySimulation(Simulation):
     def run(self, horizon: int) -> SimulationResult:  # noqa: C901 (kept as one
         # loop on purpose — the event kernel's run() is the line-for-line
         # template and parity auditing needs the same control flow shape)
-        """Simulate ``horizon`` cycles and return the collected results."""
+        """Simulate ``horizon`` cycles and return the collected results.
+
+        Raises:
+            SimulationError: on a bad horizon or warmup, or when this
+                simulation already ran (build a new one instead).
+        """
         if horizon <= 0:
             raise SimulationError(f"horizon must be positive, got {horizon}")
         warmup = (
@@ -141,9 +152,11 @@ class ArraySimulation(Simulation):
         )
         if warmup >= horizon:
             raise SimulationError(f"warmup {warmup} must be below horizon {horizon}")
+        self._claim_run()
         self._program_switch()
         stats = StatsCollector(warmup_cycles=warmup, window_cycles=self.window_cycles)
-        sources = self._build_sources(horizon)
+        packet_ids = fresh_packet_ids()  # per-run ids: replayable traces
+        sources = self._build_sources(horizon, packet_ids)
         events: List[object] = []
         grants = 0
         probe = self.probe
@@ -421,6 +434,8 @@ class ArraySimulation(Simulation):
                         assert head is not None
                         note_new_head(source.flow, head.flits, head.dst)
 
+        refill_saturating = _saturating_refill(saturating, top_up_input, packet_ids)
+
         def drain_overflow(port_index: int, now: int) -> None:
             nonlocal overflow_scans, backlogged_flows
             backlog = overflow[port_index]
@@ -502,8 +517,8 @@ class ArraySimulation(Simulation):
 
             # 2. Top up saturating sources (overflow drains after grants
             #    only, as in the event kernel).
-            for port_index in saturating:
-                top_up_input(port_index, now)
+            if saturating:
+                refill_saturating(now)
 
             # 2b. Counter bit-flips fire before any arbitration this cycle.
             if faults_flips and injector is not None:

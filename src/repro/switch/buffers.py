@@ -145,9 +145,14 @@ class InputPort:
     Args:
         port: input index.
         config: switch configuration (buffer depths, radix, VOQ mode).
+        demand: switch-wide packets buffered per output, shared by every
+            input of one switch and kept on this port's mutation paths;
+            a port built on its own gets a private list.
     """
 
-    def __init__(self, port: int, config: SwitchConfig) -> None:
+    def __init__(
+        self, port: int, config: SwitchConfig, demand: Optional[List[int]] = None
+    ) -> None:
         if not 0 <= port < config.radix:
             raise SimulationError(f"input port {port} out of range [0, {config.radix})")
         self.port = port
@@ -177,6 +182,14 @@ class InputPort:
         #: same two mutation paths: a zero entry proves no head (of any
         #: class) can request that output, so the kernel skips the scan.
         self.to_output: List[int] = [0] * config.radix
+        #: flits buffered per output across all classes (the VOQ backlog
+        #: the matching schedulers weigh requests by), same two paths.
+        self.flits_to_output: List[int] = [0] * config.radix
+        #: ``to_output`` summed over every input of the switch.
+        self.demand: List[int] = demand if demand is not None else [0] * config.radix
+        #: bumped on every mutation, so an unchanged stamp proves every
+        #: head, and the occupancy a request reports, is unchanged too.
+        self.stamp = 0
 
     # ------------------------------------------------------------- admission
 
@@ -221,8 +234,13 @@ class InputPort:
             return False
         packet.injected_cycle = now
         queue.push(packet)
-        self._total_occupancy += packet.flits
-        self.to_output[packet.dst] += 1
+        flits = packet.flits
+        dst = packet.dst
+        self._total_occupancy += flits
+        self.to_output[dst] += 1
+        self.flits_to_output[dst] += flits
+        self.demand[dst] += 1
+        self.stamp += 1
         return True
 
     # -------------------------------------------------------------- requests
@@ -313,16 +331,8 @@ class InputPort:
             raise SimulationError(
                 "voq_backlog() requires VOQ mode (config.voq=True)"
             )
-        backlog: Dict[int, int] = {}
-        for out in outputs:
-            flits = (
-                self.gl_queues[out].occupancy_flits
-                + self.gb_queues[out].occupancy_flits
-                + self.be_queues[out].occupancy_flits
-            )
-            if flits:
-                backlog[out] = flits
-        return backlog
+        flits = self.flits_to_output
+        return {out: flits[out] for out in outputs if flits[out]}
 
     def pop_packet(self, packet: Packet) -> None:
         """Remove a granted packet, which must be at the head of its queue.
@@ -338,8 +348,13 @@ class InputPort:
                 f"granted packet {packet.packet_id} is not at the head of its queue"
             )
         queue.pop()
-        self._total_occupancy -= packet.flits
-        self.to_output[packet.dst] -= 1
+        flits = packet.flits
+        dst = packet.dst
+        self._total_occupancy -= flits
+        self.to_output[dst] -= 1
+        self.flits_to_output[dst] -= flits
+        self.demand[dst] -= 1
+        self.stamp += 1
 
     @property
     def total_occupancy_flits(self) -> int:
@@ -363,11 +378,14 @@ class InputPort:
         Returns the recomputed total. Contract (pinned by
         tests/test_voq_occupancy_faults.py): ``_total_occupancy`` equals
         the sum of all class queues' audited occupancies, and
-        ``to_output[o]`` equals the number of queued packets addressed to
-        ``o``, at every point — in particular, packet-drop and packet-dup
-        fault injections, which fire only after :meth:`pop_packet` removed
-        the granted packet, can never leak into (or out of) either count
-        and wedge admission or hide a head from arbitration.
+        ``to_output[o]`` and ``flits_to_output[o]`` equal the number of
+        queued packets, and of their flits, addressed to ``o``, at every
+        point — in particular, packet-drop and packet-dup fault
+        injections, which fire only after :meth:`pop_packet` removed the
+        granted packet, can never leak into (or out of) any count and
+        wedge admission, skew a VOQ backlog or hide a head from
+        arbitration. The switch-wide ``demand`` is audited by
+        :meth:`repro.switch.crossbar.SwizzleSwitch.audit_occupancy`.
 
         Raises:
             BufferError_: if any queue's own accounting drifted.
@@ -382,12 +400,19 @@ class InputPort:
                 f"{self._total_occupancy} flits but queues hold {actual}"
             )
         per_output = [0] * self.config.radix
+        flits_per_output = [0] * self.config.radix
         for queue in queues:
             for packet in queue:
                 per_output[packet.dst] += 1
+                flits_per_output[packet.dst] += packet.flits
         if per_output != self.to_output:
             raise SimulationError(
                 f"input {self.port} occupancy leak: per-output packet counts "
                 f"say {self.to_output} but queues hold {per_output}"
+            )
+        if flits_per_output != self.flits_to_output:
+            raise SimulationError(
+                f"input {self.port} occupancy leak: per-output flit counts "
+                f"say {self.flits_to_output} but queues hold {flits_per_output}"
             )
         return actual

@@ -49,7 +49,13 @@ class SwizzleSwitch:
     ) -> None:
         self.config = config
         factory = arbiter_factory if arbiter_factory is not None else default_arbiter_factory
-        self.inputs: List[InputPort] = [InputPort(i, config) for i in range(config.radix)]
+        #: packets buffered per output over every input, kept by the ports'
+        #: two mutation paths: a zero entry lets the kernel skip the output
+        #: without visiting any input.
+        self.demand: List[int] = [0] * config.radix
+        self.inputs: List[InputPort] = [
+            InputPort(i, config, self.demand) for i in range(config.radix)
+        ]
         self.outputs: List[OutputChannel] = [
             OutputChannel(o, config.arbitration_cycles) for o in range(config.radix)
         ]
@@ -112,6 +118,25 @@ class SwizzleSwitch:
         """
         override = self.arbiters[output].arbitration_cycles
         return override if override is not None else self.config.arbitration_cycles
+
+    def audit_occupancy(self) -> int:
+        """Audit every input's books, then the switch-wide ``demand``.
+
+        Returns the flits buffered across the switch.
+
+        Raises:
+            BufferError_: if a queue's own accounting drifted.
+            SimulationError: if a port's counts, or ``demand``, disagree
+                with the queued packets.
+        """
+        total = sum(port.audit_occupancy() for port in self.inputs)
+        per_output = [sum(counts) for counts in zip(*(p.to_output for p in self.inputs))]
+        if per_output != self.demand:
+            raise SimulationError(
+                f"switch occupancy leak: demand says {self.demand} but the "
+                f"inputs hold {per_output} packets per output"
+            )
+        return total
 
     @property
     def radix(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from ..errors import SimulationError
 from ..types import FlowId, TrafficClass
@@ -31,6 +31,12 @@ def fresh_packet_ids() -> "itertools.count[int]":
     explicitly; replayability of event traces depends on it.
     """
     return itertools.count()
+
+
+def skip_packet_ids(ids: Iterator[int], count: int) -> None:
+    """Consume ``count`` ids from a per-run stream without creating packets."""
+    if count > 0:
+        next(itertools.islice(ids, count - 1, None))
 
 
 @dataclass

@@ -32,7 +32,17 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Deque,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -51,7 +61,7 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle
 from .buffers import FlitBuffer, InputPort
 from .crossbar import ArbiterFactory, SwizzleSwitch
 from .events import GrantEvent, PacketDelivered
-from .flit import Packet, fresh_packet_ids
+from .flit import Packet, fresh_packet_ids, skip_packet_ids
 
 
 @dataclass
@@ -126,6 +136,11 @@ class SimulationResult:
             title=f"{self.workload_name}: {self.horizon} cycles "
             f"({self.warmup_cycles} warmup)",
         )
+
+
+#: Step 3b's reuse entry for one (output, input): ``((stamp, allow_gl),
+#: gl_denied, request)``.
+_ReuseEntry = Tuple[Tuple[int, bool], bool, Optional[Request]]
 
 
 def _validate_packet_sizes(workload: "Workload", config: SwitchConfig) -> None:
@@ -233,6 +248,44 @@ def _top_up(
         admitted += 1
 
 
+def _saturating_refill(
+    saturating: Dict[int, List[Tuple["FlowSource", FlitBuffer]]],
+    top_up_input: Callable[[int, int], None],
+    packet_ids: Iterator[int],
+) -> Callable[[int], None]:
+    """Build step 2 of a wake: keep every saturating buffer full.
+
+    Buffer space frees only in :meth:`InputPort.pop_packet`, and a kernel
+    refills the granted input right after it, so once the first wake has
+    topped every saturating input up, every saturating buffer is full at
+    every later wake. A fixed-length source's probe of a full buffer then
+    admits nothing and only burns one packet id (see :func:`_top_up`), so
+    from the second call on the returned step burns one id per saturating
+    source in a single call on the run's id stream. A range-length
+    source's probe draws a length from its flow's RNG and may admit a
+    shorter packet, so when any saturating source has range-length packets
+    every call probes every saturating input in order, as the first does.
+    """
+    probes = sum(len(entries) for entries in saturating.values())
+    per_input = any(
+        not isinstance(source.packet_length, int)
+        for entries in saturating.values()
+        for source, _ in entries
+    )
+    filled = False
+
+    def refill(now: int) -> None:
+        nonlocal filled
+        if filled and not per_input:
+            skip_packet_ids(packet_ids, probes)
+            return
+        for port_index in saturating:
+            top_up_input(port_index, now)
+        filled = True
+
+    return refill
+
+
 class Simulation:
     """Couples a switch, a workload, and a statistics collector.
 
@@ -289,6 +342,7 @@ class Simulation:
         self.probe = probe
         self.fault_plan = fault_plan
         self._programmed = False
+        self._ran = False
 
     # ----------------------------------------------------------------- setup
 
@@ -360,11 +414,31 @@ class Simulation:
                     pass
         self._programmed = True
 
-    def _build_sources(self, horizon: int) -> "List[FlowSource]":
+    def _claim_run(self) -> None:
+        """Allow one :meth:`run` per simulation.
+
+        Channels, buffers and arbiter state live on :attr:`switch` and
+        would carry a finished run's state into the next one.
+
+        Raises:
+            SimulationError: on a second call.
+        """
+        if self._ran:
+            raise SimulationError(
+                "this simulation already ran; its channels, buffers and "
+                "arbiters hold that run's state, so build a new Simulation "
+                "for another run"
+            )
+        self._ran = True
+
+    def _build_sources(
+        self, horizon: int, packet_ids: Optional[Iterator[int]] = None
+    ) -> "List[FlowSource]":
         from ..traffic.generators import FlowSource
 
         seeds = np.random.SeedSequence(self.seed).spawn(len(self.workload.flows))
-        packet_ids = fresh_packet_ids()  # per-run ids: replayable traces
+        if packet_ids is None:
+            packet_ids = fresh_packet_ids()  # per-run ids: replayable traces
         sources = []
         for spec, child in zip(self.workload, seeds):
             if spec.process is None:
@@ -384,7 +458,12 @@ class Simulation:
     # ------------------------------------------------------------------- run
 
     def run(self, horizon: int) -> SimulationResult:
-        """Simulate ``horizon`` cycles and return the collected results."""
+        """Simulate ``horizon`` cycles and return the collected results.
+
+        Raises:
+            SimulationError: on a bad horizon or warmup, or when this
+                simulation already ran (build a new one instead).
+        """
         if horizon <= 0:
             raise SimulationError(f"horizon must be positive, got {horizon}")
         warmup = (
@@ -394,6 +473,7 @@ class Simulation:
         )
         if warmup >= horizon:
             raise SimulationError(f"warmup {warmup} must be below horizon {horizon}")
+        self._claim_run()
         self._program_switch()
         scheduler = self._scheduler
         if scheduler is not None:
@@ -401,7 +481,8 @@ class Simulation:
             # port); binding here makes replay independent of sweep fan-out.
             scheduler.bind_seed(self.seed)
         stats = StatsCollector(warmup_cycles=warmup, window_cycles=self.window_cycles)
-        sources = self._build_sources(horizon)
+        packet_ids = fresh_packet_ids()  # per-run ids: replayable traces
+        sources = self._build_sources(horizon, packet_ids)
         events: List[object] = []
         grants = 0
         probe = self.probe
@@ -430,6 +511,7 @@ class Simulation:
         inputs = switch.inputs
         outputs = switch.outputs
         arbiters = switch.arbiters
+        demand = switch.demand
         # Per-output structures that cannot change during a run.
         policers = [getattr(arbiters[o], "gl_policer", None) for o in range(radix)]
         arb_cycles_for = [switch.arbitration_cycles_for(o) for o in range(radix)]
@@ -509,6 +591,14 @@ class Simulation:
                 port = inputs[port_index]
                 for source, queue in entries:
                     _top_up(source, port, queue, now, on_created)
+
+        refill_saturating = _saturating_refill(saturating, top_up_input, packet_ids)
+
+        # Request reuse per (output, input): ((stamp, allow_gl), gl_denied,
+        # request). An input's stamp moves on every mutation, so a matching
+        # key proves the head, the masked GL head and the occupancy the
+        # request reports are all unchanged since the entry was built.
+        reuse: List[List[Optional[_ReuseEntry]]] = [[None] * radix for _ in range(radix)]
 
         def drain_overflow(port_index: int, now: int) -> None:
             # Scans are O(flows with backlog at this input): flows whose
@@ -673,8 +763,8 @@ class Simulation:
             # 2. Top up saturating sources. Backlogged overflow needs no
             #    retry here: no buffer space freed since its input's last
             #    drain, which ran right after that input's last grant.
-            for port_index in saturating:
-                top_up_input(port_index, now)
+            if saturating:
+                refill_saturating(now)
 
             # 2b. Counter bit-flips fire before any arbitration this cycle,
             #     mirroring the flit kernel's per-cycle ordering.
@@ -760,12 +850,11 @@ class Simulation:
             #     start to avoid bias. Only free inputs holding a packet for
             #     the output are visited: any other input has no head, no
             #     masked GL head and no fault-masked request for it, so an
-            #     output no free input holds a packet for is skipped whole
+            #     output no input holds a packet for is skipped whole
             #     (GLPolicer.eligible is pure, so skipping it is too).
             for k in range(radix):
                 o = (now + k) % radix
-                channel = outputs[o]
-                if not channel.is_idle(now):
+                if not demand[o] or outputs[o].busy_until > now:
                     continue
                 holders = [
                     port
@@ -777,10 +866,10 @@ class Simulation:
                 arbiter = arbiters[o]
                 policer = policers[o]
                 allow_gl = policer is None or policer.eligible(now)
+                reuse_o = reuse[o]
                 requests = []
                 gl_denied_inputs = []
                 for port in holders:
-                    queued = port.total_occupancy_flits
                     if faults_stall and injector.stalled(port.port, now):
                         # A stalled input raises nothing this cycle: no
                         # request and no policer-throttle decision either.
@@ -793,28 +882,33 @@ class Simulation:
                         if port.head_for_output(o, allow_gl=True) is not None:
                             fault_dead_masks += 1
                         continue
-                    head = port.head_for_output(o, allow_gl=allow_gl)
-                    if not allow_gl:
+                    key = (port.stamp, allow_gl)
+                    entry = reuse_o[port.port]
+                    if entry is None or entry[0] != key:
+                        head = port.head_for_output(o, allow_gl=allow_gl)
                         # A GL head masked by the policer is a throttle
                         # decision even though it never becomes a request
                         # (the GB/BE head in front of it requests instead).
-                        if port.gl_head_for(o) is not None:
-                            gl_denied_inputs.append(port.port)
-                    if head is None:
-                        continue
-                    requests.append(
-                        Request(
-                            input_port=port.port,
-                            traffic_class=head.traffic_class,
-                            packet_flits=head.flits,
-                            queued_flits=queued,
-                            arrival_cycle=(
-                                head.injected_cycle
-                                if head.injected_cycle is not None
-                                else head.created_cycle
-                            ),
-                        )
-                    )
+                        gl_denied = not allow_gl and port.gl_head_for(o) is not None
+                        request = None
+                        if head is not None:
+                            request = Request(
+                                input_port=port.port,
+                                traffic_class=head.traffic_class,
+                                packet_flits=head.flits,
+                                queued_flits=port.total_occupancy_flits,
+                                arrival_cycle=(
+                                    head.injected_cycle
+                                    if head.injected_cycle is not None
+                                    else head.created_cycle
+                                ),
+                            )
+                        entry = reuse_o[port.port] = (key, gl_denied, request)
+                    _, gl_denied, request = entry
+                    if gl_denied:
+                        gl_denied_inputs.append(port.port)
+                    if request is not None:
+                        requests.append(request)
                 if gl_denied_inputs and policer is not None:
                     # One throttle event per denied (cycle, input) pair; the
                     # arbiter's own note_throttled for demoted GL requests

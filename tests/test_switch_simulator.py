@@ -188,6 +188,33 @@ class TestDeterminism:
         assert self._run(1, small_config) != self._run(2, small_config)
 
 
+class TestSingleRun:
+    """Channels, buffers and arbiters live on the switch, so a second
+    ``run`` would start from the first one's end state (busy channels,
+    full buffers) and silently simulate nothing; it is refused instead."""
+
+    @pytest.mark.parametrize("kernel", ["event", "array"])
+    def test_second_run_is_refused(self, kernel):
+        from repro.config import FIG4_CONFIG
+        from repro.experiments.common import make_simulation
+        from repro.traffic.patterns import fig4_workload
+
+        sim = make_simulation(
+            kernel, FIG4_CONFIG, fig4_workload(inject_rate=None), seed=1
+        )
+        assert sim.run(3000).grants == 334
+        with pytest.raises(SimulationError, match="build a new Simulation"):
+            sim.run(3000)
+
+    def test_rejected_horizon_leaves_the_run_available(self, small_config):
+        workload = Workload()
+        workload.add(be_flow(0, 0, packet_length=4, inject_rate=None))
+        sim = Simulation(small_config, workload, arbiter_factory=lrg_factory)
+        with pytest.raises(SimulationError, match="horizon"):
+            sim.run(0)
+        assert sim.run(100).grants > 0
+
+
 class TestMultiOutput:
     def test_permutation_traffic_runs_all_outputs_in_parallel(self, small_config):
         workload = Workload()

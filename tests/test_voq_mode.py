@@ -56,6 +56,11 @@ class TestVOQPort:
         assert backlog == {1: 8, 3: 2}
         # Restricting to free outputs masks the rest.
         assert port.voq_backlog([0, 2]) == {}
+        # Every class counts, and a grant's pop leaves the backlog.
+        gb = Packet(flow=FlowId(0, 3, TrafficClass.GB), flits=3, created_cycle=0)
+        assert port.try_inject(gb, now=0)
+        port.pop_packet(port.be_queues[1].head())
+        assert port.voq_backlog([0, 1, 2, 3]) == {1: 4, 3: 5}
 
     def test_voq_backlog_refused_in_classic_mode(self):
         port = InputPort(0, SwitchConfig(radix=4, voq=False))

@@ -86,8 +86,7 @@ def _run_and_audit(config_voq: bool, plan: FaultPlan, arbiter) -> Simulation:
     )
     result = sim.run(4_000)
     assert result.stats.total_delivered_flits > 0
-    for port in sim.switch.inputs:
-        port.audit_occupancy()  # raises on any leak
+    sim.switch.audit_occupancy()  # every port's books, then the demand
     return sim
 
 
@@ -157,3 +156,43 @@ def test_audit_occupancy_reports_demand_index_drift():
     port.to_output[2] += 1
     with pytest.raises(SimulationError, match="occupancy leak"):
         port.audit_occupancy()
+
+
+@pytest.mark.parametrize("fault", ["drop", "dup"])
+@pytest.mark.parametrize(
+    "config_voq, arbiter", [(False, "three-class"), (True, "islip")],
+    ids=["classic", "voq"],
+)
+def test_audit_catches_voq_flit_count_drift_after_faulted_run(
+    fault, config_voq, arbiter
+):
+    """The per-output flit counts the VOQ backlog is read from are audited
+    too: after a drop/dup run balances, one count nudged off the queue
+    contents is reported as a leak."""
+    spec = packet_drop(0.2, output=0) if fault == "drop" else packet_dup(0.2, output=1)
+    sim = _run_and_audit(config_voq, FaultPlan(seed=5, faults=(spec,)), arbiter)
+    port = sim.switch.inputs[1]
+    port.flits_to_output[0] += 4
+    with pytest.raises(SimulationError, match="per-output flit counts"):
+        port.audit_occupancy()
+
+
+@pytest.mark.parametrize("fault", ["drop", "dup"])
+@pytest.mark.parametrize(
+    "config_voq, arbiter", [(False, "three-class"), (True, "islip")],
+    ids=["classic", "voq"],
+)
+def test_audit_catches_switch_demand_drift_after_faulted_run(
+    fault, config_voq, arbiter
+):
+    """The switch-wide per-output demand the kernel skips idle outputs by
+    must equal the inputs' per-output counts summed; every port can
+    balance on its own while the shared demand has drifted."""
+    spec = packet_drop(0.2, output=0) if fault == "drop" else packet_dup(0.2, output=1)
+    sim = _run_and_audit(config_voq, FaultPlan(seed=5, faults=(spec,)), arbiter)
+    sim.switch.demand[2] += 1
+    for port in sim.switch.inputs:
+        port.audit_occupancy()  # the ports alone still balance
+    with pytest.raises(SimulationError, match="switch occupancy leak"):
+        sim.switch.audit_occupancy()
+
