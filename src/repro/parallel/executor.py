@@ -9,9 +9,12 @@ point carries its own seed, workers never share mutable state, and
 results merge by the point's ``index``, not completion order.
 
 Every sweep takes the same path. ``jobs=1`` runs each point inline in
-this process; ``jobs >= 2`` runs one supervised process per point, at
-most ``jobs`` at a time, so a hung worker can be killed by the watchdog
-without taking other points with it. On top of that path the
+this process; ``jobs >= 2`` runs the points on up to ``jobs`` supervised
+worker processes, each forked on first dispatch and reused for point
+after point until the sweep ends. A worker is killed and replaced only
+when the watchdog times its point out, when it dies, on a fail-fast
+abort or on a second signal, so a hung point never takes other points
+with it. On top of that path the
 :class:`repro.resilience.ResilienceOptions` bundle adds checkpointing,
 cache hits, retries, per-point timeouts, and salvage:
 
@@ -69,34 +72,51 @@ PointFn = Callable[[SweepPoint], Any]
 CHAOS_ENV = "REPRO_CHAOS_FAIL_LABEL"
 
 
-def _run_point_child(fn: PointFn, point: SweepPoint, conn: Connection) -> None:
-    """Child-process body: one point, one pipe.
+def _worker_loop(fn: PointFn, conn: Connection, parent_end: Connection) -> None:
+    """Worker-process body: run points from the pipe until ``None`` or EOF.
 
-    Ships ``(True, value)`` or ``(False, traceback_text)`` back to the
-    parent. If the *value* itself cannot be pickled through the pipe, a
-    failure record is shipped instead — the parent must never hang on a
-    silent child, so the pipe is closed on every path.
+    Ships ``(True, value)`` or ``(False, traceback_text)`` back per point.
+    If the *value* itself cannot be pickled through the pipe, a failure
+    record is shipped instead; if even that fails the worker exits, so the
+    parent sees EOF rather than hanging on a silent worker. The inherited
+    copy of the parent's end is closed first: otherwise the worker itself
+    would keep its pipe open and never see EOF if the parent is killed.
+    SIGINT is ignored, because the parent owns cancellation: a Ctrl-C sent
+    to the whole process group lets running points finish while the
+    parent drains. SIGTERM gets its default back (a forked worker would
+    otherwise inherit the parent's draining handler), so ``terminate()``
+    stops a worker.
     """
-    try:
-        payload: Tuple[bool, Any] = (True, fn(point))
-    except BaseException as exc:  # noqa: BLE001 - shipped back, judged by parent
-        payload = (
-            False,
-            f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}",
-        )
-    try:
-        conn.send(payload)
-    except Exception as exc:  # result unpicklable: ship the reason instead
-        with contextlib.suppress(Exception):
-            conn.send(
-                (
-                    False,
-                    f"point result could not be shipped to the parent: "
-                    f"{type(exc).__name__}: {exc}",
-                )
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    while True:
+        try:
+            point = conn.recv()
+        except (EOFError, OSError):  # the parent is gone
+            return
+        if point is None:
+            return
+        try:
+            payload: Tuple[bool, Any] = (True, fn(point))
+        except BaseException as exc:  # noqa: BLE001 - shipped back, judged by parent
+            payload = (
+                False,
+                f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}",
             )
-    finally:
-        conn.close()
+        try:
+            conn.send(payload)
+        except Exception as exc:  # result unpicklable: ship the reason instead
+            try:
+                conn.send(
+                    (
+                        False,
+                        f"point result could not be shipped to the parent: "
+                        f"{type(exc).__name__}: {exc}",
+                    )
+                )
+            except Exception:  # noqa: BLE001 - exit; the parent reports worker-died
+                return
 
 
 def _chaos_label() -> Optional[str]:
@@ -109,8 +129,9 @@ class SweepExecutor:
 
     Args:
         jobs: worker process count. ``1`` (the default) runs every point
-            inline in this process; ``>= 2`` runs one supervised process
-            per point, at most ``jobs`` at a time.
+            inline in this process; ``>= 2`` runs the points on up to
+            ``jobs`` supervised worker processes, reused from point to
+            point for the whole sweep.
         resilience: journal/catalog/retry/salvage bundle. ``None`` runs
             with the defaults: no journal, no catalog, no retries,
             fail-fast.
@@ -188,24 +209,21 @@ class SweepExecutor:
         return None
 
 
-class _Running:
-    """One in-flight worker: process, pipe, attempt, deadline."""
+class _Worker:
+    """One supervised worker process: its pipe and the point it is running.
+
+    ``point`` is ``None`` while the worker is idle; ``attempt`` and
+    ``deadline`` describe the point it is running.
+    """
 
     __slots__ = ("proc", "conn", "point", "attempt", "deadline")
 
-    def __init__(
-        self,
-        proc: BaseProcess,
-        conn: Connection,
-        point: SweepPoint,
-        attempt: int,
-        deadline: Optional[float],
-    ) -> None:
+    def __init__(self, proc: BaseProcess, conn: Connection) -> None:
         self.proc = proc
         self.conn = conn
-        self.point = point
-        self.attempt = attempt
-        self.deadline = deadline
+        self.point: Optional[SweepPoint] = None
+        self.attempt = 0
+        self.deadline: Optional[float] = None
 
 
 class _SweepRun:
@@ -250,7 +268,7 @@ class _SweepRun:
         self.runnable: List[Tuple[SweepPoint, int]] = []
         #: retries waiting out their backoff: (monotonic ready time, point, attempt)
         self.delayed: List[Tuple[float, SweepPoint, int]] = []
-        self.running: List[_Running] = []
+        self.workers: List[_Worker] = []
         self.cancel_signals = 0
         self.aborted = False
         self.chaos = _chaos_label()
@@ -285,7 +303,7 @@ class _SweepRun:
             # Second signal (or a plain Ctrl-C raise): stop immediately but
             # still leave a consistent, resumable journal behind.
             self.cancel_signals = max(self.cancel_signals, 1)
-            self._terminate_running()
+            self._stop_workers()
         finally:
             self._restore_signal_handlers(handlers)
         return self._finish()
@@ -294,7 +312,10 @@ class _SweepRun:
         """Why the sweep runs in-process, or None to fan out."""
         if self.executor.jobs == 1:
             return "jobs=1"
-        if len(pending) < 2:
+        # A lone point gains no overlap, but a watchdog still needs a worker.
+        if len(pending) < 2 and (
+            not pending or self.options.retry.point_timeout is None
+        ):
             reason = "fewer than 2 points"
         else:
             reason = SweepExecutor._pickle_check(self.fn, pending)
@@ -389,7 +410,7 @@ class _SweepRun:
     # ----------------------------------------------------------------- serial
 
     def _drain_serial(self) -> None:
-        if self.options.retry.point_timeout is not None:
+        if self.options.retry.point_timeout is not None and self.runnable:
             note = (
                 "point_timeout not enforced on the serial path "
                 "(points run in-process; use --jobs >= 2 for the watchdog)"
@@ -431,36 +452,45 @@ class _SweepRun:
 
     # --------------------------------------------------------------- parallel
 
+    def _busy(self) -> List[_Worker]:
+        return [worker for worker in self.workers if worker.point is not None]
+
     def _drain_parallel(self) -> None:
         ctx: BaseContext = multiprocessing.get_context()
-        while self.runnable or self.delayed or self.running:
-            now = time.monotonic()
-            if self.cancel_signals == 0:
-                due = [e for e in self.delayed if e[0] <= now]
-                self.delayed = [e for e in self.delayed if e[0] > now]
-                self.runnable.extend((point, attempt) for _, point, attempt in due)
-                while self.runnable and len(self.running) < self.executor.jobs:
-                    point, attempt = self.runnable.pop(0)
-                    self._launch(ctx, point, attempt)
-            if not self.running:
-                if self.cancel_signals:
-                    return  # drained; queued work is intentionally left behind
-                if self.delayed:
-                    # sleep in short slices so signals stay responsive
-                    ready_at = min(entry[0] for entry in self.delayed)
-                    time.sleep(min(max(ready_at - time.monotonic(), 0.0), 0.2))
-                continue
-            timeout = self._wait_timeout(now)
-            ready = _connection_wait(
-                [entry.conn for entry in self.running], timeout=timeout
-            )
-            ready_set = set(ready)
-            for entry in list(self.running):
-                if entry.conn in ready_set:
-                    self._reap(entry)
-            self._enforce_deadlines()
+        try:
+            while self.runnable or self.delayed or self._busy():
+                now = time.monotonic()
+                if self.cancel_signals == 0:
+                    due = [e for e in self.delayed if e[0] <= now]
+                    self.delayed = [e for e in self.delayed if e[0] > now]
+                    self.runnable.extend((point, attempt) for _, point, attempt in due)
+                    while self.runnable and len(self._busy()) < self.executor.jobs:
+                        point, attempt = self.runnable.pop(0)
+                        self._dispatch(ctx, point, attempt)
+                busy = self._busy()
+                if not busy:
+                    if self.cancel_signals:
+                        return  # drained; queued work is intentionally left behind
+                    if self.delayed:
+                        # sleep in short slices so signals stay responsive
+                        ready_at = min(entry[0] for entry in self.delayed)
+                        time.sleep(min(max(ready_at - time.monotonic(), 0.0), 0.2))
+                    continue
+                ready = set(
+                    _connection_wait(
+                        [worker.conn for worker in busy],
+                        timeout=self._wait_timeout(now, busy),
+                    )
+                )
+                for worker in busy:
+                    if worker.conn in ready:
+                        self._reap(worker)
+                self._enforce_deadlines()
+        finally:
+            self._stop_workers()
 
-    def _launch(self, ctx: BaseContext, point: SweepPoint, attempt: int) -> None:
+    def _dispatch(self, ctx: BaseContext, point: SweepPoint, attempt: int) -> None:
+        """Hand a point to an idle worker, forking one if none is idle."""
         if self.chaos is not None and point.label == self.chaos:
             self._attempt_failed(
                 point,
@@ -469,89 +499,96 @@ class _SweepRun:
                 f"chaos hook: {CHAOS_ENV}={self.chaos!r} matched label",
             )
             return
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_run_point_child,
-            args=(self.fn, point, child_conn),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        deadline: Optional[float] = None
-        if self.options.retry.point_timeout is not None:
-            deadline = time.monotonic() + self.options.retry.point_timeout
-        self.running.append(_Running(proc, parent_conn, point, attempt, deadline))
+        worker = next((w for w in self.workers if w.point is None), None)
+        if worker is None:
+            parent_conn, child_conn = ctx.Pipe(duplex=True)
+            proc = ctx.Process(
+                target=_worker_loop,
+                args=(self.fn, child_conn, parent_conn),
+                daemon=True,
+            )
+            proc.start()
+            child_conn.close()
+            worker = _Worker(proc, parent_conn)
+            self.workers.append(worker)
+        timeout = self.options.retry.point_timeout
+        worker.point = point
+        worker.attempt = attempt
+        worker.deadline = None if timeout is None else time.monotonic() + timeout
+        # An idle worker that died refuses the send; its pipe then reads
+        # EOF, and _reap charges the point a worker-died attempt.
+        with contextlib.suppress(OSError):
+            worker.conn.send(point)
 
-    def _wait_timeout(self, now: float) -> float:
+    def _wait_timeout(self, now: float, busy: List[_Worker]) -> float:
         bounds = [0.5]
-        for entry in self.running:
-            if entry.deadline is not None:
-                bounds.append(entry.deadline - now)
-        for ready_at, _, _ in self.delayed:
-            bounds.append(ready_at - now)
+        bounds.extend(w.deadline - now for w in busy if w.deadline is not None)
+        bounds.extend(ready_at - now for ready_at, _, _ in self.delayed)
         return min(0.5, max(0.01, min(bounds)))
 
-    def _reap(self, entry: _Running) -> None:
-        """A worker's pipe is readable: collect its message or its death."""
-        self.running.remove(entry)
+    def _reap(self, worker: _Worker) -> None:
+        """A busy worker's pipe is readable: collect its result or its death."""
+        point, attempt = worker.point, worker.attempt
+        assert point is not None
         try:
-            ok, payload = entry.conn.recv()
+            ok, payload = worker.conn.recv()
         except (EOFError, OSError):
-            entry.proc.join(1.0)
-            self._attempt_failed(
-                entry.point,
-                entry.attempt,
-                "worker-died",
-                f"worker process exited (code {entry.proc.exitcode}) "
-                "without reporting a result",
+            worker.proc.join(1.0)
+            detail = (
+                f"worker process exited (code {worker.proc.exitcode}) "
+                "without reporting a result"
             )
-            entry.conn.close()
+            self._kill(worker)
+            self._attempt_failed(point, attempt, "worker-died", detail)
             return
-        entry.conn.close()
-        entry.proc.join(5.0)
+        worker.point = None
         if ok:
-            self._point_succeeded(entry.point, entry.attempt, payload)
+            self._point_succeeded(point, attempt, payload)
         else:
-            self._attempt_failed(entry.point, entry.attempt, "error", str(payload))
+            self._attempt_failed(point, attempt, "error", str(payload))
 
     def _enforce_deadlines(self) -> None:
         now = time.monotonic()
-        for entry in list(self.running):
-            if entry.deadline is None or now < entry.deadline:
+        for worker in self._busy():
+            if worker.deadline is None or now < worker.deadline:
                 continue
-            self.running.remove(entry)
-            self._kill(entry.proc)
-            entry.conn.close()
+            point, attempt = worker.point, worker.attempt
+            assert point is not None
+            self._kill(worker)
             self.outcome.timeouts += 1
             self._count("resilience.timeouts")
             self._event(
                 "resilience.timeout",
-                point=entry.point.index,
-                label=entry.point.label,
-                attempt=entry.attempt,
+                point=point.index,
+                label=point.label,
+                attempt=attempt,
                 timeout_s=self.options.retry.point_timeout,
             )
             self._attempt_failed(
-                entry.point,
-                entry.attempt,
+                point,
+                attempt,
                 "timeout",
                 f"exceeded point_timeout={self.options.retry.point_timeout}s "
-                f"(attempt {entry.attempt})",
+                f"(attempt {attempt})",
             )
 
-    @staticmethod
-    def _kill(proc: BaseProcess) -> None:
-        proc.terminate()
-        proc.join(0.5)
-        if proc.is_alive():
-            proc.kill()
-            proc.join(1.0)
+    def _kill(self, worker: _Worker) -> None:
+        """Drop a worker from the pool and make sure its process is gone."""
+        self.workers.remove(worker)
+        worker.conn.close()
+        worker.proc.kill()
+        worker.proc.join()
 
-    def _terminate_running(self) -> None:
-        for entry in self.running:
-            self._kill(entry.proc)
-            entry.conn.close()
-        self.running = []
+    def _stop_workers(self) -> None:
+        """End of sweep, on any path: idle workers stop, busy ones are killed."""
+        idle = [worker for worker in self.workers if worker.point is None]
+        for worker in idle:
+            with contextlib.suppress(OSError):
+                worker.conn.send(None)
+        for worker in idle:
+            worker.proc.join(1.0)
+        for worker in list(self.workers):
+            self._kill(worker)
 
     # ------------------------------------------------------------- accounting
 
@@ -614,7 +651,7 @@ class _SweepRun:
         )
         if self.options.on_failure is FailurePolicy.FAIL_FAST:
             self.aborted = True
-            self._terminate_running()
+            self._stop_workers()
             self.runnable = []
             self.delayed = []
             self._finish()

@@ -10,11 +10,18 @@ silent), and the ``resilience.*`` probe counters tell the same story.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
-from typing import List
+from typing import Callable, List
 
 import pytest
 
+import repro
 from repro.errors import ConfigError, SimulationError, SweepInterrupted
 from repro.obs import CountingProbe
 from repro.parallel import CHAOS_ENV, SweepExecutor, SweepPoint, result_hash
@@ -223,6 +230,223 @@ class TestWatchdog:
             for note in outcome.notes
         )
 
+    def test_single_pending_point_is_still_watched(self) -> None:
+        """A one-point sweep at jobs >= 2 must not drop the watchdog."""
+        points = _points(1, slow_index=0, sleep_s=3.0)
+        options = ResilienceOptions(
+            retry=RetryPolicy(point_timeout=0.4, **_FAST_RETRY),
+            on_failure=FailurePolicy.SALVAGE,
+        )
+        start = time.monotonic()
+        results = SweepExecutor(jobs=2, resilience=options).map(
+            workers.slow_at, points
+        )
+        elapsed = time.monotonic() - start
+        assert results == []
+        (outcome,) = options.outcomes
+        assert outcome.timeouts == 1
+        assert outcome.failures[0].kind == "timeout"
+        assert elapsed < 2.0
+        assert not any("not enforced" in note for note in outcome.notes)
+
+    def test_resume_with_one_point_left_is_still_watched(
+        self, tmp_path: Path
+    ) -> None:
+        path = tmp_path / "run.journal"
+        points = _points(3, slow_index=1, sleep_s=3.0)
+        retry = RetryPolicy(point_timeout=0.4, **_FAST_RETRY)
+        first = ResilienceOptions(
+            journal=RunJournal(path), retry=retry, on_failure=FailurePolicy.SALVAGE
+        )
+        SweepExecutor(jobs=2, resilience=first).map(workers.slow_at, points)
+        assert first.outcomes[0].timeouts == 1
+
+        resumed = ResilienceOptions(
+            journal=RunJournal(path, resume=True),
+            retry=retry,
+            on_failure=FailurePolicy.SALVAGE,
+        )
+        start = time.monotonic()
+        results = SweepExecutor(jobs=2, resilience=resumed).map(
+            workers.slow_at, points
+        )
+        elapsed = time.monotonic() - start
+        assert [r.point.index for r in results] == [0, 2]
+        (outcome,) = resumed.outcomes
+        assert outcome.resumed == 2
+        assert outcome.timeouts == 1
+        assert elapsed < 2.0
+
+
+# Sweep exit paths for the leak check; each runs one jobs=2 sweep.
+def _sweep_succeeds(tmp_path: Path) -> None:
+    SweepExecutor(jobs=2).map(workers.square, _points(5))
+
+
+def _sweep_fails_fast_on_error(tmp_path: Path) -> None:
+    with pytest.raises(SimulationError, match=r"\[error\]"):
+        SweepExecutor(jobs=2).map(workers.fail_at, _points(5, fail_index=1))
+
+
+def _sweep_fails_fast_on_worker_death(tmp_path: Path) -> None:
+    points = _points(5, exit_index=1, marker=str(tmp_path / "exited.marker"))
+    with pytest.raises(SimulationError, match=r"\[worker-died\]"):
+        SweepExecutor(jobs=2).map(workers.exit_once, points)
+
+
+def _sweep_salvages_a_timeout(tmp_path: Path) -> None:
+    options = ResilienceOptions(
+        retry=RetryPolicy(point_timeout=0.4, **_FAST_RETRY),
+        on_failure=FailurePolicy.SALVAGE,
+    )
+    SweepExecutor(jobs=2, resilience=options).map(
+        workers.slow_at, _points(5, slow_index=1, sleep_s=30.0)
+    )
+    assert options.outcomes[0].timeouts == 1
+
+
+def _sweep_stops_on_a_second_signal(tmp_path: Path) -> None:
+    points = _points(
+        4,
+        at=1,
+        marker=str(tmp_path / "signalled.marker"),
+        ran_dir=str(tmp_path),
+        signals=2,
+        sleep_s=30.0,
+    )
+    start = time.monotonic()
+    with pytest.raises(SweepInterrupted):
+        SweepExecutor(jobs=2).map(workers.signal_parent_once, points)
+    assert time.monotonic() - start < 10.0
+
+
+#: Driver for the parent-killed test: a jobs=2 sweep whose points record
+#: the pid that ran them. Runs in its own interpreter so the test can
+#: SIGKILL it.
+_PID_SWEEP_SCRIPT = """\
+import os
+import sys
+import time
+from pathlib import Path
+
+from repro.parallel import SweepExecutor, SweepPoint
+
+
+def work(point):
+    Path(point.param("pid_dir"), str(os.getpid())).touch()
+    time.sleep(0.2)
+    return point.index
+
+
+if __name__ == "__main__":
+    points = [
+        SweepPoint.make(i, f"pt@{i}", seed=i, pid_dir=sys.argv[1])
+        for i in range(40)
+    ]
+    SweepExecutor(jobs=2).map(work, points)
+"""
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text(encoding="utf-8")
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+class TestWorkerLifecycle:
+    def test_workers_are_reused_across_points(self) -> None:
+        results = SweepExecutor(jobs=2).map(workers.worker_pid, _points(8))
+        pids = {r.value for r in results}
+        assert len(results) == 8
+        assert 1 <= len(pids) <= 2
+        assert os.getpid() not in pids
+
+    def test_dead_worker_is_replaced_for_the_retry(self, tmp_path: Path) -> None:
+        marker = tmp_path / "exited.marker"
+        points = _points(4, exit_index=1, marker=str(marker))
+        options = ResilienceOptions(retry=RetryPolicy(retries=1, **_FAST_RETRY))
+        results = SweepExecutor(jobs=2, resilience=options).map(
+            workers.exit_once, points
+        )
+        (outcome,) = options.outcomes
+        assert outcome.complete and outcome.retried == 1
+        dead_pid = int(marker.read_text(encoding="utf-8"))
+        assert results[1].value != dead_pid
+
+    def test_unshippable_result_fails_the_point_not_the_worker(self) -> None:
+        points = _points(4, bad_index=1)
+        options = ResilienceOptions(on_failure=FailurePolicy.SALVAGE)
+        results = SweepExecutor(jobs=2, resilience=options).map(
+            workers.unpicklable_at, points
+        )
+        assert [r.value for r in results] == [
+            workers.square(p) for p in points if p.index != 1
+        ]
+        (failure,) = options.outcomes[0].failures
+        assert failure.kind == "error"
+        assert "could not be shipped" in failure.detail
+
+    def test_workers_exit_when_the_parent_is_killed(self, tmp_path: Path) -> None:
+        script = tmp_path / "pid_sweep.py"
+        script.write_text(_PID_SWEEP_SCRIPT, encoding="utf-8")
+        pid_dir = tmp_path / "pids"
+        pid_dir.mkdir()
+        src = str(Path(repro.__file__).resolve().parents[1])
+        driver = subprocess.Popen(
+            [sys.executable, str(script), str(pid_dir)],
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        pids: List[int] = []
+        try:
+            deadline = time.monotonic() + 30.0
+            while len(list(pid_dir.iterdir())) < 2 and time.monotonic() < deadline:
+                time.sleep(0.02)
+            driver.send_signal(signal.SIGKILL)
+            driver.wait(timeout=30)
+            pids = [int(p.name) for p in pid_dir.iterdir()]
+            assert len(pids) >= 2
+            deadline = time.monotonic() + 10.0
+            while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in pids if _running(pid)]
+        finally:
+            if driver.poll() is None:
+                driver.kill()
+                driver.wait(timeout=30)
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            _sweep_succeeds,
+            _sweep_fails_fast_on_error,
+            _sweep_fails_fast_on_worker_death,
+            _sweep_salvages_a_timeout,
+            _sweep_stops_on_a_second_signal,
+        ],
+        ids=[
+            "success",
+            "fail-fast-error",
+            "fail-fast-worker-died",
+            "timeout-salvage",
+            "second-signal",
+        ],
+    )
+    def test_no_child_outlives_the_sweep(
+        self, tmp_path: Path, scenario: Callable[[Path], None]
+    ) -> None:
+        scenario(tmp_path)
+        assert multiprocessing.active_children() == []
+
 
 class TestCancellation:
     def test_in_process_interrupt_drains_to_a_resumable_journal(
@@ -250,6 +474,46 @@ class TestCancellation:
         )
         assert [r.value for r in results] == _expected(points)
         assert resumed.outcomes[-1].resumed == 2
+
+    def test_parallel_signal_drains_running_points_to_a_resumable_journal(
+        self, tmp_path: Path
+    ) -> None:
+        path = tmp_path / "run.journal"
+        ran_dir = tmp_path / "ran"
+        ran_dir.mkdir()
+        points = _points(
+            10,
+            at=2,
+            marker=str(tmp_path / "signalled.marker"),
+            ran_dir=str(ran_dir),
+            signals=1,
+            sleep_s=0.1,
+        )
+        probe = CountingProbe()
+        options = ResilienceOptions(journal=RunJournal(path), probe=probe)
+        with pytest.raises(SweepInterrupted, match="cancelled after completing"):
+            SweepExecutor(jobs=2, resilience=options).map(
+                workers.signal_parent_once, points
+            )
+        assert multiprocessing.active_children() == []
+        (outcome,) = options.outcomes
+        assert outcome.cancelled and not outcome.failures
+        completed = {r.point.index for r in outcome.results}
+        started = {int(p.name.split("-")[1]) for p in ran_dir.iterdir()}
+        # Every point that started (the signalling one included) finished
+        # and was recorded; nothing was dispatched after the signal.
+        assert 2 in completed
+        assert started == completed
+        assert len(completed) < len(points)
+        assert probe.counters["resilience.journal_appends"] == len(completed)
+        assert probe.counters["resilience.cancel_signals"] == 1
+
+        resumed = ResilienceOptions(journal=RunJournal(path, resume=True))
+        results = SweepExecutor(jobs=2, resilience=resumed).map(
+            workers.signal_parent_once, points
+        )
+        assert [r.value for r in results] == _expected(points)
+        assert resumed.outcomes[-1].resumed == len(completed)
 
     def test_sweep_interrupted_carries_the_outcome(self, tmp_path: Path) -> None:
         marker = tmp_path / "interrupted.marker"
