@@ -19,14 +19,14 @@ discipline to the *harness* that reproduces those results. It provides:
 
 Import discipline: this package imports only the standard library and
 :mod:`repro.errors`; ``repro.parallel``, ``repro.obs``, and
-``repro.bench`` import *it* (typing-only back references excepted), so
+``repro.catalog`` import *it* (typing-only back references excepted), so
 the dependency edge stays one-directional.
 
 ``python -m repro.resilience hash|diff`` inspects and compares journals
 (see :mod:`~repro.resilience.__main__`).
 """
 
-from .atomic import atomic_write_json, atomic_write_text
+from .atomic import atomic_write_text
 from .journal import (
     JOURNAL_SCHEMA_VERSION,
     RunJournal,
@@ -49,7 +49,6 @@ __all__ = [
     "RetryPolicy",
     "RunJournal",
     "SweepOutcome",
-    "atomic_write_json",
     "atomic_write_text",
     "backoff_delay",
     "journal_hashes",

@@ -3,8 +3,8 @@
 A plain ``path.write_text(...)`` truncates the destination before the new
 bytes land, so a crash (or SIGKILL, or a full disk) between the truncate
 and the final flush leaves a torn file — exactly the artifacts this
-repository treats as load-bearing: ``BENCH_*.json`` baselines, ``--report``
-run documents, ``--trace`` event streams, and the resilience journal.
+repository treats as load-bearing: ``--report`` run documents,
+``--trace`` event streams, and the resilience journal.
 
 :func:`atomic_write_text` closes that window: the new content is written to
 a temporary file *in the destination directory* (same filesystem, so the
@@ -17,10 +17,9 @@ failure the temporary file is removed and the destination is untouched.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 from pathlib import Path
-from typing import Any, Union
+from typing import Union
 
 #: Suffix pattern for in-flight temporaries; includes the pid so two
 #: processes writing the same destination never clobber each other's temp.
@@ -71,15 +70,3 @@ def atomic_write_text(
             os.unlink(tmp)
         raise
     _fsync_directory(target.parent)
-
-
-def atomic_write_json(
-    path: Union[str, Path], document: Any, indent: int = 2
-) -> None:
-    """Serialize ``document`` and write it atomically, newline-terminated.
-
-    Matches the repository's JSON-artifact convention
-    (``json.dumps(..., indent=2) + "\\n"``) so switching an existing
-    writer to the atomic path never changes the bytes it produces.
-    """
-    atomic_write_text(path, json.dumps(document, indent=indent) + "\n")

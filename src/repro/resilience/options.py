@@ -1,7 +1,7 @@
 """The resilience bundle a CLI builds once and threads through every sweep.
 
-``repro-exp`` and ``repro-bench`` translate their ``--retries /
---point-timeout / --on-failure / --journal / --resume`` flags into one
+``repro-exp`` translates its ``--retries / --point-timeout /
+--on-failure / --journal / --resume`` flags into one
 :class:`ResilienceOptions` and pass it down through the experiment
 ``run_*`` functions into every :class:`repro.parallel.SweepExecutor` the
 invocation creates. The bundle carries the shared journal (one file can

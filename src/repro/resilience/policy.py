@@ -103,7 +103,9 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.retries < 0:
             raise ConfigError(f"retries must be >= 0, got {self.retries}")
-        if self.point_timeout is not None and self.point_timeout <= 0:
+        # ``not > 0`` also rejects NaN, which compares False both ways and
+        # would otherwise time out every attempt.
+        if self.point_timeout is not None and not self.point_timeout > 0:
             raise ConfigError(
                 f"point_timeout must be > 0 seconds, got {self.point_timeout}"
             )

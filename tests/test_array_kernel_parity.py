@@ -13,11 +13,11 @@ executor at ``--jobs 1/2/4``.
 from __future__ import annotations
 
 import hashlib
+from typing import Dict
 
 import pytest
 
-from repro.bench.suite import _paper_config
-from repro.config import GLPolicerConfig
+from repro.config import GLPolicerConfig, QoSConfig, SwitchConfig
 from repro.errors import ConfigError
 from repro.experiments.common import make_simulation, run_simulation
 from repro.faults import (
@@ -35,6 +35,20 @@ from repro.traffic.flows import Workload, be_flow, gb_flow, gl_flow
 from repro.traffic.patterns import fig4_workload, uniform_random_workload
 
 HORIZON = 4_000
+
+
+def _paper_config(radix: int = 8, **overrides: object) -> SwitchConfig:
+    defaults: Dict[str, object] = dict(
+        radix=radix,
+        channel_bits=128,
+        gb_buffer_flits=16,
+        be_buffer_flits=16,
+        gl_buffer_flits=16,
+        qos=QoSConfig(sig_bits=4, frac_bits=8),
+        gl_policer=GLPolicerConfig(reserved_rate=0.0),
+    )
+    defaults.update(overrides)
+    return SwitchConfig(**defaults)  # type: ignore[arg-type]
 
 
 def _scenario(name: str, horizon: int = HORIZON):

@@ -18,6 +18,7 @@ import pytest
 
 from repro.catalog import RunCatalog
 from repro.errors import SimulationError
+from repro.experiments.fig4_bandwidth import Fig4Result, run_fig4
 from repro.obs import CountingProbe
 from repro.parallel import SweepExecutor, SweepPoint
 from repro.resilience import ResilienceOptions, RunJournal, worker_name
@@ -156,6 +157,30 @@ class TestCatalogRuns:
             == [r.value for r in cold]
             == [r.value for r in warm]
         )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fig4_sweep_warm_pass_is_all_hits(
+        self, tmp_path: Path, jobs: int
+    ) -> None:
+        """A real experiment sweep, not toy points: every warm point hits."""
+        path = tmp_path / "fig4.catalog"
+        rates = (0.05, 0.08, 0.10, 0.15, 0.20, 0.40, 1.0)
+
+        def sweep(probe: CountingProbe) -> Fig4Result:
+            with RunCatalog(path) as catalog:
+                options = ResilienceOptions(catalog=catalog, probe=probe)
+                return run_fig4(
+                    "ssvc", rates, horizon=2_500, jobs=jobs, resilience=options
+                )
+
+        cold_probe = CountingProbe()
+        cold = sweep(cold_probe)
+        assert cold_probe.counters["catalog.appends"] == len(rates)
+        warm_probe = CountingProbe()
+        warm = sweep(warm_probe)
+        assert warm_probe.counters["catalog.hits"] == len(rates)
+        assert "catalog.appends" not in warm_probe.counters
+        assert warm == cold
 
 
 class TestPoisonedCatalog:

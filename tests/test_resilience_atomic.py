@@ -1,12 +1,11 @@
-"""Crash-safety of the atomic writers and every artifact that uses them.
+"""Crash-safety of the atomic writer and the trace probe built on it.
 
-The regression these tests pin (PR 5 satellite): a crash — simulated by
-making ``os.replace`` raise, including ``BaseException`` kills — between
-writing the temporary and renaming it over the destination must leave the
-*old* destination byte-identical, with no torn file and no leaked temp.
-The same guarantee is asserted through the artifact writers that switched
-to the atomic path: ``RunReport.save`` (``--report``), the NDJSON trace
-probe (``--trace``), and ``atomic_write_json`` (``BENCH_*.json``).
+The regression these tests pin: a crash — simulated by making
+``os.replace`` raise, including ``BaseException`` kills — between writing
+the temporary and renaming it over the destination must leave the *old*
+destination byte-identical, with no torn file and no leaked temp. The
+same guarantee is asserted through the NDJSON trace probe (``--trace``);
+``RunReport.save`` (``--report``) writes through ``atomic_write_text``.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.obs import NDJSONTraceProbe
-from repro.resilience import atomic_write_json, atomic_write_text
+from repro.resilience import atomic_write_text
 from repro.resilience.atomic import _TMP_SUFFIX
 
 
@@ -69,30 +68,6 @@ class TestAtomicWriteText:
         with pytest.raises(OSError, match="disk full"):
             atomic_write_text(target, "NEW")
         assert target.read_text(encoding="utf-8") == "OLD"
-        assert _no_temps(tmp_path)
-
-
-class TestAtomicWriteJson:
-    def test_matches_repo_json_convention(self, tmp_path: Path) -> None:
-        """Byte convention: ``json.dumps(..., indent=2) + "\\n"``."""
-        target = tmp_path / "doc.json"
-        document = {"b": [1, 2.5], "a": "text"}
-        atomic_write_json(target, document)
-        raw = target.read_text(encoding="utf-8")
-        assert raw == json.dumps(document, indent=2) + "\n"
-        assert json.loads(raw) == document
-
-    def test_crash_preserves_old_document(
-        self, tmp_path: Path, monkeypatch: pytest.MonkeyPatch
-    ) -> None:
-        target = tmp_path / "BENCH_test.json"
-        atomic_write_json(target, {"generation": 1})
-        monkeypatch.setattr(
-            os, "replace", lambda s, d: (_ for _ in ()).throw(KeyboardInterrupt())
-        )
-        with pytest.raises(KeyboardInterrupt):
-            atomic_write_json(target, {"generation": 2})
-        assert json.loads(target.read_text(encoding="utf-8")) == {"generation": 1}
         assert _no_temps(tmp_path)
 
 

@@ -58,7 +58,7 @@ class TestRetryPolicy:
         with pytest.raises(ConfigError, match="retries must be >= 0"):
             RetryPolicy(retries=-1)
 
-    @pytest.mark.parametrize("timeout", [0, 0.0, -1.0])
+    @pytest.mark.parametrize("timeout", [0, 0.0, -1.0, float("nan")])
     def test_non_positive_timeout_rejected(self, timeout: float) -> None:
         with pytest.raises(ConfigError, match="point_timeout must be > 0"):
             RetryPolicy(point_timeout=timeout)
