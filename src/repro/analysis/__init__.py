@@ -10,16 +10,13 @@ bounded thermometer levels. This package enforces them statically:
 * :mod:`repro.analysis.rules` — simulator-specific hygiene rules (RL1xx).
 * :mod:`repro.analysis.contracts` — cross-module protocol contracts (RC1xx).
 * :mod:`repro.analysis.project` — whole-program loader: module/symbol
-  tables, import graph, approximate call graph, and the
-  :class:`ProjectRule` API behind ``repro-lint --project``.
+  tables, import graph, approximate call graph, the :class:`ProjectRule`
+  API, and :func:`analyze_project`, the one run behind ``repro-lint``.
 * :mod:`repro.analysis.project_rules` — cross-module rules (RP2xx):
   seed provenance, fork-safety, exception-contract, probe-flush.
-* :mod:`repro.analysis.baseline` — grandfathered-findings baseline so CI
-  fails only on regressions.
 * :mod:`repro.analysis.cli` — the ``repro-lint`` console entry point.
 
-The analyzer lints its own source (``repro-lint src/repro`` includes this
-package) and its catalogue is documented in ``docs/STATIC_ANALYSIS.md``.
+The analyzer lints its own source (``repro-lint`` includes this package) and its catalogue is documented in ``docs/STATIC_ANALYSIS.md``.
 """
 
 from .engine import (
@@ -40,7 +37,6 @@ from .project import (
     analyze_project,
     register_project_rule,
 )
-from .baseline import apply_baseline, load_baseline, write_baseline
 
 # Importing the rule modules populates the registries.
 from . import rules as _rules  # noqa: F401,E402
@@ -48,16 +44,10 @@ from . import contracts as _contracts  # noqa: F401,E402
 from . import project_rules as _project_rules  # noqa: F401,E402
 
 
-def lint_paths(paths: "list[str]", force_guarded: bool = False) -> Report:
-    """Lint files/directories with the full default rule set."""
-    return Engine(force_guarded=force_guarded).lint_paths(paths)
-
-
-def lint_source(
-    source: str, path: str = "<string>", force_guarded: bool = False
-) -> "list[Finding]":
-    """Lint a source string (test/tooling convenience)."""
-    return Engine(force_guarded=force_guarded).lint_source(source, path)
+def lint_source(source: str, path: str = "<string>") -> "list[Finding]":
+    """Lint a source string with every per-file rule (test/tooling
+    convenience); ``path`` decides whether guarded-only rules apply."""
+    return Engine().lint_source(source, path)
 
 
 __all__ = [
@@ -73,11 +63,7 @@ __all__ = [
     "all_project_rules",
     "all_rules",
     "analyze_project",
-    "apply_baseline",
-    "lint_paths",
     "lint_source",
-    "load_baseline",
     "register",
     "register_project_rule",
-    "write_baseline",
 ]

@@ -1,16 +1,15 @@
 """``repro-lint`` — the command-line front end of the analyzer.
 
-Exit codes: 0 clean (suppressed and baselined findings allowed), 1 open
-findings, 2 a file failed to parse or a CLI argument was invalid.
+Every run loads its roots once and applies every per-file (RL0xx, RC1xx)
+and whole-program (RP2xx) rule. Exit codes: 0 clean (suppressed findings
+allowed), 1 open findings, 2 a root is missing or holds no ``.py`` file,
+a file failed to parse, or a CLI argument was invalid.
 
 Examples::
 
-    repro-lint src/repro                       # per-file lint of the library
-    repro-lint --project                       # whole-program pass over src/
-    repro-lint --project --baseline analysis/baseline.json
-    repro-lint --project --write-baseline analysis/baseline.json
-    repro-lint src/repro --format json         # machine-readable report
-    repro-lint path.py --select RL001,RC101    # only these rules
+    repro-lint                                 # the whole src/ tree
+    repro-lint src/repro/switch tests/fixtures/analysis/bad_module.py
+    repro-lint --format json                   # machine-readable report
     repro-lint --list-rules                    # rule catalogue
 """
 
@@ -18,22 +17,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence, Set
+from typing import Optional, Sequence
 
-from ..errors import ConfigError
-from .baseline import apply_baseline, load_baseline, write_baseline
-from .engine import Engine, all_rules, resolve_rule_tokens
+from .engine import all_rules
 from .project import all_project_rules, analyze_project
 
-#: Default analysis root for ``--project`` when no paths are given.
-_DEFAULT_PROJECT_ROOT = "src"
-
-
-def _split_tokens(values: Sequence[str]) -> Set[str]:
-    tokens: List[str] = []
-    for value in values:
-        tokens.extend(part for part in value.split(",") if part.strip())
-    return resolve_rule_tokens(tokens)
+#: Analysis root when none is given.
+_DEFAULT_ROOT = "src"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,55 +31,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description="Static analysis and contract verification for the QoS switch simulator.",
     )
-    parser.add_argument("paths", nargs="*", help="files or directories to lint")
     parser.add_argument(
-        "--project",
-        action="store_true",
-        help="whole-program analysis: parse the tree once, run the RP2xx "
-        "cross-module rules in addition to the per-file rules "
-        f"(paths are analysis roots; default: {_DEFAULT_PROJECT_ROOT}/)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="grandfather findings listed in this baseline file; only "
-        "regressions affect the exit code",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="write the current open findings to FILE as the new baseline "
-        "and exit 0",
+        "roots",
+        nargs="*",
+        metavar="ROOT",
+        help=f"directories or .py files to analyse (default: {_DEFAULT_ROOT})",
     )
     parser.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
         help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--select",
-        action="append",
-        default=[],
-        metavar="RULES",
-        help="comma-separated rule ids/names to run exclusively",
-    )
-    parser.add_argument(
-        "--ignore",
-        action="append",
-        default=[],
-        metavar="RULES",
-        help="comma-separated rule ids/names to skip",
-    )
-    parser.add_argument(
-        "--force-guarded",
-        action="store_true",
-        help="treat every file as determinism-guarded (apply RL002/RL007/RL008 everywhere)",
-    )
-    parser.add_argument(
-        "--show-suppressed",
-        action="store_true",
-        help="include suppressed findings in text output",
     )
     parser.add_argument(
         "--list-rules",
@@ -115,57 +67,12 @@ def _render_rule_list() -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    options = parser.parse_args(argv)
+    options = build_parser().parse_args(argv)
     if options.list_rules:
         print(_render_rule_list())
         return 0
-    if options.baseline and options.write_baseline:
-        parser.error("--baseline and --write-baseline are mutually exclusive")
-    if not options.project and (options.baseline or options.write_baseline):
-        parser.error("--baseline/--write-baseline require --project")
-    if not options.paths and not options.project:
-        parser.error("no paths given (or use --project / --list-rules)")
-    try:
-        select = _split_tokens(options.select)
-        ignore = _split_tokens(options.ignore)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if options.project:
-        roots = options.paths or [_DEFAULT_PROJECT_ROOT]
-        report = analyze_project(roots, select=select or None, ignore=ignore or None)
-    else:
-        runner = Engine(
-            select=select or None,
-            ignore=ignore or None,
-            force_guarded=options.force_guarded,
-        )
-        report = runner.lint_paths(options.paths)
-    if options.write_baseline:
-        count = write_baseline(report, options.write_baseline)
-        print(f"wrote {count} baseline entries to {options.write_baseline}")
-        return 0 if not report.parse_errors else 2
-    stale = 0
-    if options.baseline:
-        try:
-            stale = apply_baseline(report, load_baseline(options.baseline))
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if options.format == "json":
-        print(report.to_json())
-    else:
-        print(
-            report.to_text(
-                show_suppressed=options.show_suppressed,
-                per_rule_summary=options.project,
-            )
-        )
-        if stale:
-            print(
-                f"note: {stale} stale baseline entries no longer match any "
-                "finding; regenerate with --write-baseline"
-            )
+    report = analyze_project(options.roots or [_DEFAULT_ROOT])
+    print(report.to_json() if options.format == "json" else report.to_text())
     return report.exit_code
 
 

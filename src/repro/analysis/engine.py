@@ -2,8 +2,8 @@
 
 The engine is deliberately small and dependency-free (stdlib ``ast`` +
 ``tokenize`` only) so it can run in CI before the package's own
-dependencies are installed, and so it can lint itself (``repro-lint
-src/repro`` covers ``repro.analysis`` too).
+dependencies are installed, and so it can lint itself (``repro-lint``
+covers ``repro.analysis`` too).
 
 Design:
 
@@ -14,8 +14,8 @@ Design:
   ``ast.FunctionDef`` and walk the function body themselves.
 * Findings are reported through :meth:`ModuleContext.report`, which
   applies the suppression table before recording anything. Suppressed
-  findings are kept (marked ``suppressed=True``) so ``--show-suppressed``
-  and the JSON report can audit them, but they never affect the exit code.
+  findings are kept (marked ``suppressed=True``) so the text and JSON
+  reports can audit them, but they never affect the exit code.
 * *Guarded* modules are the packages whose behavior feeds arbitration
   decisions (``repro.core``, ``repro.switch``, ``repro.qos``,
   ``repro.multiswitch``). Rules with ``guarded_only=True`` fire only
@@ -42,7 +42,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type
+from typing import Dict, List, Optional, Set, Tuple, Type
 
 #: Sub-packages of ``repro`` whose modules are *guarded*: code here drives
 #: arbitration decisions, so determinism-sensitive rules apply.
@@ -76,9 +76,6 @@ class Finding:
     severity: Severity
     message: str
     suppressed: bool = False
-    #: True when a committed baseline file grandfathers this finding; like
-    #: suppression it keeps the finding visible but off the exit code.
-    baselined: bool = False
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule_id)
@@ -93,15 +90,10 @@ class Finding:
             "severity": str(self.severity),
             "message": self.message,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
         }
 
     def render(self) -> str:
-        mark = ""
-        if self.suppressed:
-            mark = " (suppressed)"
-        elif self.baselined:
-            mark = " (baselined)"
+        mark = " (suppressed)" if self.suppressed else ""
         return (
             f"{self.path}:{self.line}:{self.col}: "
             f"{self.rule_id} [{self.rule_name}] {self.message}{mark}"
@@ -158,36 +150,6 @@ def register(rule_cls: Type[Rule]) -> Type[Rule]:
 def all_rules() -> List[Type[Rule]]:
     """Registered rules, in registration (== documentation) order."""
     return list(_REGISTRY)
-
-
-#: id/name tokens contributed by rule families living outside this module
-#: (the project rules register theirs here, avoiding a circular import).
-_EXTRA_RULE_TOKENS: Dict[str, str] = {}
-
-
-def register_rule_token(key: str, rule_id: str) -> None:
-    """Make ``key`` (an id or name) resolvable by :func:`resolve_rule_tokens`."""
-    _EXTRA_RULE_TOKENS[key.lower()] = rule_id
-
-
-def resolve_rule_tokens(tokens: Iterable[str]) -> Set[str]:
-    """Map a mix of rule ids/names to canonical rule ids.
-
-    Unknown tokens raise ``ValueError`` so CLI typos fail loudly.
-    """
-    by_key = dict(_EXTRA_RULE_TOKENS)
-    for rule in all_rules():
-        by_key[rule.id.lower()] = rule.id
-        by_key[rule.name.lower()] = rule.id
-    resolved = set()
-    for token in tokens:
-        key = token.strip().lower()
-        if not key:
-            continue
-        if key not in by_key:
-            raise ValueError(f"unknown rule {token!r}")
-        resolved.add(by_key[key])
-    return resolved
 
 
 @dataclass
@@ -270,9 +232,9 @@ def _parse_suppressions(source: str) -> Tuple[Dict[int, Set[str]], Set[str]]:
 class ModuleContext:
     """Per-module state handed to rules during the walk."""
 
-    def __init__(self, module: SourceModule, force_guarded: bool = False) -> None:
+    def __init__(self, module: SourceModule) -> None:
         self.module = module
-        self.guarded = module.guarded or force_guarded
+        self.guarded = module.guarded
         self.findings: List[Finding] = []
 
     def report(self, rule: Rule, node: ast.AST, message: str) -> None:
@@ -319,7 +281,7 @@ def finding_suppressed(
 
 @dataclass
 class Report:
-    """Aggregate result of a lint run over one or more paths."""
+    """Aggregate result of a lint run over one or more roots."""
 
     findings: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
@@ -328,15 +290,11 @@ class Report:
 
     @property
     def open_findings(self) -> List[Finding]:
-        return [f for f in self.findings if not f.suppressed and not f.baselined]
+        return [f for f in self.findings if not f.suppressed]
 
     @property
     def suppressed_findings(self) -> List[Finding]:
         return [f for f in self.findings if f.suppressed]
-
-    @property
-    def baselined_findings(self) -> List[Finding]:
-        return [f for f in self.findings if f.baselined and not f.suppressed]
 
     @property
     def exit_code(self) -> int:
@@ -352,7 +310,6 @@ class Report:
             "files_scanned": self.files_scanned,
             "open_findings": len(self.open_findings),
             "suppressed_findings": len(self.suppressed_findings),
-            "baselined_findings": len(self.baselined_findings),
             "parse_errors": len(self.parse_errors),
             "findings_per_rule": dict(sorted(per_rule.items())),
         }
@@ -370,60 +327,38 @@ class Report:
             sort_keys=False,
         )
 
-    def to_text(
-        self, show_suppressed: bool = False, per_rule_summary: bool = False
-    ) -> str:
-        lines = []
-        for error in self.parse_errors:
-            lines.append(f"parse error: {error}")
-        shown = self.findings if show_suppressed else self.open_findings
-        for finding in sorted(shown, key=Finding.sort_key):
+    def to_text(self) -> str:
+        """Parse errors, every finding (suppressed ones marked), the open
+        findings per rule, and a one-line tally."""
+        lines = [f"parse error: {error}" for error in self.parse_errors]
+        for finding in sorted(self.findings, key=Finding.sort_key):
             lines.append(finding.render())
         summary = self.summary()
-        if per_rule_summary:
-            per_rule = summary["findings_per_rule"]
-            assert isinstance(per_rule, dict)
-            lines.append("findings per rule:")
-            if per_rule:
-                for rule_id, count in per_rule.items():
-                    lines.append(f"  {rule_id}: {count}")
-            else:
-                lines.append("  (none)")
-        tail = (
+        per_rule = summary["findings_per_rule"]
+        assert isinstance(per_rule, dict)
+        lines.append("findings per rule:")
+        if per_rule:
+            for rule_id, count in per_rule.items():
+                lines.append(f"  {rule_id}: {count}")
+        else:
+            lines.append("  (none)")
+        lines.append(
             f"{summary['files_scanned']} file(s) scanned, "
             f"{summary['open_findings']} finding(s), "
             f"{summary['suppressed_findings']} suppressed"
         )
-        baselined = summary["baselined_findings"]
-        if isinstance(baselined, int) and baselined:
-            tail += f", {baselined} baselined"
-        lines.append(tail)
         return "\n".join(lines)
 
 
 class Engine:
-    """Runs a set of rules over modules and collects a :class:`Report`."""
+    """Runs every registered per-file rule over one module at a time."""
 
-    def __init__(
-        self,
-        rules: Optional[Sequence[Type[Rule]]] = None,
-        select: Optional[Set[str]] = None,
-        ignore: Optional[Set[str]] = None,
-        force_guarded: bool = False,
-    ) -> None:
-        chosen = list(rules) if rules is not None else all_rules()
-        if select:
-            chosen = [r for r in chosen if r.id in select]
-        if ignore:
-            chosen = [r for r in chosen if r.id not in ignore]
-        self.rule_classes = chosen
-        self.force_guarded = force_guarded
-
-    # ------------------------------------------------------------------ runs
+    def __init__(self) -> None:
+        self.rule_classes = all_rules()
 
     def lint_module(self, module: SourceModule) -> List[Finding]:
-        """Single-pass walk of one module through all selected rules."""
-        ctx = ModuleContext(module, force_guarded=self.force_guarded)
+        """Single-pass walk of one module through all registered rules."""
+        ctx = ModuleContext(module)
         rules = [cls() for cls in self.rule_classes]
         dispatch: Dict[type, List[Rule]] = {}
         for rule in rules:
@@ -442,40 +377,6 @@ class Engine:
 
     def lint_source(self, source: str, path: str = "<string>") -> List[Finding]:
         return self.lint_module(SourceModule.from_source(source, path))
-
-    def lint_paths(self, paths: Sequence[str]) -> Report:
-        report = Report(active_rules=[cls.describe() for cls in self.rule_classes])
-        existing = []
-        for raw in paths:
-            if Path(raw).exists():
-                existing.append(raw)
-            else:
-                report.parse_errors.append(f"{raw}: path does not exist")
-        for file_path in iter_python_files(existing):
-            try:
-                module = SourceModule.from_path(file_path)
-            except (SyntaxError, UnicodeDecodeError, OSError) as exc:
-                report.parse_errors.append(f"{file_path}: {exc}")
-                continue
-            report.findings.extend(self.lint_module(module))
-            report.files_scanned += 1
-        return report
-
-
-def iter_python_files(paths: Sequence[str]) -> Iterable[Path]:
-    """Expand files/directories into a deterministic list of ``.py`` files."""
-    seen: Set[Path] = set()
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            candidates = sorted(p for p in path.rglob("*.py"))
-        else:
-            candidates = [path]
-        for candidate in candidates:
-            if candidate.suffix != ".py" or candidate in seen:
-                continue
-            seen.add(candidate)
-            yield candidate
 
 
 # --------------------------------------------------------------- AST helpers

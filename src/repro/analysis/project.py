@@ -9,7 +9,7 @@ crosses two modules. This module closes that gap:
 
 * :class:`ProjectLoader` parses every ``*.py`` under one or more roots
   **once** (the same :class:`~repro.analysis.engine.SourceModule` objects
-  the per-file engine consumes, so a ``--project`` run never re-parses),
+  the per-file engine consumes, so a ``repro-lint`` run never re-parses),
   and builds a :class:`Project`:
 
   - a module table keyed by dotted name, with per-module import bindings
@@ -40,6 +40,7 @@ visited set) and never executes project code.
 from __future__ import annotations
 
 import ast
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type
@@ -52,8 +53,6 @@ from .engine import (
     SourceModule,
     dotted_name,
     finding_suppressed,
-    iter_python_files,
-    register_rule_token,
 )
 
 #: Name classes a module-level binding can have, as far as fork-safety
@@ -677,11 +676,15 @@ class Project:
 class ProjectLoader:
     """Parses project roots into a :class:`Project`.
 
-    A *root* is a directory whose immediate children are top-level
-    packages or modules: ``ProjectLoader(["src"])`` loads ``repro.*``;
-    pointing it at a fixture directory loads the mini-packages inside.
-    Files that fail to parse are recorded (and reported by the CLI), not
-    fatal — one broken module must not hide findings in ninety others.
+    A *root* is a directory or a single ``.py`` file. Module names are
+    dotted paths relative to the root's nearest non-package ancestor, so
+    ``ProjectLoader(["src"])`` and ``ProjectLoader(["src/repro"])`` both
+    load ``repro`` and ``repro.*``, a fixture directory loads the
+    mini-packages inside it, and a file outside any package is named
+    after its stem. A root that does not exist or holds no ``.py`` file,
+    and a file that fails to parse, is recorded in :attr:`parse_errors`
+    (and reported by the CLI), not fatal: one broken module must not
+    hide findings in ninety others.
     """
 
     def __init__(self, roots: Sequence[str]) -> None:
@@ -691,34 +694,45 @@ class ProjectLoader:
     def load(self) -> Project:
         modules: Dict[str, ModuleInfo] = {}
         for root in self.roots:
-            for file_path in iter_python_files([str(root)]):
-                name = self._module_name(root, file_path)
-                if name is None:
-                    continue
+            if not root.exists():
+                self.parse_errors.append(f"{root}: path does not exist")
+                continue
+            if root.is_dir():
+                files = sorted(root.rglob("*.py"))
+            else:
+                files = [root] if root.suffix == ".py" else []
+            if not files:
+                self.parse_errors.append(f"{root}: no .py files")
+                continue
+            base = _package_base(root)
+            for file_path in files:
                 try:
                     source = SourceModule.from_path(file_path)
                 except (SyntaxError, UnicodeDecodeError, OSError) as exc:
                     self.parse_errors.append(f"{file_path}: {exc}")
                     continue
+                name = _module_name(base, file_path)
                 info = ModuleInfo(name=name, source=source)
                 _ModuleBuilder(info).visit(source.tree)
                 modules[name] = info
         return Project(modules)
 
-    @staticmethod
-    def _module_name(root: Path, file_path: Path) -> Optional[str]:
-        try:
-            relative = file_path.relative_to(root)
-        except ValueError:
-            return None
-        parts = list(relative.with_suffix("").parts)
-        if not parts:
-            return None
-        if parts[-1] == "__init__":
-            parts = parts[:-1]
-        if not parts:
-            return None
-        return ".".join(parts)
+
+def _package_base(root: Path) -> Path:
+    """The absolute directory that module names are relative to: the root
+    (a file root's folder), raised past every enclosing package."""
+    base = Path(os.path.abspath(root if root.is_dir() else root.parent))
+    while (base / "__init__.py").is_file() and base.parent != base:
+        base = base.parent
+    return base
+
+
+def _module_name(base: Path, file_path: Path) -> str:
+    relative = Path(os.path.abspath(file_path)).relative_to(base)
+    parts = list(relative.with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
 
 
 # ----------------------------------------------------------- project rules
@@ -760,8 +774,6 @@ def register_project_rule(rule_cls: Type[ProjectRule]) -> Type[ProjectRule]:
     if any(existing.id == rule_cls.id for existing in _PROJECT_REGISTRY):
         raise ValueError(f"duplicate project rule id {rule_cls.id}")
     _PROJECT_REGISTRY.append(rule_cls)
-    register_rule_token(rule_cls.id, rule_cls.id)
-    register_rule_token(rule_cls.name, rule_cls.id)
     return rule_cls
 
 
@@ -798,42 +810,26 @@ class ProjectContext:
         )
 
 
-def analyze_project(
-    roots: Sequence[str],
-    select: Optional[Set[str]] = None,
-    ignore: Optional[Set[str]] = None,
-    per_file: bool = True,
-) -> Report:
-    """Run project rules (and, by default, all per-file rules) over roots.
+def analyze_project(roots: Sequence[str]) -> Report:
+    """Load ``roots`` once and run every per-file and project rule.
 
     The per-file engine reuses the loader's parsed :class:`SourceModule`
-    objects, so ``--project`` pays for parsing exactly once. ``select`` /
-    ``ignore`` filter both rule families by id.
+    objects, so each file is parsed exactly once.
     """
     loader = ProjectLoader(roots)
     project = loader.load()
-    chosen = all_project_rules()
-    if select:
-        chosen = [r for r in chosen if r.id in select]
-    if ignore:
-        chosen = [r for r in chosen if r.id not in ignore]
+    engine = Engine()
+    project_rules = all_project_rules()
     report = Report(
-        active_rules=[cls.describe() for cls in chosen]
+        files_scanned=len(project.modules),
+        parse_errors=list(loader.parse_errors),
+        active_rules=[cls.describe() for cls in engine.rule_classes]
+        + [cls.describe() for cls in project_rules],
     )
-    report.parse_errors.extend(loader.parse_errors)
-    if per_file:
-        engine = Engine(select=select or None, ignore=ignore or None)
-        report.active_rules = (
-            [cls.describe() for cls in engine.rule_classes]
-            + report.active_rules
-        )
-        for name in sorted(project.modules):
-            report.findings.extend(
-                engine.lint_module(project.modules[name].source)
-            )
-    report.files_scanned = len(project.modules)
+    for name in sorted(project.modules):
+        report.findings.extend(engine.lint_module(project.modules[name].source))
     ctx = ProjectContext(project)
-    for rule_cls in chosen:
+    for rule_cls in project_rules:
         rule_cls().check(project, ctx)
     report.findings.extend(ctx.findings)
     return report

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+from repro.analysis import analyze_project
 from repro.config import GLPolicerConfig, QoSConfig, SwitchConfig
 from repro.core.arbitration import Request
 from repro.types import TrafficClass
+
+
+@pytest.fixture(scope="session")
+def src_report():
+    """One whole-program lint report of ``src/``, shared by every
+    clean-tree assertion so the suite analyses the tree only once."""
+    return analyze_project([str(Path(__file__).resolve().parents[1] / "src")])
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@
 
 Every function below trips the numpy-determinism rule in a different way;
 the expected finding set is asserted in ``tests/test_analysis_rules.py``.
-Linted with ``force_guarded=True`` (RL012 only fires inside the guarded
+Linted under a ``src/repro/qos/`` path (RL012 only fires inside the guarded
 simulator packages). This file is *not* imported anywhere — it only needs
 to parse.
 """

@@ -1,8 +1,8 @@
 """The sanctioned numpy idioms RL012 must *not* flag.
 
 Mirror of ``bad_numpy_module.py``: integer dtypes throughout, seeded
-generator construction, and documented tie-breaks. Linted with
-``force_guarded=True`` in ``tests/test_analysis_rules.py``; the expected
+generator construction, and documented tie-breaks. Linted under a
+``src/repro/qos/`` path in ``tests/test_analysis_rules.py``; the expected
 finding set is empty. Not imported anywhere — it only needs to parse.
 """
 

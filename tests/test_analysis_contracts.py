@@ -3,8 +3,8 @@
 The acceptance bar (ISSUE 1): the broken fixture module is flagged with
 the expected findings and a non-zero exit code; the real simulator
 modules — which follow the pure-select/explicit-commit protocol — are
-not; and ``repro-lint src/repro --format json`` exits 0 on the merged
-tree while reporting at least 8 distinct active rule ids.
+not; and ``repro-lint --format json`` exits 0 on the merged tree while
+reporting at least 8 distinct active rule ids.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Engine, lint_paths
+from repro.analysis import all_project_rules, all_rules, analyze_project, lint_source
+from repro.analysis import cli
 from repro.analysis.cli import main as lint_main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -28,14 +29,14 @@ GOOD = FIXTURES / "good_module.py"
 
 
 def test_bad_fixture_trips_the_expected_rules():
-    report = lint_paths([str(BAD)])
+    report = analyze_project([str(BAD)])
     found = {f.rule_id for f in report.open_findings}
     assert {"RL001", "RL003", "RL004", "RL005", "RL006", "RL009", "RL010", "RL011", "RC101", "RC102", "RC103"} <= found
     assert report.exit_code != 0
 
 
 def test_bad_fixture_select_without_commit_names_the_receiver():
-    report = lint_paths([str(BAD)])
+    report = analyze_project([str(BAD)])
     rc101 = [f for f in report.open_findings if f.rule_id == "RC101"]
     assert len(rc101) == 1
     assert "arbiter.select()" in rc101[0].message
@@ -43,7 +44,7 @@ def test_bad_fixture_select_without_commit_names_the_receiver():
 
 
 def test_good_fixture_is_clean():
-    report = lint_paths([str(GOOD)])
+    report = analyze_project([str(GOOD)])
     assert report.open_findings == []
     assert report.exit_code == 0
 
@@ -63,42 +64,64 @@ def test_good_fixture_is_clean():
     ],
 )
 def test_real_arbitration_modules_satisfy_select_commit(module):
-    report = Engine(select={"RC101"}).lint_paths([str(SRC / module)])
-    assert report.open_findings == []
+    path = SRC / module
+    findings = lint_source(path.read_text(encoding="utf-8"), path=str(path))
+    assert [f.render() for f in findings if f.rule_id == "RC101"] == []
 
 
-def test_whole_tree_is_lint_clean():
-    """Self-hosting acceptance: zero open findings on src/repro, and the
+def test_whole_tree_is_lint_clean(src_report):
+    """Self-hosting acceptance: zero open findings on src/, and the
     analyzer's own source is part of the scanned set."""
-    report = lint_paths([str(SRC)])
-    assert [f.render() for f in report.open_findings] == []
-    assert report.files_scanned > 80
+    assert [f.render() for f in src_report.open_findings] == []
+    assert src_report.files_scanned > 80
 
 
-def test_suppressions_in_tree_are_visible_in_report():
+def test_suppressions_in_tree_are_visible_in_report(src_report):
     # The one sanctioned swallow in Simulation._program_switch stays
-    # auditable: suppressed, not invisible.
-    report = lint_paths([str(SRC / "switch" / "simulator.py")])
-    assert [f.rule_id for f in report.suppressed_findings] == ["RL006"]
+    # auditable: suppressed, not invisible, in the text report too.
+    simulator = SRC / "switch" / "simulator.py"
+    suppressed = [
+        f for f in src_report.suppressed_findings if Path(f.path) == simulator
+    ]
+    assert [f.rule_id for f in suppressed] == ["RL006"]
+    assert suppressed[0].render() in src_report.to_text()
+    assert src_report.to_text().count("(suppressed)") == len(
+        src_report.suppressed_findings
+    )
 
 
 # -------------------------------------------------------------------- CLI
 
 
 def test_cli_json_report_shape_and_exit_codes(capsys):
+    # A single .py file is a root of its own.
     code = lint_main([str(BAD), "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
     rule_ids = {rule["id"] for rule in payload["rules"]}
     assert len(rule_ids) >= 8
-    assert payload["summary"]["open_findings"] >= 8
-    finding_ids = {f["rule_id"] for f in payload["findings"]}
-    assert "RC101" in finding_ids
+    summary = payload["summary"]
+    assert summary["files_scanned"] == 1
+    assert summary["open_findings"] == 12
+    assert summary["findings_per_rule"] == {
+        "RC101": 1, "RC102": 1, "RC103": 1, "RL001": 2, "RL003": 1,
+        "RL004": 1, "RL005": 1, "RL006": 1, "RL009": 1, "RL010": 1,
+        "RL011": 1,
+    }
 
 
-def test_cli_clean_tree_exits_zero(capsys):
-    code = lint_main([str(SRC), "--format", "json"])
+def test_cli_clean_tree_exits_zero(src_report, monkeypatch, capsys):
+    # The CLI defaults to src/; the shared report stands in for a rerun.
+    roots = []
+
+    def shared_report(requested):
+        roots.extend(requested)
+        return src_report
+
+    monkeypatch.setattr(cli, "analyze_project", shared_report)
+    code = lint_main(["--format", "json"])
     payload = json.loads(capsys.readouterr().out)
+    assert roots == ["src"]
     assert code == 0
     assert payload["summary"]["open_findings"] == 0
     assert {rule["id"] for rule in payload["rules"]} >= {
@@ -111,16 +134,14 @@ def test_cli_select_ignore_and_list_rules(capsys):
     assert lint_main(["--list-rules"]) == 0
     listing = capsys.readouterr().out
     assert "RL001" in listing and "unseeded-rng" in listing
+    rule_lines = [line for line in listing.splitlines() if line[:1] == "R"]
+    assert len(rule_lines) == len(all_rules()) + len(all_project_rules()) == 20
 
-    code = lint_main([str(BAD), "--select", "RC102"])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "RC102" in out and "RL001" not in out
-
-    # unknown rule tokens abort with an argparse error (exit code 2)
-    with pytest.raises(SystemExit) as excinfo:
-        lint_main([str(BAD), "--select", "no-such-rule"])
-    assert excinfo.value.code == 2
+    # Every run applies every rule: rule filters are usage errors (exit 2).
+    for flag in ("--select", "--ignore"):
+        with pytest.raises(SystemExit) as excinfo:
+            lint_main([str(BAD), flag, "RC102"])
+        assert excinfo.value.code == 2
 
 
 def test_cli_parse_error_exits_two(tmp_path, capsys):

@@ -13,6 +13,7 @@ from repro.analysis.project import ProjectLoader, analyze_project
 REPO = Path(__file__).resolve().parent.parent
 GOOD_ROOT = REPO / "tests" / "fixtures" / "project_good"
 BAD_ROOT = REPO / "tests" / "fixtures" / "project_bad"
+ANALYSIS_FIXTURES = REPO / "tests" / "fixtures" / "analysis"
 SRC_ROOT = REPO / "src"
 
 
@@ -34,6 +35,28 @@ def test_loads_all_fixture_modules(good_project):
     assert "goodpkg" in names  # the package __init__
     assert "goodpkg.rng" in names
     assert "goodpkg.workers" in names
+
+
+def test_package_root_loads_the_same_modules_as_its_parent(src_project):
+    # src/repro is itself a package: its own __init__.py is module "repro",
+    # and every other module keeps its repro.* name.
+    package_project = ProjectLoader([str(SRC_ROOT / "repro")]).load()
+    paths = {name: info.path for name, info in package_project.modules.items()}
+    assert paths == {name: info.path for name, info in src_project.modules.items()}
+    assert paths["repro"] == str(SRC_ROOT / "repro" / "__init__.py")
+
+
+def test_file_root_is_named_after_its_stem():
+    bad = ANALYSIS_FIXTURES / "bad_module.py"
+    loader = ProjectLoader([str(bad)])
+    project = loader.load()
+    assert loader.parse_errors == []
+    assert {name: info.path for name, info in project.modules.items()} == {
+        "bad_module": str(bad)
+    }
+    # Inside a package, a file root keeps its dotted name.
+    nested = ProjectLoader([str(GOOD_ROOT / "goodpkg" / "rng.py")]).load()
+    assert set(nested.modules) == {"goodpkg.rng"}
 
 
 def test_parse_errors_are_recorded_not_fatal(tmp_path):

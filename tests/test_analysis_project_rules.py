@@ -1,5 +1,5 @@
-"""RP201–RP204 behaviour on the good/bad fixture packages, the baseline
-workflow, and the ``repro-lint --project`` CLI wiring.
+"""RP201–RP204 behaviour on the good/bad fixture packages and the
+``repro-lint`` CLI wiring.
 
 The core acceptance assertion of the issue lives here: every project
 rule demonstrably fires on the bad mini-project and stays silent on the
@@ -11,27 +11,24 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
 from repro.analysis.cli import main as lint_main
 from repro.analysis.project import all_project_rules, analyze_project
-from repro.errors import ConfigError
 
 REPO = Path(__file__).resolve().parent.parent
 GOOD_ROOT = str(REPO / "tests" / "fixtures" / "project_good")
 BAD_ROOT = str(REPO / "tests" / "fixtures" / "project_bad")
-SRC_ROOT = str(REPO / "src")
 
 PROJECT_RULE_IDS = ("RP201", "RP202", "RP203", "RP204")
 
 
 @pytest.fixture(scope="module")
 def bad_report():
-    return analyze_project([BAD_ROOT], select=set(PROJECT_RULE_IDS))
+    return analyze_project([BAD_ROOT])
 
 
 @pytest.fixture(scope="module")
 def good_report():
-    return analyze_project([GOOD_ROOT], select=set(PROJECT_RULE_IDS))
+    return analyze_project([GOOD_ROOT])
 
 
 def _rule_findings(report, rule_id):
@@ -104,131 +101,44 @@ def test_rp204_missing_flush_and_early_exit(bad_report):
 # ---------------------------------------------------------- real-tree state
 
 
-def test_src_tree_is_clean_under_project_rules():
-    report = analyze_project([SRC_ROOT], select=set(PROJECT_RULE_IDS))
-    assert not report.open_findings, [f.render() for f in report.open_findings]
-
-
-def test_committed_baseline_matches_tree():
-    # CI contract: the committed baseline keeps `repro-lint --project` green.
-    report = analyze_project([SRC_ROOT])
-    baseline = load_baseline(REPO / "analysis" / "baseline.json")
-    apply_baseline(report, baseline)
-    assert report.exit_code == 0, [f.render() for f in report.open_findings]
-
-
-# ---------------------------------------------------------------- baseline
-
-
-def test_baseline_round_trip(tmp_path, bad_report):
-    path = tmp_path / "baseline.json"
-    count = write_baseline(bad_report, path)
-    assert count == len(bad_report.open_findings) > 0
-    fresh = analyze_project([BAD_ROOT], select=set(PROJECT_RULE_IDS))
-    stale = apply_baseline(fresh, load_baseline(path))
-    assert stale == 0
-    assert fresh.exit_code == 0  # everything grandfathered
-    assert len(fresh.baselined_findings) == count
-
-
-def test_baseline_multiset_semantics(tmp_path, bad_report):
-    path = tmp_path / "baseline.json"
-    write_baseline(bad_report, path)
-    payload = json.loads(path.read_text())
-    # Drop one entry: the matching finding must come back as a regression.
-    dropped = payload["entries"].pop()
-    path.write_text(json.dumps(payload))
-    fresh = analyze_project([BAD_ROOT], select=set(PROJECT_RULE_IDS))
-    apply_baseline(fresh, load_baseline(path))
-    regressions = fresh.open_findings
-    assert len(regressions) == 1
-    assert regressions[0].rule_id == dropped["rule_id"]
-    assert regressions[0].message == dropped["message"]
-
-
-def test_stale_baseline_entries_are_reported_not_fatal(tmp_path, good_report):
-    path = tmp_path / "baseline.json"
-    path.write_text(
-        json.dumps(
-            {
-                "tool": "reprolint-baseline",
-                "version": 1,
-                "entries": [
-                    {"rule_id": "RP201", "path": "gone.py", "message": "old"}
-                ],
-            }
-        )
-    )
-    fresh = analyze_project([GOOD_ROOT], select=set(PROJECT_RULE_IDS))
-    stale = apply_baseline(fresh, load_baseline(path))
-    assert stale == 1
-    assert fresh.exit_code == 0
-
-
-@pytest.mark.parametrize(
-    "payload",
-    [
-        "not json at all",
-        json.dumps({"tool": "other-tool", "version": 1, "entries": []}),
-        json.dumps({"tool": "reprolint-baseline", "version": 99, "entries": []}),
-        json.dumps({"tool": "reprolint-baseline", "version": 1}),
-        json.dumps(
-            {"tool": "reprolint-baseline", "version": 1, "entries": [{"rule_id": 3}]}
-        ),
-    ],
-)
-def test_malformed_baseline_raises_config_error(tmp_path, payload):
-    path = tmp_path / "baseline.json"
-    path.write_text(payload)
-    with pytest.raises(ConfigError):
-        load_baseline(path)
-
-
-def test_missing_baseline_raises_config_error(tmp_path):
-    with pytest.raises(ConfigError):
-        load_baseline(tmp_path / "absent.json")
+def test_src_tree_is_clean_under_project_rules(src_report):
+    open_rp = [f for f in src_report.open_findings if f.rule_id in PROJECT_RULE_IDS]
+    assert [f.render() for f in open_rp] == []
 
 
 # --------------------------------------------------------------------- CLI
 
 
 def test_cli_project_mode_exit_codes(capsys):
-    assert lint_main(["--project", BAD_ROOT]) == 1
-    assert lint_main(["--project", GOOD_ROOT]) == 0
+    assert lint_main([BAD_ROOT]) == 1
+    assert lint_main([GOOD_ROOT]) == 0
     out = capsys.readouterr().out
     assert "findings per rule:" in out
     assert "RP202" in out
 
 
 def test_cli_project_json_format(capsys):
-    assert lint_main(["--project", BAD_ROOT, "--format", "json"]) == 1
+    assert lint_main([BAD_ROOT, "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     rule_ids = {f["rule_id"] for f in payload["findings"]}
     assert set(PROJECT_RULE_IDS) <= rule_ids
-    assert all("baselined" in f for f in payload["findings"])
+    assert set(payload["summary"]) == {
+        "files_scanned", "open_findings", "suppressed_findings",
+        "parse_errors", "findings_per_rule",
+    }
+    assert {key for f in payload["findings"] for key in f} == {
+        "path", "line", "col", "rule_id", "rule_name", "severity",
+        "message", "suppressed",
+    }
 
 
-def test_cli_baseline_flow(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    assert lint_main(["--project", BAD_ROOT, "--write-baseline", str(baseline)]) == 0
-    capsys.readouterr()
-    assert lint_main(["--project", BAD_ROOT, "--baseline", str(baseline)]) == 0
-    out = capsys.readouterr().out
-    assert "baselined" in out.lower()
-
-
-def test_cli_baseline_requires_project():
-    with pytest.raises(SystemExit):
-        lint_main(["src", "--baseline", "x.json"])
-
-
-def test_cli_rejects_baseline_with_write_baseline():
-    with pytest.raises(SystemExit):
-        lint_main(["--project", "--baseline", "a.json", "--write-baseline", "b.json"])
-
-
-def test_cli_select_limits_project_rules(capsys):
-    assert lint_main(["--project", BAD_ROOT, "--select", "RP204"]) == 1
-    out = capsys.readouterr().out
-    assert "RP204" in out
-    assert "RP201" not in out
+def test_cli_missing_or_empty_root_exits_two(tmp_path, capsys):
+    # A root that is absent, or that holds no .py file, must not lint clean.
+    (tmp_path / "notes.txt").write_text("no python here\n")
+    assert lint_main([str(tmp_path / "no_such_dir")]) == 2
+    assert "path does not exist" in capsys.readouterr().out
+    assert lint_main([str(tmp_path)]) == 2
+    assert "no .py files" in capsys.readouterr().out
+    assert lint_main([str(tmp_path / "notes.txt")]) == 2
+    # One bad root fails the run even next to a good one.
+    assert lint_main([GOOD_ROOT, str(tmp_path / "no_such_dir")]) == 2

@@ -8,15 +8,17 @@ the finding to suppressed without losing it from the report).
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
-from repro.analysis import Engine, all_rules, lint_source
-from repro.analysis.engine import resolve_rule_tokens
+from repro.analysis import all_rules, lint_source
 
 #: Lint under a guarded-package path so guarded-only rules participate.
 GUARDED_PATH = "src/repro/core/example.py"
 #: A path outside the repro tree: only universal rules apply.
 PLAIN_PATH = "tools/example.py"
+FIXTURES = Path(__file__).resolve().parent / "fixtures" / "analysis"
 
 
 def open_ids(source: str, path: str = GUARDED_PATH) -> list:
@@ -164,12 +166,6 @@ def test_wall_clock_allowed_outside_guarded_packages():
     assert "RL002" in open_ids(source, path="src/repro/switch/x.py")
 
 
-def test_force_guarded_applies_guarded_rules_everywhere():
-    source = "import time\ndef f():\n    return time.time()\n"
-    findings = Engine(force_guarded=True).lint_source(source, path=PLAIN_PATH)
-    assert ["RL002"] == [f.rule_id for f in findings]
-
-
 def test_trailing_suppression_on_same_line():
     source = "import random\nx = random.random()  # reprolint: disable=unseeded-rng\n"
     assert open_ids(source) == []
@@ -264,16 +260,19 @@ def test_numpy_determinism_fires_only_in_guarded_packages():
     assert "RL012" in open_ids(source, path="src/repro/switch/x.py")
 
 
-def test_numpy_determinism_fixture_pair():
-    from pathlib import Path
+def fixture_ids(name: str, rule_id: str) -> list:
+    """Open ``rule_id`` findings on a fixture linted as a guarded module."""
+    source = (FIXTURES / name).read_text(encoding="utf-8")
+    return [
+        rule for rule in open_ids(source, path=f"src/repro/qos/{name}")
+        if rule == rule_id
+    ]
 
-    fixtures = Path(__file__).resolve().parent / "fixtures" / "analysis"
-    engine = Engine(select={"RL012"}, force_guarded=True)
-    bad = engine.lint_paths([str(fixtures / "bad_numpy_module.py")])
+
+def test_numpy_determinism_fixture_pair():
     # One finding per offending function in the bad fixture.
-    assert len([f for f in bad.open_findings if f.rule_id == "RL012"]) == 7
-    good = engine.lint_paths([str(fixtures / "good_numpy_module.py")])
-    assert good.open_findings == []
+    assert len(fixture_ids("bad_numpy_module.py", "RL012")) == 7
+    assert fixture_ids("good_numpy_module.py", "RL012") == []
 
 
 def test_numpy_determinism_accepts_string_and_dotted_float_dtypes():
@@ -299,32 +298,10 @@ def test_rule_registry_is_complete_and_unique():
     assert set(RULE_IDS) <= set(ids)
 
 
-def test_resolve_rule_tokens_accepts_names_and_ids():
-    assert resolve_rule_tokens(["RL001"]) == {"RL001"}
-    assert resolve_rule_tokens(["unseeded-rng", "rc101"]) == {"RL001", "RC101"}
-    with pytest.raises(ValueError):
-        resolve_rule_tokens(["no-such-rule"])
-
-
-def test_engine_select_and_ignore_filters():
-    source = "import random\nx = random.random()\ny = {'k': 1}.popitem()\n"
-    only = Engine(select={"RL001"}).lint_source(source, path=GUARDED_PATH)
-    assert [f.rule_id for f in only] == ["RL001"]
-    without = Engine(ignore={"RL001"}).lint_source(source, path=GUARDED_PATH)
-    assert "RL001" not in [f.rule_id for f in without]
-    assert "RL007" in [f.rule_id for f in without]
-
-
 def test_iterative_contract_fixture_pair():
-    from pathlib import Path
-
-    fixtures = Path(__file__).resolve().parent / "fixtures" / "analysis"
-    engine = Engine(select={"RL013"}, force_guarded=True)
-    bad = engine.lint_paths([str(fixtures / "bad_iterative_module.py")])
     # One finding per documented contract breach in the bad fixture.
-    assert len([f for f in bad.open_findings if f.rule_id == "RL013"]) == 5
-    good = engine.lint_paths([str(fixtures / "good_iterative_module.py")])
-    assert good.open_findings == []
+    assert len(fixture_ids("bad_iterative_module.py", "RL013")) == 5
+    assert fixture_ids("good_iterative_module.py", "RL013") == []
 
 
 def test_iterative_contract_pointer_writes_need_accept_phase():
