@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Callable, Dict, Optional
 
+from ..catalog import RunCatalog
 from ..errors import ConfigError, SweepInterrupted
 from ..resilience import (
     FailurePolicy,
@@ -242,6 +244,11 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.journal and args.resume:
         parser.error("--journal starts a fresh journal; use --resume alone "
                      "to continue an existing one")
+    journal_path = args.journal or args.resume
+    if journal_path and args.catalog and \
+            Path(journal_path).resolve() == Path(args.catalog).resolve():
+        parser.error("--journal/--resume and --catalog name the same file; "
+                     "a journal and a catalog each need their own")
     resilience_requested = bool(
         args.retries or args.point_timeout is not None or args.journal
         or args.resume or args.on_failure != FailurePolicy.FAIL_FAST.value
@@ -283,11 +290,7 @@ def main(argv: "list[str] | None" = None) -> int:
                 journal = RunJournal(args.resume, resume=True)
             elif args.journal:
                 journal = RunJournal(args.journal)
-            catalog = None
-            if args.catalog:
-                from ..catalog import RunCatalog
-
-                catalog = RunCatalog(args.catalog)
+            catalog = RunCatalog(args.catalog) if args.catalog else None
             resilience = ResilienceOptions(
                 retry=RetryPolicy(
                     retries=args.retries, point_timeout=args.point_timeout

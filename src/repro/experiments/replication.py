@@ -16,8 +16,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..parallel import SweepExecutor, SweepPoint
-from ..resilience import ResilienceOptions
-from ..resilience.journal import worker_name
+from ..resilience import ResilienceOptions, worker_name
 
 #: An experiment run: seed in, named scalar metrics out.
 MetricFn = Callable[[int], Mapping[str, float]]

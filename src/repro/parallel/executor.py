@@ -50,6 +50,7 @@ from multiprocessing.context import BaseContext
 from multiprocessing.process import BaseProcess
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..catalog import RunCatalog
 from ..errors import ConfigError, SimulationError, SweepInterrupted
 from ..resilience import (
     FailurePolicy,
@@ -57,6 +58,7 @@ from ..resilience import (
     ResilienceOptions,
     SweepOutcome,
     point_key,
+    sweep_id,
     worker_name,
 )
 from .envelope import PointResult, SweepPoint
@@ -252,10 +254,14 @@ class _SweepRun:
         self.keys: Dict[int, str] = {
             point.index: point_key(self.fn_name, point) for point in pts
         }
-        if self.journal is not None:
-            self.sweep_id = self.journal.register_sweep(self.fn_name, pts)
-        else:
-            self.sweep_id = self.fn_name
+        self.sweep_id = sweep_id(self.fn_name, [self.keys[p.index] for p in pts])
+        #: attached stores in lookup order: journal hits resume, catalog
+        #: hits are cache hits
+        self.stores: List[RunCatalog] = [
+            store for store in (self.journal, self.catalog) if store is not None
+        ]
+        for store in self.stores:
+            store.register_sweep(self.fn_name, pts, self.sweep_id)
         self.outcome = SweepOutcome(
             sweep=self.sweep_id,
             total_points=len(pts),
@@ -286,8 +292,7 @@ class _SweepRun:
     # ------------------------------------------------------------- lifecycle
 
     def execute(self) -> SweepOutcome:
-        self._restore_from_journal()
-        self._restore_from_catalog()
+        self._restore()
         pending = [p for p in self.pts if p.index not in self.values]
         self.runnable = [(point, 1) for point in pending]
         handlers = self._install_signal_handlers()
@@ -356,56 +361,58 @@ class _SweepRun:
 
     # ---------------------------------------------------------------- restore
 
-    def _restore_from_journal(self) -> None:
-        if self.journal is None:
-            return
+    def _restore(self) -> None:
+        """Serve already-stored points as verified hits, store by store.
+
+        The journal is asked first, so a point in both stores counts as
+        resumed; a catalog hit counts as cached. Either way the hit is
+        recorded into every other attached store, so the stores converge:
+        journal hits backfill the catalog, and catalog hits keep a fresh
+        journal a complete record of the sweep for ``journal_hashes``
+        diffs and future ``--resume`` runs. Every hit passed the store's
+        bit-identity verification (envelope match + integrity hash + repr
+        round-trip) or raised a determinism violation instead of being
+        served.
+        """
         for point in self.pts:
-            ok, value = self.journal.restore(self.keys[point.index])
-            if ok:
-                self.values[point.index] = value
+            for store in self.stores:
+                hit, value = store.lookup(self.fn_name, point)
+                if hit:
+                    break
+                if store is self.catalog:
+                    self._count("catalog.misses")
+            else:
+                continue
+            self.values[point.index] = value
+            if store is self.journal:
                 self.outcome.resumed += 1
                 self._count("resilience.points_resumed")
                 self._event(
                     "resilience.resume", point=point.index, label=point.label
                 )
-
-    def _restore_from_catalog(self) -> None:
-        """Serve already-catalogued points as verified cache hits.
-
-        Runs after the journal restore: a point present in both stores is
-        counted as resumed (journal semantics win) but is still pushed
-        into the catalog so the durable store catches up with this run.
-        A catalogued point missing from the journal is a cache hit — it
-        is also journaled, keeping the journal a complete record of the
-        sweep for ``journal_hashes`` diffs and future ``--resume`` runs.
-        Every hit passed the catalog's bit-identity verification
-        (envelope match + integrity hash + repr round-trip) or raised a
-        catalog determinism violation instead of being served.
-        """
-        if self.catalog is None:
-            return
-        for point in self.pts:
-            if point.index in self.values:
-                if self.catalog.record(
-                    self.fn_name, self.sweep_id, point, self.values[point.index]
-                ):
-                    self._count("catalog.appends")
-                continue
-            hit, value = self.catalog.lookup(self.fn_name, point)
-            if hit:
-                self.values[point.index] = value
+            else:
                 self.outcome.cache_hits += 1
                 self._count("catalog.hits")
                 self._event("catalog.hit", point=point.index, label=point.label)
-                if self.journal is not None:
-                    before = self.journal.point_count
-                    self.journal.record(
-                        self.sweep_id, self.keys[point.index], point, value
-                    )
-                    if self.journal.point_count > before:
-                        self._count("resilience.journal_appends")
-            else:
-                self._count("catalog.misses")
+            self._record(point, value, source=store)
+
+    def _record(
+        self, point: SweepPoint, value: Any, source: Optional[RunCatalog] = None
+    ) -> None:
+        """Record ``value`` into every attached store but ``source``.
+
+        Re-recording a stored point raises ``SimulationError`` on any bit
+        difference — the resume/retry determinism assertion. Each probe
+        count lands only after its entry is fsync'd.
+        """
+        journal = None if self.journal is source else self.journal
+        catalog = None if self.catalog is source else self.catalog
+        if journal is not None:
+            if journal.record(self.sweep_id, self.keys[point.index], point, value):
+                self._count("resilience.journal_appends")
+        if catalog is not None:
+            if catalog.record(self.fn_name, self.sweep_id, point, value):
+                self._count("catalog.appends")
 
     # ----------------------------------------------------------------- serial
 
@@ -593,18 +600,7 @@ class _SweepRun:
     # ------------------------------------------------------------- accounting
 
     def _point_succeeded(self, point: SweepPoint, attempt: int, value: Any) -> None:
-        if self.journal is not None:
-            before = self.journal.point_count
-            # Raises SimulationError on any bit difference from a previous
-            # execution — the resume/retry determinism assertion.
-            self.journal.record(self.sweep_id, self.keys[point.index], point, value)
-            if self.journal.point_count > before:
-                self._count("resilience.journal_appends")
-        if self.catalog is not None:
-            # Same determinism assert against the durable store; the probe
-            # count lands only after the entry is fsync'd.
-            if self.catalog.record(self.fn_name, self.sweep_id, point, value):
-                self._count("catalog.appends")
+        self._record(point, value)
         self.values[point.index] = value
         self._count("resilience.points_completed")
         if attempt > 1:

@@ -6,8 +6,10 @@ discipline to the *harness* that reproduces those results. It provides:
 
 * :mod:`~repro.resilience.atomic` — crash-safe file replacement
   (write-temp + fsync + rename) used for every load-bearing artifact;
-* :mod:`~repro.resilience.journal` — the run journal: an atomic,
-  resumable checkpoint store keyed by point content, with a bit-identity
+* :mod:`~repro.resilience.keys` — content keys for sweep points;
+* :mod:`~repro.resilience.store` — the one sweep-result store, opened
+  as a run journal (fresh, or loaded under ``--resume``) or as a run
+  catalog (always loaded), with verified hits and a bit-identity
   assertion on every re-executed point;
 * :mod:`~repro.resilience.policy` — per-point timeouts, bounded retries
   with deterministic seeded-jitter backoff, and the
@@ -22,27 +24,18 @@ Import discipline: this package imports only the standard library and
 ``repro.catalog`` import *it* (typing-only back references excepted), so
 the dependency edge stays one-directional.
 
-``python -m repro.resilience hash|diff`` inspects and compares journals
-(see :mod:`~repro.resilience.__main__`).
+``python -m repro.catalog hash|diff|stats|compact`` inspects, compares
+and maintains store files, journals and catalogs alike.
 """
 
 from .atomic import atomic_write_text
-from .journal import (
-    JOURNAL_SCHEMA_VERSION,
-    RunJournal,
-    journal_hashes,
-    point_envelope,
-    point_key,
-    restorable_repr,
-    sweep_id,
-    worker_name,
-)
+from .keys import point_envelope, point_key, restorable_repr, sweep_id, worker_name
 from .options import ResilienceOptions
 from .outcome import PointFailure, SweepOutcome
 from .policy import FailurePolicy, RetryPolicy, backoff_delay
+from .store import RunJournal, journal_hashes
 
 __all__ = [
-    "JOURNAL_SCHEMA_VERSION",
     "FailurePolicy",
     "PointFailure",
     "ResilienceOptions",

@@ -1,7 +1,7 @@
 """The resilience bundle a CLI builds once and threads through every sweep.
 
 ``repro-exp`` translates its ``--retries / --point-timeout /
---on-failure / --journal / --resume`` flags into one
+--on-failure / --journal / --resume / --catalog`` flags into one
 :class:`ResilienceOptions` and pass it down through the experiment
 ``run_*`` functions into every :class:`repro.parallel.SweepExecutor` the
 invocation creates. The bundle carries the shared journal (one file can
@@ -16,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, TYPE_CHECKING
 
-from .journal import RunJournal
 from .outcome import SweepOutcome
 from .policy import FailurePolicy, RetryPolicy
+from .store import RunCatalog, RunJournal
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from ..catalog import RunCatalog
     from ..obs.probe import Probe
 
 
@@ -47,7 +46,7 @@ class ResilienceOptions:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     on_failure: FailurePolicy = FailurePolicy.FAIL_FAST
     journal: Optional[RunJournal] = None
-    catalog: "Optional[RunCatalog]" = None
+    catalog: Optional[RunCatalog] = None
     probe: "Optional[Probe]" = None
     outcomes: List[SweepOutcome] = field(default_factory=list)
 

@@ -56,8 +56,8 @@ class SweepOutcome:
     """Full accounting of one executor run.
 
     Attributes:
-        sweep: the journal sweep id (or the worker function's name when
-            no journal is attached).
+        sweep: the sweep id (:func:`~repro.resilience.sweep_id` of the
+            worker name and the ordered point keys).
         total_points: points the caller asked for.
         results: completed points in original order — **with holes**: a
             failed point is simply absent (its index appears in

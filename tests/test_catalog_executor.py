@@ -11,17 +11,26 @@ assert the values, the ``catalog.*`` probe counters, and the
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import List
 
 import pytest
 
-from repro.catalog import RunCatalog
+from repro.catalog import CATALOG_SCHEMA_VERSION, RunCatalog, entry_integrity
+from repro.catalog.__main__ import main as catalog_main
 from repro.errors import SimulationError
-from repro.experiments.fig4_bandwidth import Fig4Result, run_fig4
+from repro.experiments.fig4_bandwidth import Fig4Result, run_both_panels, run_fig4
 from repro.obs import CountingProbe
 from repro.parallel import SweepExecutor, SweepPoint
-from repro.resilience import ResilienceOptions, RunJournal, worker_name
+from repro.resilience import (
+    ResilienceOptions,
+    RunJournal,
+    point_envelope,
+    point_key,
+    restorable_repr,
+    worker_name,
+)
 
 from . import resilience_workers as workers
 
@@ -183,6 +192,95 @@ class TestCatalogRuns:
         assert warm == cold
 
 
+class TestSweepIdentity:
+    """A catalog files each sweep under the same id a journal would."""
+
+    def test_catalog_only_fig4_hashes_like_a_journaled_run(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture
+    ) -> None:
+        rates = (0.05, 0.10, 0.20, 0.40, 1.0)
+        catalog_path = tmp_path / "fig4.catalog"
+        journal_path = tmp_path / "fig4.journal"
+        with RunCatalog(catalog_path) as catalog:
+            run_both_panels(
+                rates, horizon=2_000, resilience=ResilienceOptions(catalog=catalog)
+            )
+        with RunJournal(journal_path) as journal:
+            run_both_panels(
+                rates, horizon=2_000, resilience=ResilienceOptions(journal=journal)
+            )
+
+        assert catalog_main(["hash", str(catalog_path)]) == 0
+        catalog_lines = capsys.readouterr().out.splitlines()
+        assert catalog_main(["hash", str(journal_path)]) == 0
+        assert capsys.readouterr().out.splitlines() == catalog_lines
+        assert len(catalog_lines) == 2  # one line per panel
+        for line in catalog_lines:
+            assert re.fullmatch(
+                r"\S+#[0-9a-f]{12}: 5/5 points hash=[0-9a-f]{64}", line
+            ), line
+
+    def test_all_hit_pass_leaves_the_catalog_bytes_unchanged(
+        self, tmp_path: Path
+    ) -> None:
+        path = tmp_path / "run.catalog"
+        points = _points()
+        with RunCatalog(path) as catalog:
+            cold = ResilienceOptions(catalog=catalog)
+            SweepExecutor(jobs=1, resilience=cold).map(workers.square, points)
+        before = path.read_bytes()
+        with RunCatalog(path) as catalog:
+            warm = ResilienceOptions(catalog=catalog)
+            SweepExecutor(jobs=1, resilience=warm).map(workers.square, points)
+        assert warm.outcomes[0].cache_hits == len(points)
+        assert path.read_bytes() == before
+
+    def test_catalog_without_sweep_lines_still_serves_hits(
+        self, tmp_path: Path
+    ) -> None:
+        # Catalogs used to hold a header and entry lines only, each entry
+        # filed under the worker's name instead of a sweep id.
+        path = tmp_path / "old.catalog"
+        points = _points()
+        fn_name = worker_name(workers.square)
+        lines = [
+            {"kind": "header", "schema_version": CATALOG_SCHEMA_VERSION,
+             "tool": "repro-catalog"}
+        ]
+        for point in points:
+            envelope = point_envelope(fn_name, point)
+            value_repr, restorable = restorable_repr(workers.square(point))
+            lines.append({
+                "kind": "entry", "key": point_key(fn_name, point),
+                "sweep": fn_name, "fn": fn_name, "index": point.index,
+                "label": point.label, "envelope": envelope,
+                "value_repr": value_repr, "restorable": restorable,
+                "integrity": entry_integrity(envelope, value_repr),
+            })
+        path.write_text(
+            "".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8"
+        )
+        before = path.read_bytes()
+        for _ in range(2):
+            probe = CountingProbe()
+            with RunCatalog(path) as catalog:
+                options = ResilienceOptions(catalog=catalog, probe=probe)
+                results = SweepExecutor(jobs=1, resilience=options).map(
+                    workers.square, points
+                )
+            assert [r.value for r in results] == _expected(points)
+            assert probe.counters["catalog.hits"] == len(points)
+            assert "catalog.appends" not in probe.counters
+        # The first pass names the sweep once; no entry is rewritten.
+        after = path.read_bytes()
+        assert after.startswith(before)
+        (added,) = after[len(before):].decode("utf-8").splitlines()
+        assert json.loads(added) == {
+            "kind": "sweep", "id": options.outcomes[0].sweep, "fn": fn_name,
+            "points": len(points),
+        }
+
+
 class TestPoisonedCatalog:
     def test_poisoned_entry_fails_the_sweep_loudly(self, tmp_path: Path) -> None:
         path = tmp_path / "run.catalog"
@@ -191,9 +289,11 @@ class TestPoisonedCatalog:
             options = ResilienceOptions(catalog=catalog)
             SweepExecutor(jobs=2, resilience=options).map(workers.square, points)
         lines = path.read_text(encoding="utf-8").splitlines()
-        entry = json.loads(lines[1])
+        # Line 1 is the sweep line; line 2 is the sweep's first entry.
+        entry = json.loads(lines[2])
+        assert entry["kind"] == "entry"
         entry["value_repr"] = "999999"  # poison without fixing integrity
-        lines[1] = json.dumps(entry)
+        lines[2] = json.dumps(entry)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with RunCatalog(path) as catalog:
             options = ResilienceOptions(catalog=catalog)

@@ -20,6 +20,7 @@ from repro.catalog import CATALOG_SCHEMA_VERSION, RunCatalog, entry_integrity
 from repro.catalog.__main__ import main as catalog_main
 from repro.errors import ConfigError, SimulationError
 from repro.parallel import SweepPoint
+from repro.resilience import RunJournal, point_key
 
 
 def _points(n: int = 4) -> List[SweepPoint]:
@@ -277,6 +278,41 @@ class TestMaintenanceCli:
         assert catalog_main(["compact", str(path)]) == 0
         out = capsys.readouterr().out
         assert "reclaimed" in out
+
+    def test_hash_and_diff_read_journals_and_catalogs_alike(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture
+    ) -> None:
+        points = _points()
+        paths = [str(tmp_path / "run.journal"), str(tmp_path / "run.catalog")]
+        with RunJournal(paths[0]) as journal, RunCatalog(paths[1]) as catalog:
+            sweep = journal.register_sweep("fn", points)
+            assert catalog.register_sweep("fn", points) == sweep
+            for point in points:
+                journal.record(sweep, point_key("fn", point), point, _value(point))
+                catalog.record("fn", sweep, point, _value(point))
+        assert catalog_main(["hash", paths[0]]) == 0
+        journal_out = capsys.readouterr().out
+        assert catalog_main(["hash", paths[1]]) == 0
+        assert capsys.readouterr().out == journal_out
+        assert f"{len(points)}/{len(points)} points" in journal_out
+        assert catalog_main(["diff", *paths]) == 0
+        assert "bit-identical per sweep" in capsys.readouterr().out
+
+    def test_diff_reports_a_mismatch(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture
+    ) -> None:
+        points = _points()
+        paths = []
+        for offset in (0, 1):
+            path = tmp_path / f"run{offset}.journal"
+            with RunJournal(path) as journal:
+                sweep = journal.register_sweep("fn", points)
+                for point in points:
+                    value = (point.index + offset,)
+                    journal.record(sweep, point_key("fn", point), point, value)
+            paths.append(str(path))
+        assert catalog_main(["diff", *paths]) == 1
+        assert "MISMATCH" in capsys.readouterr().out
 
     def test_missing_catalog_exits_2(
         self, tmp_path: Path, capsys: pytest.CaptureFixture

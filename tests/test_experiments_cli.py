@@ -82,3 +82,19 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "throughput/delay frontier" in out
         assert "all qualitative claims hold: yes" in out
+
+
+class TestStoreFlags:
+    @pytest.mark.parametrize("store_flag", ["--journal", "--resume"])
+    def test_journal_and_catalog_on_one_file_rejected(
+        self, tmp_path, capsys, store_flag
+    ):
+        # One file cannot be both: a fresh journal would atomically
+        # replace the catalog, and a resumed one would mix the two runs.
+        path = tmp_path / "run.store"
+        same = tmp_path / "." / "run.store"
+        with pytest.raises(SystemExit) as exc:
+            main(["fig4", "--fast", store_flag, str(path), "--catalog", str(same)])
+        assert exc.value.code == 2
+        assert "name the same file" in capsys.readouterr().err
+        assert not path.exists()

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-import repro.resilience.journal as journal_mod
+import repro.resilience.store as store_mod
 from repro.errors import ConfigError
 from repro.parallel import SweepPoint, result_hash
 from repro.resilience import RunJournal, journal_hashes, point_key
@@ -43,13 +43,13 @@ def _record_all(path: Path, points: list, resume: bool = False) -> RunJournal:
 class TestAppendNotRewrite:
     def test_appends_use_one_atomic_write_total(self, tmp_path, monkeypatch):
         calls = []
-        real = journal_mod.atomic_write_text
+        real = store_mod.atomic_write_text
 
         def counting(path, text):
             calls.append(str(path))
             return real(path, text)
 
-        monkeypatch.setattr(journal_mod, "atomic_write_text", counting)
+        monkeypatch.setattr(store_mod, "atomic_write_text", counting)
         path = tmp_path / "run.journal"
         _record_all(path, _points(20))
         # One atomic write creates the header; all 21 records (1 sweep +
@@ -64,7 +64,7 @@ class TestAppendNotRewrite:
         _record_all(path, points[:3])
         calls = []
         monkeypatch.setattr(
-            journal_mod,
+            store_mod,
             "atomic_write_text",
             lambda *a, **k: calls.append(a),
         )
@@ -82,7 +82,7 @@ class TestAppendNotRewrite:
         # No close(): simulate the process dying with the handle open.
         # Every append was fsync'd, so the file is a complete prefix.
         resumed = RunJournal(path, resume=True)
-        assert resumed.point_count == 2
+        assert resumed.entry_count == 2
 
 
 class TestResumeHashIdentity:
@@ -117,9 +117,9 @@ class TestTornTail:
             partial.record(sweep, point_key("fn", point), point, _value(point))
         partial.close()
         with path.open("a", encoding="utf-8") as fh:
-            fh.write('{"kind": "point", "sweep": "fn#')  # torn mid-append
+            fh.write('{"kind": "entry", "key": "')  # torn mid-append
         journal = RunJournal(path, resume=True)
-        assert journal.point_count == 3
+        assert journal.entry_count == 3
         sweep = journal.register_sweep("fn", points)
         journal.record(sweep, point_key("fn", points[3]), points[3], _value(points[3]))
         journal.close()
@@ -140,7 +140,7 @@ class TestTornTail:
             partial.record(sweep, point_key("fn", point), point, _value(point))
         partial.close()
         with torn_path.open("a", encoding="utf-8") as fh:
-            fh.write('{"kind": "poi')
+            fh.write('{"kind": "ent')
         _record_all(torn_path, points, resume=True)
         assert journal_hashes(torn_path) == journal_hashes(clean_path)
 
@@ -190,7 +190,7 @@ class TestCompaction:
         _record_all(path, points)
         canonical = path.read_text(encoding="utf-8")
         with path.open("a", encoding="utf-8") as fh:
-            fh.write('{"kind": "point", "sweep": "fn#')  # crash mid-append
+            fh.write('{"kind": "entry", "key": "')  # crash mid-append
         journal = RunJournal(path, resume=True)
         assert journal.compact() > 0
         journal.close()
@@ -214,6 +214,6 @@ class TestCompaction:
         journal.close()
         resumed = RunJournal(path, resume=True)
         for point in points:
-            hit, value = resumed.restore(point_key("fn", point))
+            hit, value = resumed.lookup("fn", point)
             assert hit and value == _value(point)
         resumed.close()

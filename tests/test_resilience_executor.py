@@ -22,6 +22,8 @@ from typing import Callable, List
 import pytest
 
 import repro
+from repro.catalog import RunCatalog, entry_integrity
+from repro.catalog.__main__ import main as catalog_main
 from repro.errors import ConfigError, SimulationError, SweepInterrupted
 from repro.obs import CountingProbe
 from repro.parallel import CHAOS_ENV, SweepExecutor, SweepPoint, result_hash
@@ -100,19 +102,55 @@ class TestJournaledRuns:
         options = ResilienceOptions(journal=RunJournal(path))
         SweepExecutor(jobs=1, resilience=options).map(workers.square, points)
 
-        # Corrupt one checkpoint: flip its value and force a recompute.
+        # Rewrite one checkpoint consistently (integrity re-signed) to a
+        # different, non-restorable value: lookup misses, the point is
+        # recomputed, and re-recording it must trip the assert.
         lines = []
         for line in path.read_text(encoding="utf-8").splitlines():
             record = json.loads(line)
-            if record.get("kind") == "point" and record["index"] == 2:
+            if record.get("kind") == "entry" and record["index"] == 2:
                 record["value_repr"] = "999999"
                 record["restorable"] = False
+                record["integrity"] = entry_integrity(record["envelope"], "999999")
             lines.append(json.dumps(record))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
         resumed = ResilienceOptions(journal=RunJournal(path, resume=True))
-        with pytest.raises(SimulationError, match="journal determinism violation"):
+        with pytest.raises(
+            SimulationError,
+            match="journal determinism violation: point .* re-executed",
+        ):
             SweepExecutor(jobs=1, resilience=resumed).map(workers.square, points)
+
+    def test_stores_name_the_sweep_before_any_point_completes(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture
+    ) -> None:
+        """A sweep whose every point fails still leaves a resumable
+        journal, and both stores report it as an incomplete sweep."""
+        journal_path = tmp_path / "run.journal"
+        catalog_path = tmp_path / "run.catalog"
+        points = [
+            SweepPoint.make(i, f"pt@{i}", seed=100 + i, fail_index=i)
+            for i in range(2)
+        ]
+        with RunCatalog(catalog_path) as catalog:
+            options = ResilienceOptions(
+                journal=RunJournal(journal_path),
+                catalog=catalog,
+                on_failure=FailurePolicy.SALVAGE,
+            )
+            results = SweepExecutor(jobs=1, resilience=options).map(
+                workers.fail_at, points
+            )
+        assert results == []
+        (outcome,) = options.outcomes
+        assert RunJournal(journal_path, resume=True).entry_count == 0
+        for path in (journal_path, catalog_path):
+            assert catalog_main(["hash", str(path)]) == 0
+            assert capsys.readouterr().out == (
+                f"{outcome.sweep}: 0/2 points hash={result_hash([])}"
+                "  [INCOMPLETE]\n"
+            )
 
 
 class TestRetries:

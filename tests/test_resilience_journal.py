@@ -14,10 +14,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.catalog import CATALOG_SCHEMA_VERSION
 from repro.errors import ConfigError, SimulationError
 from repro.parallel import SweepPoint, result_hash
 from repro.resilience import (
-    JOURNAL_SCHEMA_VERSION,
     RunJournal,
     journal_hashes,
     point_key,
@@ -67,18 +67,36 @@ class TestRecordRestore:
         journal = RunJournal(path)
         sweep = journal.register_sweep("fn", points)
         for point in points:
-            journal.record(sweep, point_key("fn", point), point, square(point))
-        assert journal.point_count == len(points)
+            assert journal.record(
+                sweep, point_key("fn", point), point, square(point)
+            )
+        assert journal.entry_count == len(points)
 
         resumed = RunJournal(path, resume=True)
         for point in points:
-            ok, value = resumed.restore(point_key("fn", point))
+            ok, value = resumed.lookup("fn", point)
             assert ok
             assert value == square(point)
 
+    def test_fresh_journal_replaces_an_old_file_on_registration(
+        self, tmp_path: Path
+    ) -> None:
+        path = tmp_path / "run.journal"
+        old_points, new_points = _points(2), _points(3)
+        old = RunJournal(path)
+        old_sweep = old.register_sweep("fn", old_points)
+        for point in old_points:
+            old.record(old_sweep, point_key("fn", point), point, square(point))
+        old.close()
+        # A fresh run that records nothing still leaves no stale sweeps.
+        with RunJournal(path) as fresh:
+            new_sweep = fresh.register_sweep("fn", new_points)
+        assert set(journal_hashes(path)) == {new_sweep}
+        assert RunJournal(path, resume=True).entry_count == 0
+
     def test_restore_misses_on_unknown_key(self, tmp_path: Path) -> None:
         journal = RunJournal(tmp_path / "run.journal")
-        assert journal.restore("no-such-key") == (False, None)
+        assert journal.lookup("fn", _points(1)[0]) == (False, None)
 
     def test_identical_re_record_is_a_no_op(self, tmp_path: Path) -> None:
         path = tmp_path / "run.journal"
@@ -86,10 +104,11 @@ class TestRecordRestore:
         point = _points(1)[0]
         sweep = journal.register_sweep("fn", [point])
         key = point_key("fn", point)
-        journal.record(sweep, key, point, square(point))
+        assert journal.record(sweep, key, point, square(point)) is True
         before = path.read_bytes()
-        journal.record(sweep, key, point, square(point))  # the determinism assert
-        assert journal.point_count == 1
+        # The determinism assert: an identical re-record appends nothing.
+        assert journal.record(sweep, key, point, square(point)) is False
+        assert journal.entry_count == 1
         assert path.read_bytes() == before
 
     def test_divergent_re_record_raises_determinism_violation(
@@ -108,11 +127,10 @@ class TestRecordRestore:
         point = _points(1)[0]
         sweep = journal.register_sweep("fn", [point])
         key = point_key("fn", point)
-        journal.record(sweep, key, point, object())
-        entry = journal.entry(key)
-        assert entry is not None and entry["restorable"] is False
+        assert journal.record(sweep, key, point, object()) is True
+        assert journal.stats()["restorable"] == 0
         # Must recompute — but the re-execution still gets the identity assert.
-        assert journal.restore(key) == (False, None)
+        assert journal.lookup("fn", point) == (False, None)
 
     def test_float_payloads_round_trip_exactly(self, tmp_path: Path) -> None:
         path = tmp_path / "run.journal"
@@ -121,7 +139,7 @@ class TestRecordRestore:
         sweep = journal.register_sweep("fn", [point])
         value = [0.1 + 0.2, 1e-17, 2.0**53 + 1.0, float("1.7976931348623157e308")]
         journal.record(sweep, point_key("fn", point), point, value)
-        ok, restored = RunJournal(path, resume=True).restore(point_key("fn", point))
+        ok, restored = RunJournal(path, resume=True).lookup("fn", point)
         assert ok and repr(restored) == repr(value)
 
 
@@ -139,7 +157,7 @@ class TestJournalParsing:
     def test_corrupt_json_line_is_rejected(self, tmp_path: Path) -> None:
         path = tmp_path / "corrupt.journal"
         header = json.dumps(
-            {"kind": "header", "schema_version": JOURNAL_SCHEMA_VERSION}
+            {"kind": "header", "schema_version": CATALOG_SCHEMA_VERSION}
         )
         path.write_text(header + "\n{not json\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="not valid JSON"):
@@ -166,12 +184,36 @@ class TestJournalParsing:
     def test_unknown_record_kind_is_rejected(self, tmp_path: Path) -> None:
         path = tmp_path / "odd.journal"
         header = json.dumps(
-            {"kind": "header", "schema_version": JOURNAL_SCHEMA_VERSION}
+            {"kind": "header", "schema_version": CATALOG_SCHEMA_VERSION}
         )
         path.write_text(
             header + "\n" + json.dumps({"kind": "mystery"}) + "\n", encoding="utf-8"
         )
         with pytest.raises(ConfigError, match="unknown record kind"):
+            RunJournal(path, resume=True)
+
+    def test_parent_format_point_records_are_refused(self, tmp_path: Path) -> None:
+        # Journals once stored completed points as ``point`` lines without
+        # an envelope or integrity hash; they cannot be verified, so a
+        # resume refuses them instead of serving unchecked values.
+        path = tmp_path / "old.journal"
+        lines = [
+            {"kind": "header", "schema_version": 1, "tool": "repro-journal"},
+            {"kind": "sweep", "id": "fn#0", "fn": "fn", "points": 1},
+            {
+                "kind": "point",
+                "sweep": "fn#0",
+                "key": "k",
+                "index": 0,
+                "label": "pt@0",
+                "value_repr": "1",
+                "restorable": True,
+            },
+        ]
+        path.write_text(
+            "".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8"
+        )
+        with pytest.raises(ConfigError, match="unknown record kind 'point'"):
             RunJournal(path, resume=True)
 
     def test_journal_parses_after_every_append(self, tmp_path: Path) -> None:
@@ -183,7 +225,7 @@ class TestJournalParsing:
         for i, point in enumerate(points):
             journal.record(sweep, point_key("fn", point), point, square(point))
             reread = RunJournal(path, resume=True)
-            assert reread.point_count == i + 1
+            assert reread.entry_count == i + 1
 
 
 class TestJournalHashes:

@@ -11,20 +11,27 @@ journal merges to the *bit-identical* result of an uninterrupted run:
 3. the faults-resilience sweep likewise, proving keyed-hash fault draws
    carry no schedule-dependent state across the kill/resume boundary
    (referenced from docs/FAULTS.md).
+
+A journal edited on disk between the kill and the resume must fail the
+resume loudly rather than merge the edited value.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import Any, Callable, Dict
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.catalog import entry_integrity
+from repro.errors import ConfigError, SimulationError
 from repro.experiments.faults_resilience import run_faults_resilience
 from repro.experiments.fig4_bandwidth import run_fig4
 from repro.parallel import CHAOS_ENV
@@ -122,7 +129,7 @@ class TestSigkillMidSweep:
             while time.monotonic() < deadline:
                 if journal.exists() and journal.read_text(
                     encoding="utf-8"
-                ).count('"kind": "point"') >= 2:
+                ).count('"kind": "entry"') >= 2:
                     break
                 time.sleep(0.02)
             else:
@@ -137,7 +144,7 @@ class TestSigkillMidSweep:
         # The half-written journal must parse cleanly (atomic appends) and
         # must actually be partial — the kill landed mid-run.
         partial = RunJournal(journal, resume=True)
-        assert 2 <= partial.point_count < 8
+        assert 2 <= partial.entry_count < 8
 
         resumed_hash = _run_sweep_script(
             script,
@@ -277,3 +284,59 @@ class TestExperimentCrashResume:
     # The journal-hash equalities above are exactly the merged result_hash
     # identity: journal_hashes digests repr(value) + NUL in index order,
     # byte-for-byte what repro.parallel.result_hash computes live.
+
+
+def _edit_point(
+    path: Path, index: int, edit: Callable[[Dict[str, Any]], Dict[str, Any]]
+) -> None:
+    """Rewrite the on-disk record of point ``index`` with ``edit(record)``."""
+    lines = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        if "value_repr" in record and record["index"] == index:
+            record.update(edit(record))
+        lines.append(json.dumps(record))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestTamperedJournal:
+    """``--resume`` verifies every journaled point before serving it."""
+
+    def _resume(self, journal: Path) -> ResilienceOptions:
+        resume = ResilienceOptions(journal=RunJournal(journal, resume=True))
+        with pytest.raises(SimulationError, match="journal determinism violation"):
+            run_fig4(
+                "ssvc", _FIG4_RATES, horizon=_FIG4_HORIZON, jobs=1, resilience=resume
+            )
+        return resume
+
+    def test_edited_value_fails_the_resume(self, tmp_path: Path, fig4_clean) -> None:
+        journal = tmp_path / "edited.journal"
+        shutil.copyfile(fig4_clean[1], journal)
+        # A well-formed Fig. 4 payload, so only verification can tell.
+        _edit_point(
+            journal, 2, lambda record: {"value_repr": "((0.0,), 0.0, 999)"}
+        )
+        resume = self._resume(journal)
+        # The sweep stopped before any point was served.
+        assert resume.outcomes == []
+
+    def test_edited_envelope_fails_the_resume(
+        self, tmp_path: Path, fig4_clean
+    ) -> None:
+        # Even with its integrity hash recomputed, an entry whose envelope
+        # no longer matches the live point is refused.
+        journal = tmp_path / "edited.journal"
+        shutil.copyfile(fig4_clean[1], journal)
+
+        def forge(record: Dict[str, Any]) -> Dict[str, Any]:
+            envelope = record["envelope"].replace("fig4:ssvc@0.2", "fig4:ssvc@0.3")
+            assert envelope != record["envelope"]
+            return {
+                "envelope": envelope,
+                "integrity": entry_integrity(envelope, record["value_repr"]),
+            }
+
+        _edit_point(journal, 2, forge)
+        resume = self._resume(journal)
+        assert resume.outcomes == []
