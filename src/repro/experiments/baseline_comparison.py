@@ -16,12 +16,12 @@ cycles cost throughput even in the uncontended case.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence
 
 from ..metrics.report import format_table
 from ..traffic.flows import FlowSpec, Workload, gb_flow
 from ..types import FlowId, TrafficClass
-from .common import gb_only_config, run_simulation
+from .common import CEILING, Claim, Report, gb_only_config, near, run_simulation
 
 #: Policies compared in the idle-reservation scenario.
 IDLE_SCENARIO_POLICIES = ("ssvc", "virtual-clock", "wfq", "dwrr", "wrr-strict", "tdm")
@@ -40,6 +40,25 @@ class IdleReservationResult:
     idle_share: float
     totals: Dict[str, float] = field(default_factory=dict)
     backlogged: Dict[str, float] = field(default_factory=dict)
+
+    def claims(self) -> List[Claim]:
+        """Section 2.2's underutilization critique, judged on the default
+        :data:`IDLE_SCENARIO_POLICIES` run."""
+        t = self.totals
+        clock = max(("ssvc", "virtual-clock", "wfq"), key=lambda p: abs(t[p] - CEILING))
+        return [
+            Claim("work-conserving clocks hand an idle reservation to busy "
+                  "flows", "§2.2", *near(f"farthest clock ({clock}) total",
+                                         t[clock], CEILING, 0.01)),
+            Claim("TDM wastes the idle input's slots",
+                  "§2.2 'that time slot is wasted'", t["tdm"] < 0.55,
+                  f"tdm {t['tdm']:.3f} (need < 0.55)"),
+            Claim("strict WRR leaves leftover bandwidth unused",
+                  "§2.2 'WRR and DWRR lead to network underutilization'",
+                  t["wrr-strict"] < t["ssvc"] - 0.02,
+                  f"wrr-strict {t['wrr-strict']:.3f} vs ssvc {t['ssvc']:.3f} "
+                  f"(need 0.02 below)"),
+        ]
 
     def format(self) -> str:
         rows = [
@@ -106,6 +125,23 @@ class FixedPriorityResult:
     low_priority_rate: Dict[str, float] = field(default_factory=dict)
     totals: Dict[str, float] = field(default_factory=dict)
 
+    def claims(self) -> List[Claim]:
+        """Section 2.2's critique of the DAC'12 fixed-priority design."""
+        low, t = self.low_priority_rate, self.totals
+        return [
+            Claim("fixed priority starves lower levels; SSVC does not",
+                  "§2.2 (DAC'12 critique)",
+                  low["fixed-priority"] < 0.01 and low["ssvc"] > 0.3,
+                  f"low-priority rate: fixed {low['fixed-priority']:.3f} "
+                  f"(need < 0.01), ssvc {low['ssvc']:.3f} (need > 0.3)"),
+            Claim("two arbitration cycles cap fixed priority at 8/10",
+                  "§2.2 (DAC'12 critique)",
+                  abs(t["fixed-priority"] - 0.8) <= 0.01
+                  and abs(t["ssvc"] - CEILING) <= 0.01,
+                  f"fixed {t['fixed-priority']:.3f} vs 0.800, ssvc "
+                  f"{t['ssvc']:.3f} vs {CEILING:.3f} (tol 0.01)"),
+        ]
+
     def format(self) -> str:
         rows = [
             (policy, self.low_priority_rate[policy], self.totals[policy])
@@ -142,9 +178,12 @@ def run_fixed_priority_comparison(
     return result
 
 
-def main(fast: bool = False) -> str:
+def main(fast: bool = False) -> Report:
     """CLI entry: both scenarios."""
     horizon = 20_000 if fast else 60_000
     idle = run_idle_reservation(horizon=horizon)
     fixed = run_fixed_priority_comparison(horizon=horizon)
-    return idle.format() + "\n\n" + fixed.format()
+    return Report(
+        idle.format() + "\n\n" + fixed.format(),
+        tuple(idle.claims() + fixed.claims()),
+    )

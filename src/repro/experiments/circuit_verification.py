@@ -11,13 +11,38 @@ a large randomized sweep at radix 8 and 16 (including multi-GL requests).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..circuit.verification import VerificationReport, verify_exhaustive, verify_random
 from ..metrics.report import format_table
 from ..parallel import SweepExecutor, SweepPoint
 from ..resilience import ResilienceOptions
+from .common import Claim, Report, judge
+
+def sweep_specs(fast: bool) -> List[Tuple[str, int, int, int, int]]:
+    """The sweeps one run performs: (kind, radix, levels, trials, seed)."""
+    specs = [("exhaustive", 3, 3, 0, 0)]
+    if not fast:
+        specs.append(("exhaustive", 4, 4, 0, 0))
+    specs.append(("random", 8, 8, 300 if fast else 3000, 8))
+    specs.append(("random", 16, 16, 100 if fast else 1000, 16))
+    return specs
+
+
+def exhaustive_decisions(radix: int, levels: int) -> int:
+    """Decisions :func:`verify_exhaustive` checks, in closed form.
+
+    Every level assignment and LRG order, times every non-empty request
+    subset with no GL flag (``2**radix - 1``) plus every (GL requester,
+    subset containing it) pair (``radix * 2**(radix - 1)``).
+    """
+    return (
+        levels**radix
+        * math.factorial(radix)
+        * ((2**radix - 1) + radix * 2 ** (radix - 1))
+    )
 
 
 @dataclass
@@ -30,6 +55,27 @@ class CircuitVerificationResult:
     def total_trials(self) -> int:
         """Total arbitration decisions checked."""
         return sum(r.trials for r in self.reports)
+
+    def claims(self, fast: bool) -> List[Claim]:
+        """One claim per sweep of a ``fast`` (or full) run: exhaustive
+        sweeps check exactly the closed-form case count, randomized ones
+        every requested trial (any mismatch raises before this point)."""
+        trials = {(r.radix, r.levels): r.trials for r in self.reports}
+        out = []
+        for kind, radix, levels, count, _ in sweep_specs(fast):
+            exhaustive = kind == "exhaustive"
+            expected = exhaustive_decisions(radix, levels) if exhaustive else count
+            got = trials.get((radix, levels))
+            out.append(judge(
+                f"radix {radix}, {levels} levels: the wire model agrees on "
+                + ("every case" if exhaustive else "random multi-GL cases"),
+                "§4.1 'all input combinations of thermometer code vectors and "
+                "valid LRG states'" if exhaustive else "§4.1",
+                [] if got is not None else [f"radix-{radix} sweep"],
+                lambda: (got == expected,
+                         f"{got:,} decisions, 0 mismatches (expected {expected:,})"),
+            ))
+        return out
 
     def format(self) -> str:
         rows = [(r.radix, r.levels, r.trials) for r in self.reports]
@@ -67,11 +113,6 @@ def run_circuit_verification(
             disagreement between the wire model and the reference decision
             (none are expected), naming the sweep that failed.
     """
-    specs = [("exhaustive", 3, 3, 0, 0)]
-    if not fast:
-        specs.append(("exhaustive", 4, 4, 0, 0))
-    specs.append(("random", 8, 8, 300 if fast else 3000, 8))
-    specs.append(("random", 16, 16, 100 if fast else 1000, 16))
     points = [
         SweepPoint.make(
             i,
@@ -82,7 +123,9 @@ def run_circuit_verification(
             num_levels=num_levels,
             trials=trials,
         )
-        for i, (kind, radix, num_levels, trials, seed) in enumerate(specs)
+        for i, (kind, radix, num_levels, trials, seed) in enumerate(
+            sweep_specs(fast)
+        )
     ]
     executor = SweepExecutor(jobs=jobs, resilience=resilience)
     results = executor.map(_verification_point, points)
@@ -93,8 +136,7 @@ def main(
     fast: bool = False,
     jobs: int = 1,
     resilience: Optional[ResilienceOptions] = None,
-) -> str:
+) -> Report:
     """CLI entry."""
-    return run_circuit_verification(
-        fast=fast, jobs=jobs, resilience=resilience
-    ).format()
+    result = run_circuit_verification(fast=fast, jobs=jobs, resilience=resilience)
+    return Report(result.format(), tuple(result.claims(fast)))

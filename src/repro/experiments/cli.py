@@ -1,6 +1,8 @@
 """Command-line entry point: ``repro-exp <experiment> [--fast]``.
 
-Runs any of the paper's experiments and prints its report::
+Runs any of the paper's experiments and prints its report, which ends
+with the paper claims judged on that run; the exit status is 1 when any
+claim fails (a claim whose evidence a salvage run left out is skipped)::
 
     repro-exp fig4          # Fig. 4 (a) and (b)
     repro-exp fig5          # Fig. 5, steady and bursty
@@ -49,10 +51,10 @@ from . import (
     table2_frequency,
     tournament,
 )
-from .common import ARBITER_PRESETS, KERNELS
+from .common import ARBITER_PRESETS, KERNELS, Report
 
-#: Experiment name -> its ``main(fast) -> str`` function.
-EXPERIMENTS: Dict[str, Callable[[bool], str]] = {
+#: Experiment name -> its ``main(fast) -> Report`` function.
+EXPERIMENTS: Dict[str, Callable[..., Report]] = {
     "fig4": fig4_bandwidth.main,
     "fig5": fig5_latency_fairness.main,
     "table1": table1_storage.main,
@@ -305,6 +307,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     sections = []
+    failed = []
     interrupted = False
     try:
         for name in names:
@@ -314,7 +317,8 @@ def main(argv: "list[str] | None" = None) -> int:
                 )
             else:
                 report = EXPERIMENTS[name](args.fast)
-            sections.append(f"=== {name} ===\n{report}\n")
+            failed += [f"{name}: {c.claim}" for c in report.failed]
+            sections.append(f"=== {name} ===\n{report.format()}\n")
             print(sections[-1])
     except SweepInterrupted as exc:
         interrupted = True
@@ -330,6 +334,10 @@ def main(argv: "list[str] | None" = None) -> int:
             fh.write("\n".join(sections) + "\n")
     if interrupted:
         return 130
+    for claim in failed:
+        print(f"claim failed: {claim}", file=sys.stderr)
+    if failed:
+        return 1
     if resilience is not None and resilience.failed:
         return 3  # salvage completed, but with explicit holes
     return 0

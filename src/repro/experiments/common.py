@@ -1,9 +1,9 @@
-"""Shared experiment plumbing: arbiter presets and run helpers."""
+"""Shared experiment plumbing: arbiter presets, run helpers, and claims."""
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Optional, Protocol, Union
+from dataclasses import dataclass, replace
+from typing import Callable, List, Optional, Protocol, Sequence, Tuple, Union
 
 from ..config import GLPolicerConfig, QoSConfig, SwitchConfig
 from ..errors import ConfigError
@@ -31,6 +31,7 @@ from ..qos import (
 )
 from ..switch.crossbar import ArbiterFactory
 from ..switch.simulator import Simulation, SimulationResult
+from ..metrics.report import format_table  # after switch: metrics imports it
 from ..traffic.flows import Workload
 from ..types import CounterMode
 
@@ -184,6 +185,11 @@ def voq_config(
     )
 
 
+#: Saturated single-output throughput for the paper's 8-flit packets with
+#: ``gb_only_config``'s one-cycle arbitration bubble: ``L / (L + 1)``.
+CEILING = 8 / 9
+
+
 def gb_only_config(
     radix: int = 8,
     channel_bits: int = 128,
@@ -200,3 +206,67 @@ def gb_only_config(
         qos=QoSConfig(sig_bits=sig_bits, frac_bits=frac_bits, counter_mode=counter_mode),
         gl_policer=GLPolicerConfig(reserved_rate=0.0),
     )
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One paper claim, judged on the evidence an artifact just produced.
+
+    ``ref`` cites the paper (a section or a short quote); ``holds`` is
+    ``None`` when a salvage run left the evidence out, so the claim is
+    skipped instead of judged.
+    """
+
+    claim: str
+    ref: str
+    holds: Optional[bool]
+    evidence: str
+
+    @property
+    def verdict(self) -> str:
+        return "skipped" if self.holds is None else "yes" if self.holds else "NO"
+
+
+Verdict = Tuple[bool, str]
+
+
+def judge(
+    claim: str, ref: str, missing: Sequence[str], verdict: Callable[[], Verdict]
+) -> Claim:
+    """Judge a claim with ``verdict() -> (holds, evidence)``, or skip it if
+    ``missing`` names evidence a salvage run left out."""
+    if missing:
+        return Claim(claim, ref, None,
+                     f"no evidence: {', '.join(missing)} missing (salvaged)")
+    return Claim(claim, ref, *verdict())
+
+
+def near(label: str, value: float, target: float, tol: float) -> Verdict:
+    """A point claim: ``value`` within ``tol`` of ``target``."""
+    return (abs(value - target) <= tol,
+            f"{label} {value:.4f} vs {target:.4f} (tol {tol:g})")
+
+
+def format_claims(claims: Sequence[Claim]) -> str:
+    """The claims table every artifact report ends with."""
+    return format_table(
+        ["claim", "paper", "holds", "evidence"],
+        [(c.claim, c.ref, c.verdict, c.evidence) for c in claims],
+        title="paper claims",
+    )
+
+
+@dataclass(frozen=True)
+class Report:
+    """An artifact's ``main`` result: its rendered evidence and the claims
+    judged on it (``repro-exp`` exits 1 when one fails)."""
+
+    body: str
+    claims: Tuple[Claim, ...]
+
+    @property
+    def failed(self) -> List[Claim]:
+        return [c for c in self.claims if c.holds is False]
+
+    def format(self) -> str:
+        return self.body + "\n\n" + format_claims(self.claims)

@@ -49,7 +49,7 @@ from ..resilience import ResilienceOptions
 from ..traffic.flows import Workload, gb_flow, gl_flow
 from ..traffic.generators import BernoulliInjection
 from ..types import FlowId, TrafficClass
-from .common import run_simulation
+from .common import Claim, Report, judge, run_simulation
 
 #: Relative GB shortfall a *non-voided* scenario may still show. Looser
 #: than Section 4.3's 2 % because the congested two-output workload runs
@@ -274,6 +274,37 @@ class ResilienceResult:
         """Every scenario violated only what its faults declared."""
         return all(o.honors_contract for o in self.outcomes)
 
+    def claims(self) -> List[Claim]:
+        """The baseline keeps every guarantee and each fault voids only
+        what it declares, judged against every scenario of
+        :func:`scenario_plans` (a salvaged scenario skips the claim)."""
+        names = [o.name for o in self.outcomes]
+        missing = [n for n in scenario_plans(self.horizon, self.seed)
+                   if n not in names]
+        return [
+            judge(
+                "the fault-free baseline keeps every QoS guarantee",
+                "§3.4, §4.2 (extension)",
+                [] if "none" in names else ["none"],
+                lambda: (
+                    not self.baseline.violated,
+                    "violated: " + (", ".join(self.baseline.violated) or "none"),
+                ),
+            ),
+            judge(
+                "each fault voids only the guarantees it declares",
+                "extension (docs/FAULTS.md)",
+                missing,
+                lambda: (
+                    self.all_contracts_honored,
+                    "; ".join(
+                        f"{o.name}: {','.join(o.violated) or '-'}"
+                        for o in self.outcomes if o.name != "none"
+                    ),
+                ),
+            ),
+        ]
+
     def format(self) -> str:
         def mark(ok: bool) -> str:
             return "ok" if ok else "LOST"
@@ -366,18 +397,8 @@ def main(
     fast: bool = False,
     jobs: int = 1,
     resilience: Optional[ResilienceOptions] = None,
-) -> str:
-    """CLI entry: the guarantee-survival matrix."""
+) -> Report:
+    """CLI entry: the guarantee-survival matrix and its claims."""
     horizon = 20_000 if fast else 60_000
     result = run_faults_resilience(horizon=horizon, jobs=jobs, resilience=resilience)
-    lines = [result.format(), ""]
-    baseline = result.baseline
-    lines.append(
-        f"baseline holds all guarantees: "
-        f"{'yes' if not baseline.violated else 'NO ' + str(baseline.violated)}"
-    )
-    lines.append(
-        "all scenarios honor their declared contracts: "
-        f"{'yes' if result.all_contracts_honored else 'NO'}"
-    )
-    return "\n".join(lines)
+    return Report(result.format(), tuple(result.claims()))

@@ -27,7 +27,9 @@ from ..parallel import SweepExecutor, SweepPoint
 from ..resilience import ResilienceOptions
 from ..traffic.patterns import FIG4_RESERVED_RATES
 from ..types import FlowId, TrafficClass
-from .common import gb_only_config, run_simulation
+from .common import (
+    CEILING, Claim, Report, Verdict, gb_only_config, judge, near, run_simulation,
+)
 
 #: Injection rates (flits/input/cycle) swept along Fig. 4's x-axis.
 DEFAULT_SWEEP = (0.02, 0.05, 0.08, 0.10, 0.15, 0.20, 0.30, 0.40, 0.60, 0.80, 1.0)
@@ -74,6 +76,60 @@ class Fig4Result:
                 f"(salvaged holes at rates {missing})"
             )
         return self.accepted[top]
+
+    def claims(self) -> List[Claim]:
+        """This panel's Fig. 4 claims; a salvaged point skips its claims.
+
+        At the lightest load every flow gets what it offers; at saturation
+        the output reaches the 8/9 ceiling and the shares follow the
+        policy: equal under LRG, at least the reservation under SSVC, with
+        the ceiling's shortfall landing on the largest flow.
+        """
+        low, top = self.injection_rates[0], self.injection_rates[-1]
+        arb, shares = self.arbiter, self.accepted.get(top, [])
+
+        def hole(rate: float) -> List[str]:
+            return [] if rate in self.accepted else [f"{arb}@{rate:g}"]
+
+        def farthest(values: List[float], target: float, label: str, tol: float) -> Verdict:
+            return near(label, max(values, key=lambda v: abs(v - target)), target, tol)
+
+        def reserved() -> Verdict:
+            margin, flow = min(
+                (s - r, i) for i, (s, r) in enumerate(zip(shares, self.reserved_rates))
+                if i > 0
+            )
+            return margin >= -0.01, (f"worst share - reserved {margin:+.4f} "
+                                     f"(flow{flow}; tol 0.01)")
+
+        out = [
+            judge("below congestion every flow gets the rate it offers",
+                  "Fig. 4", hole(low),
+                  lambda: farthest(self.accepted[low], low,
+                                   f"{arb} @ {low:g}: farthest flow", 0.012)),
+            judge("the output saturates at 8/9 flit/cycle", "§4.2, Fig. 4",
+                  hole(top),
+                  lambda: near(f"{arb} total", self.total_throughput[top], CEILING, 0.01)),
+        ]
+        if arb == "lrg":
+            out.append(judge(
+                "without QoS, congestion gives every flow an equal share",
+                "Fig. 4(a)", hole(top),
+                lambda: farthest(shares, CEILING / len(shares),
+                                 "farthest share vs 8/9 / N", 0.01),
+            ))
+        elif arb == "ssvc":
+            out.append(judge(
+                "all inputs get at least their reserved rate of bandwidth "
+                "during congestion", "Fig. 4(b)", hole(top), reserved,
+            ))
+            out.append(judge(
+                "the largest flow absorbs the ceiling's shortfall", "Fig. 4(b)",
+                hole(top),
+                lambda: near("flow0 vs 8/9 - other reservations", shares[0],
+                             CEILING - sum(self.reserved_rates[1:]), 0.02),
+            ))
+        return out
 
     def format(self) -> str:
         """Fig. 4 as an ASCII table (rows = injection rates)."""
@@ -228,11 +284,12 @@ def main(
     fast: bool = False,
     jobs: int = 1,
     resilience: Optional[ResilienceOptions] = None,
-) -> str:
-    """CLI entry: run both panels and return the formatted report."""
+) -> Report:
+    """CLI entry: run both panels, report them and their claims."""
     horizon = 20_000 if fast else 60_000
     sweep = (0.05, 0.10, 0.20, 0.40, 1.0) if fast else DEFAULT_SWEEP
     lrg, ssvc = run_both_panels(sweep, horizon, jobs=jobs, resilience=resilience)
-    return "\n\n".join(
-        [lrg.format(), lrg.chart(), ssvc.format(), ssvc.chart()]
+    return Report(
+        "\n\n".join([lrg.format(), lrg.chart(), ssvc.format(), ssvc.chart()]),
+        tuple(lrg.claims() + ssvc.claims()),
     )

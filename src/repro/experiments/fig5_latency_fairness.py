@@ -30,7 +30,7 @@ from ..resilience import ResilienceOptions
 from ..traffic.flows import Workload, gb_flow
 from ..traffic.generators import BernoulliInjection, BurstyInjection
 from ..types import FlowId, TrafficClass
-from .common import gb_only_config, run_simulation
+from .common import Claim, Report, Verdict, gb_only_config, judge, near, run_simulation
 
 #: The four Fig. 5 curves, as arbiter presets.
 FIG5_SCHEMES = ("virtual-clock", "ssvc-subtract", "ssvc-halve", "ssvc-reset")
@@ -64,6 +64,60 @@ class Fig5Result:
             scheme: float(np.std(np.asarray(lat)))
             for scheme, lat in self.mean_latency.items()
         }
+
+    def claims(self) -> List[Claim]:
+        """The Section 4.3 claims this panel can judge.
+
+        Steady injection: original Virtual Clock's smallest allocations
+        wait far longer than its largest, halving and resetting flatten
+        that curve, and every scheme delivers each flow's rate.
+        Bursty injection: resetting flattens the curve there too. A scheme
+        missing from a salvage run skips the claims that need it.
+        """
+        lat, ratio = self.mean_latency, self.accepted_ratio
+        spread = self.latency_stddev_across_flows
+
+        def missing(schemes: Sequence[str]) -> List[str]:
+            return [s for s in schemes if s not in lat]
+
+        def flatter(schemes: Sequence[str]) -> Verdict:
+            return (all(spread[s] < spread["virtual-clock"] for s in schemes),
+                    "latency stddev: " + ", ".join(
+                        f"{s} {spread[s]:.1f}" for s in ("virtual-clock", *schemes)))
+
+        if self.bursty:
+            return [judge(
+                "resetting decouples latency from allocation under bursts",
+                "§4.3 'especially during bursty injection'",
+                missing(("virtual-clock", "ssvc-reset")),
+                lambda: flatter(("ssvc-reset",)),
+            )]
+
+        def coupled() -> Verdict:
+            vc = lat["virtual-clock"]
+            return (min(vc[-2:]) > 3 * vc[0],
+                    f"virtual-clock: smallest flows wait >= {min(vc[-2:]):.1f}, "
+                    f"largest {vc[0]:.1f} (need > 3x)")
+
+        def floors() -> Verdict:
+            worst = {s: min(ratio[s]) for s in FIG5_SCHEMES}
+            return all(w >= 0.97 for w in worst.values()), "worst flow accepted/offered: " + ", ".join(
+                f"{s} {w:.4f}" for s, w in worst.items())
+
+        return [
+            judge("low allocations suffer high latency under original VC",
+                  "§4.3", missing(("virtual-clock",)), coupled),
+            judge("halving and resetting decouple latency from allocation",
+                  "Fig. 5", missing(("virtual-clock", "ssvc-halve", "ssvc-reset")),
+                  lambda: flatter(("ssvc-halve", "ssvc-reset"))),
+            judge("all methods give flows their rates on average within 2%",
+                  "§4.3", missing(FIG5_SCHEMES),
+                  lambda: near("lowest scheme mean accepted/offered",
+                               min(float(np.mean(ratio[s])) for s in FIG5_SCHEMES),
+                               1.0, 0.02)),
+            judge("no flow falls short: each gets >= 97% of its rate",
+                  "§4.3", missing(FIG5_SCHEMES), floors),
+        ]
 
     def format(self) -> str:
         """Fig. 5 as an ASCII table (rows = allocations)."""
@@ -224,11 +278,14 @@ def main(
     fast: bool = False,
     jobs: int = 1,
     resilience: Optional[ResilienceOptions] = None,
-) -> str:
-    """CLI entry: steady and bursty panels."""
-    horizon = 60_000 if fast else 300_000
+) -> Report:
+    """CLI entry: steady and bursty panels and their claims."""
+    horizon = 120_000 if fast else 300_000
     steady = run_fig5(horizon=horizon, bursty=False, jobs=jobs, resilience=resilience)
     burst = run_fig5(horizon=horizon, bursty=True, jobs=jobs, resilience=resilience)
-    return "\n\n".join(
-        [steady.format(), steady.chart(), burst.format(), burst.chart()]
+    return Report(
+        "\n\n".join(
+            [steady.format(), steady.chart(), burst.format(), burst.chart()]
+        ),
+        tuple(steady.claims() + burst.claims()),
     )

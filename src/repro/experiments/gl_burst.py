@@ -20,7 +20,7 @@ from ..metrics.report import format_table
 from ..traffic.flows import Workload, gb_flow, gl_flow
 from ..traffic.generators import TraceInjection
 from ..types import FlowId, TrafficClass
-from .common import run_simulation
+from .common import Claim, Report, run_simulation
 
 
 @dataclass
@@ -57,6 +57,17 @@ class GLBurstResult:
     def all_hold(self) -> bool:
         """True when every input met its constraint."""
         return all(case.holds for case in self.cases)
+
+    def claim(self) -> Claim:
+        """Eqs. 2-3: budget-sized simultaneous bursts meet every L_n."""
+        return Claim(
+            "GL bursts within their budgets meet every latency constraint",
+            "§3.4 Eqs. 2-3",
+            self.all_hold,
+            "max wait / L_n: " + ", ".join(
+                f"{c.max_waiting}/{c.latency_bound:g}" for c in self.cases
+            ),
+        )
 
     def format(self) -> str:
         rows = [
@@ -160,7 +171,7 @@ def run_gl_burst(
     return result
 
 
-def main(fast: bool = False) -> str:
+def main(fast: bool = False) -> Report:
     """CLI entry."""
-    repeats = 5 if fast else 20
-    return run_gl_burst(repeats=repeats).format()
+    result = run_gl_burst(repeats=5 if fast else 20)
+    return Report(result.format(), (result.claim(),))

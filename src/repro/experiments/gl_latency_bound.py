@@ -26,7 +26,13 @@ from ..metrics.report import format_table
 from ..traffic.flows import Workload, gb_flow, gl_flow
 from ..traffic.generators import BernoulliInjection
 from ..types import FlowId, TrafficClass
-from .common import run_simulation
+from .common import Claim, Report, run_simulation
+
+#: GL input counts Eq. 1 is checked at (the bound grows with N_GL).
+GL_POPULATIONS = (1, 3, 6)
+
+#: GL packets a bound check needs before its verdict means anything.
+MIN_GL_PACKETS = 100
 
 
 def _gl_config(
@@ -66,6 +72,17 @@ class GLBoundResult:
     def holds(self) -> bool:
         """Did every measured wait stay within the bound?"""
         return self.max_waiting <= self.bound
+
+    def claim(self) -> Claim:
+        """Eq. 1 at this run's N_GL, judged on enough packets to matter."""
+        n_gl = self.params[2]
+        return Claim(
+            f"every GL wait stays within Eq. 1 with N_GL={n_gl}",
+            "§3.4 Eq. 1",
+            self.holds and self.gl_packets >= MIN_GL_PACKETS,
+            f"max wait {self.max_waiting} vs bound {self.bound:g} over "
+            f"{self.gl_packets} packets (need >= {MIN_GL_PACKETS})",
+        )
 
     def format(self) -> str:
         l_max, l_min, n_gl, b = self.params
@@ -170,6 +187,19 @@ class PolicingAblation:
     gl_throughput_policed: float
     gl_throughput_unpoliced: float
 
+    def claim(self) -> Claim:
+        """The safeguard: unpoliced GL starves GB; policed GL cannot."""
+        return Claim(
+            "policing stops a saturating GL source from starving GB",
+            "§3.4 safeguard",
+            self.gb_throughput_unpoliced < 0.05
+            and self.gb_throughput_policed > 0.7
+            and self.gl_throughput_policed < 0.15,
+            f"GB {self.gb_throughput_policed:.3f} policed vs "
+            f"{self.gb_throughput_unpoliced:.3f} unpoliced (need > 0.7, < 0.05); "
+            f"policed abuser {self.gl_throughput_policed:.3f} (need < 0.15)",
+        )
+
     def format(self) -> str:
         rows = [
             ("GB", self.gb_throughput_policed, self.gb_throughput_unpoliced),
@@ -206,9 +236,12 @@ def run_policing_ablation(horizon: int = 60_000, seed: int = 9) -> PolicingAblat
     )
 
 
-def main(fast: bool = False) -> str:
-    """CLI entry: bound validation plus the policing ablation."""
+def main(fast: bool = False) -> Report:
+    """CLI entry: the bound at each GL population plus the policing ablation."""
     horizon = 40_000 if fast else 120_000
-    bound = run_gl_bound(horizon=horizon)
+    bounds = [run_gl_bound(n_gl=n, horizon=horizon) for n in GL_POPULATIONS]
     ablation = run_policing_ablation(horizon=max(horizon // 2, 20_000))
-    return bound.format() + "\n\n" + ablation.format()
+    return Report(
+        "\n\n".join([b.format() for b in bounds] + [ablation.format()]),
+        tuple([b.claim() for b in bounds] + [ablation.claim()]),
+    )

@@ -22,7 +22,7 @@ from ..parallel import SweepExecutor, SweepPoint
 from ..resilience import ResilienceOptions
 from ..traffic.patterns import single_output_workload
 from ..types import CounterMode, FlowId, TrafficClass
-from .common import gb_only_config, run_simulation
+from .common import Claim, Report, gb_only_config, judge, run_simulation
 
 #: Relative shortfall tolerance from the paper (Section 4.3).
 RATE_TOLERANCE = 0.02
@@ -73,6 +73,21 @@ class AdherenceResult:
     def worst_shortfall(self) -> float:
         """Worst relative shortfall across all cases."""
         return max(case.worst_shortfall for case in self.cases)
+
+    def claim(self, num_cases: int) -> Claim:
+        """Section 4.2's claim over the ``num_cases`` mixes the run drew."""
+        lost = num_cases - len(self.cases)
+        return judge(
+            f"SSVC/{self.counter_mode.value} gives every flow of every random "
+            f"mix its rate within {100 * RATE_TOLERANCE:.0f}%",
+            "§4.2 'in each case SSVC is able to give flows their requested rates'",
+            [f"{lost} of {num_cases} cases"] if lost else [],
+            lambda: (
+                self.all_ok,
+                f"{sum(c.ok for c in self.cases)}/{num_cases} mixes ok, worst "
+                f"shortfall {100 * self.worst_shortfall:.2f}%",
+            ),
+        )
 
     def format(self) -> str:
         rows = [
@@ -193,11 +208,12 @@ def main(
     fast: bool = False,
     jobs: int = 1,
     resilience: Optional[ResilienceOptions] = None,
-) -> str:
+) -> Report:
     """CLI entry: all three counter modes."""
     cases = 6 if fast else 20
     horizon = 40_000 if fast else 120_000
     reports = []
+    claims = []
     for mode in CounterMode:
         result = run_rate_adherence(
             num_cases=cases,
@@ -207,4 +223,5 @@ def main(
             resilience=resilience,
         )
         reports.append(result.format())
-    return "\n\n".join(reports)
+        claims.append(result.claim(cases))
+    return Report("\n\n".join(reports), tuple(claims))

@@ -28,7 +28,7 @@ from ..traffic.flows import Workload, gb_flow
 from ..traffic.generators import BernoulliInjection
 from ..traffic.patterns import single_output_workload
 from ..types import FlowId, TrafficClass
-from .common import gb_only_config, run_simulation
+from .common import Claim, Report, gb_only_config, judge, run_simulation
 
 #: Allocation mix reused across the sig-bit sweep.
 SWEEP_ALLOCATIONS = (0.40, 0.20, 0.10, 0.08, 0.05, 0.02)
@@ -56,6 +56,39 @@ class ScalabilityResult:
 
     lane_rows: List[Tuple[int, int, int, bool, int]]
     accuracy: List[SigBitsPoint] = field(default_factory=list)
+
+    def claims(self, sig_bits_values: Sequence[int]) -> List[Claim]:
+        """Section 4.4's lane claim and the accuracy trade-off, judged over
+        the ``sig_bits_values`` the sweep ran (a salvaged setting skips)."""
+        found = {p.sig_bits: p for p in self.accuracy}
+        missing = [f"{b} sig bits" for b in sig_bits_values if b not in found]
+        coarse, fine = min(sig_bits_values), max(sig_bits_values)
+        infeasible = [(r, w) for r, w, _, ok, _ in self.lane_rows if not ok]
+        worst = max((p.worst_shortfall for p in self.accuracy), default=0.0)
+        return [
+            Claim(
+                "128-bit buses carry radix 8-32; radix 64 needs 256 bits",
+                "§4.4",
+                infeasible == [(64, 128)],
+                f"infeasible (radix, bus bits): {infeasible}",
+            ),
+            judge(
+                "every quantization still meets its reservations", "§4.4",
+                missing,
+                lambda: (worst < 0.05,
+                         f"worst shortfall {100 * worst:.2f}% (need < 5%)"),
+            ),
+            judge(
+                "fewer significant bits give flatter (more LRG) latency",
+                "§4.4", missing,
+                lambda: (
+                    found[coarse].latency_spread < found[fine].latency_spread,
+                    f"latency spread {found[coarse].latency_spread:.2f} at "
+                    f"sig_bits={coarse} vs {found[fine].latency_spread:.2f} at "
+                    f"sig_bits={fine}",
+                ),
+            ),
+        ]
 
     def format(self) -> str:
         lanes = format_table(
@@ -173,10 +206,11 @@ def main(
     fast: bool = False,
     jobs: int = 1,
     resilience: Optional[ResilienceOptions] = None,
-) -> str:
+) -> Report:
     """CLI entry."""
     horizon = 40_000 if fast else 120_000
     bits = (2, 4) if fast else (1, 2, 3, 4, 5)
-    return run_scalability(
+    result = run_scalability(
         horizon=horizon, sig_bits_values=bits, jobs=jobs, resilience=resilience
-    ).format()
+    )
+    return Report(result.format(), tuple(result.claims(bits)))

@@ -9,12 +9,14 @@ buffering + 45 KB of crosspoint state = 1,101 KB (~1.1 MB) total.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..config import SwitchConfig, TABLE1_CONFIG
 from ..hw.storage import StorageBreakdown, storage_breakdown
 from ..metrics.report import format_table
+from .common import Claim, Report
 
 #: Paper's Table 1 anchor values in KB, for the EXPERIMENTS.md comparison.
 PAPER_BUFFERING_KB = 1056.0
@@ -51,6 +53,14 @@ class Table1Result:
             ("total", self.total_kb, PAPER_TOTAL_KB),
         ]
 
+    def claims(self) -> List[Claim]:
+        """Each Table 1 total, reproduced to the kilobyte."""
+        return [
+            Claim(f"{quantity} is {paper:,.0f} KB", "Table 1",
+                  math.isclose(ours, paper, rel_tol=1e-6), f"ours {ours:,.1f} KB")
+            for quantity, ours, paper in self.paper_deltas()
+        ]
+
     def format(self) -> str:
         """Table 1 as ASCII."""
         rows = [(item, value) for item, value in self.breakdown.rows()]
@@ -74,6 +84,7 @@ def run_table1(config: SwitchConfig = TABLE1_CONFIG) -> Table1Result:
     return Table1Result(breakdown=storage_breakdown(config))
 
 
-def main(fast: bool = False) -> str:
+def main(fast: bool = False) -> Report:
     """CLI entry."""
-    return run_table1().format()
+    result = run_table1()
+    return Report(result.format(), tuple(result.claims()))

@@ -15,6 +15,7 @@ from typing import List, Tuple
 
 from ..hw.timing import TimingModel, frequency_table
 from ..metrics.report import format_table
+from .common import Claim, Report, near
 
 #: Paper anchors (Section 4.5 / Section 1).
 PAPER_WORST_SLOWDOWN_PCT = 8.4
@@ -42,6 +43,35 @@ class Table2Result:
                 return f_ssvc if ssvc else f_ss
         raise KeyError(f"no grid point ({radix}, {width})")
 
+    def claims(self) -> List[Claim]:
+        """The worst-slowdown and baseline anchors, and the radix trend."""
+        radix, width, slow = self.worst
+        base = self.frequency(*PAPER_BASE_POINT)
+        slowdown = {(r, w): s for r, w, _, _, s in self.rows}
+        widths = sorted({w for _, w, _, _, _ in self.rows})
+        return [
+            Claim(
+                f"worst slowdown is {PAPER_WORST_SLOWDOWN_PCT}% at 8x8, 256-bit",
+                "§4.5, Table 2",
+                (radix, width) == PAPER_WORST_POINT
+                and abs(slow - PAPER_WORST_SLOWDOWN_PCT) <= 0.1,
+                f"{slow:.2f}% at {radix}x{radix}, {width}-bit (tol 0.1)",
+            ),
+            Claim(
+                f"the radix-64, 128-bit baseline runs at {PAPER_BASE_FREQ_GHZ} GHz",
+                "§1, Table 2", *near("baseline GHz", base, PAPER_BASE_FREQ_GHZ, 0.01),
+            ),
+            Claim(
+                "the slowdown shrinks as radix grows",
+                "Table 2",
+                all(slowdown[(8, w)] > slowdown[(64, w)] for w in widths),
+                ", ".join(
+                    f"{w}-bit {slowdown[(8, w)]:.1f}% -> {slowdown[(64, w)]:.1f}%"
+                    for w in widths
+                ) + " (radix 8 -> 64)",
+            ),
+        ]
+
     def format(self) -> str:
         """Table 2 as ASCII."""
         table = format_table(
@@ -64,6 +94,7 @@ def run_table2(model: TimingModel = TimingModel()) -> Table2Result:
     return Table2Result(rows=frequency_table(model))
 
 
-def main(fast: bool = False) -> str:
+def main(fast: bool = False) -> Report:
     """CLI entry."""
-    return run_table2().format()
+    result = run_table2()
+    return Report(result.format(), tuple(result.claims()))

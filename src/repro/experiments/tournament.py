@@ -21,9 +21,9 @@ families on the same traffic:
 Every (policy, scenario, rate) cell runs through the resilient
 :class:`~repro.parallel.SweepExecutor`, so `--jobs N` fans the tournament
 out bit-identically and `--retries/--journal/--resume` apply. The report
-ends with a throughput/delay frontier at saturation plus the qualitative
-claims gate: iSLIP delivers ~100 % uniform throughput, SW-QPS >= QPS-r,
-and every VOQ scheduler beats the HOL-limited classic baseline.
+ends with a throughput/delay frontier at saturation plus the claims
+table: iSLIP delivers ~100 % uniform throughput, SW-QPS >= QPS-r, and
+every VOQ scheduler beats the HOL-limited classic baseline.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from ..faults import FaultPlan, crosspoint_dead, input_stall, packet_drop
 from ..metrics.report import format_table
 from ..parallel import SweepExecutor, SweepPoint, result_hash
 from ..resilience import ResilienceOptions
-from .common import run_simulation, voq_config
+from .common import Claim, Report, judge, run_simulation, voq_config
 
 #: Arbitration policies raced against each other. ``ssvc`` runs the
 #: paper's per-output scheme on a classic partially-queued port; the
@@ -227,11 +227,9 @@ class TournamentResult:
             ),
         )
 
-    def claims(self) -> "List[Tuple[str, bool, str]]":
-        """The qualitative claims gate: ``(claim, holds, evidence)``.
-
-        Judged on the uniform scenario at the saturation rate, where each
-        source algorithm states its headline property:
+    def claims(self) -> List[Claim]:
+        """The source papers' headline claims, judged on the uniform
+        scenario at the saturation rate (a salvaged cell skips its claims):
 
         * iSLIP achieves ~100 % throughput under uniform traffic
           (McKeown 1999) — accepted >= 95 % of offered;
@@ -241,51 +239,47 @@ class TournamentResult:
           ceiling (Karol's 58.6 % limit applies as offered -> 1).
         """
         top = self.saturation_rate
-        scenario = "uniform"
-        out: List[Tuple[str, bool, str]] = []
+        thr = {p: self._cell(self.throughput, "uniform", p, top)
+               for p in self.policies}
 
-        def thr(policy: str) -> Optional[float]:
-            return self._cell(self.throughput, scenario, policy, top)
+        def missing(policies: Sequence[str]) -> List[str]:
+            return [f"uniform:{p}@{top:g}" for p in policies if thr.get(p) is None]
 
-        islip = thr("islip")
-        if islip is not None:
-            target = 0.95 * min(top, 1.0)
-            out.append((
-                "islip ~100% uniform throughput",
-                islip >= target,
-                f"accepted {islip:.4f} vs floor {target:.4f} "
-                f"(offered {top:g})",
-            ))
-        sw_qps, qps_r = thr("sw-qps"), thr("qps-r")
-        if sw_qps is not None and qps_r is not None:
-            out.append((
-                "sw-qps >= qps-r at saturation",
-                sw_qps >= qps_r - 1e-12,
-                f"sw-qps {sw_qps:.4f} vs qps-r {qps_r:.4f}",
-            ))
-        ssvc = thr("ssvc")
-        voq_thrs = [t for t in (thr(p) for p in self.policies
-                                if p in VOQ_POLICIES) if t is not None]
-        if ssvc is not None and voq_thrs:
-            out.append((
+        floor = 0.95 * min(top, 1.0)
+        voq = [p for p in self.policies if p in VOQ_POLICIES]
+        return [
+            judge(
+                "islip ~100% uniform throughput", "McKeown 1999",
+                missing(("islip",)),
+                lambda: (
+                    thr["islip"] >= floor,
+                    f"accepted {thr['islip']:.4f} vs floor {floor:.4f} "
+                    f"(offered {top:g})",
+                ),
+            ),
+            judge(
+                "sw-qps >= qps-r at saturation", "arXiv:2010.08620",
+                missing(("sw-qps", "qps-r")),
+                lambda: (
+                    thr["sw-qps"] >= thr["qps-r"] - 1e-12,
+                    f"sw-qps {thr['sw-qps']:.4f} vs qps-r {thr['qps-r']:.4f}",
+                ),
+            ),
+            judge(
                 "every VOQ matcher beats the classic HOL baseline",
-                min(voq_thrs) > ssvc,
-                f"worst voq {min(voq_thrs):.4f} vs classic {ssvc:.4f}",
-            ))
-        return out
+                "Karol 1987 (58.6% HOL limit)",
+                missing(("ssvc", *voq)) or ([] if voq else ["voq policies"]),
+                lambda: (
+                    min(thr[p] for p in voq) > thr["ssvc"],
+                    f"worst voq {min(thr[p] for p in voq):.4f} vs classic "
+                    f"{thr['ssvc']:.4f}",
+                ),
+            ),
+        ]
 
     def format(self) -> str:
         sections = [self.scenario_table(s) for s in self.scenarios]
         sections.append(self.frontier())
-        claim_rows = [
-            (claim, "yes" if holds else "NO", evidence)
-            for claim, holds, evidence in self.claims()
-        ]
-        if claim_rows:
-            sections.append(format_table(
-                ["claim", "holds", "evidence"], claim_rows,
-                title="qualitative claims (uniform @ saturation)",
-            ))
         return "\n\n".join(sections)
 
 
@@ -350,8 +344,8 @@ def main(
     fast: bool = False,
     jobs: int = 1,
     resilience: Optional[ResilienceOptions] = None,
-) -> str:
-    """CLI entry: the scenario tables, the frontier, and the claims gate."""
+) -> Report:
+    """CLI entry: the scenario tables, the frontier, and the claims."""
     if fast:
         result = run_tournament(
             rates=(0.99,), scenarios=("uniform",), horizon=10_000,
@@ -359,11 +353,7 @@ def main(
         )
     else:
         result = run_tournament(jobs=jobs, resilience=resilience)
-    lines = [result.format(), ""]
-    verdicts = result.claims()
-    holds = all(ok for _, ok, _ in verdicts)
-    lines.append(
-        f"all qualitative claims hold: {'yes' if holds else 'NO'}"
+    return Report(
+        f"{result.format()}\n\nsweep hash: {result.hash()}",
+        tuple(result.claims()),
     )
-    lines.append(f"sweep hash: {result.hash()}")
-    return "\n".join(lines)

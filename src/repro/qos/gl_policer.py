@@ -13,8 +13,9 @@ reserved_rate`` cycles (one virtual tick at the reserved rate). While the
 clock runs ahead of real time by more than ``burst_window`` cycles the GL
 class has exhausted its reservation and *loses its absolute priority*; its
 packets are then demoted to best-effort arbitration until the clock catches
-back down. The ablation bench ``bench_gl_bound`` shows what the safeguard
-buys: with policing disabled, a saturating GL source starves the GB class.
+back down. The policing ablation in ``repro-exp gl-bound`` shows what the
+safeguard buys: with policing disabled, a saturating GL source starves the
+GB class (one of that artifact's claims).
 """
 
 from __future__ import annotations

@@ -1,27 +1,21 @@
-"""Experiment-harness tests: fast runs reproducing the paper's claims.
+"""Experiment-harness regression tests.
 
-These are the headline reproduction checks — each test asserts the *shape*
-of a paper result (who wins, roughly by what factor, where the crossovers
-fall), not absolute numbers.
+The paper claims themselves live with the experiment that produces their
+evidence (each artifact's ``claims``) and are checked by running every
+artifact through ``repro-exp`` (see ``tests/test_experiments_cli.py``).
+These tests cover the harness plumbing around them: preset resolution,
+lookups, the re-arbitration ablation, and the typed errors a broken run must raise instead of
+reporting plausible-looking numbers.
 """
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.experiments.baseline_comparison import (
-    run_fixed_priority_comparison,
-    run_idle_reservation,
-)
-from repro.experiments.circuit_verification import run_circuit_verification
 from repro.experiments.common import ARBITER_PRESETS, make_arbiter_factory
 from repro.experiments.fig4_bandwidth import run_fig4
 from repro.experiments.fig5_latency_fairness import run_fig5
-from repro.experiments.gl_burst import run_gl_burst
-from repro.experiments.gl_latency_bound import run_gl_bound, run_policing_ablation
-from repro.experiments.rate_adherence import run_rate_adherence
-from repro.experiments.table1_storage import run_table1
+from repro.experiments.gl_latency_bound import run_gl_bound
 from repro.experiments.table2_frequency import run_table2
-from repro.types import CounterMode
 
 
 class TestCommon:
@@ -39,27 +33,6 @@ class TestCommon:
 
 
 class TestFig4:
-    def test_lrg_equalizes_at_congestion(self):
-        result = run_fig4("lrg", injection_rates=(1.0,), horizon=15_000)
-        shares = result.saturation_shares
-        assert all(s == pytest.approx(1 / 9, abs=0.01) for s in shares)
-        assert result.total_throughput[1.0] == pytest.approx(8 / 9, abs=0.01)
-
-    def test_ssvc_honours_reservations_at_congestion(self):
-        result = run_fig4("ssvc", injection_rates=(1.0,), horizon=20_000)
-        shares = result.saturation_shares
-        reserved = result.reserved_rates
-        # All but the largest flow get >= reserved; the largest absorbs the
-        # L/(L+1) arbitration-bubble deficit (see DESIGN.md).
-        for src in range(1, 8):
-            assert shares[src] >= reserved[src] - 0.01, src
-        assert shares[0] == pytest.approx(8 / 9 - 0.6, abs=0.02)
-
-    def test_light_load_accepted_equals_offered(self):
-        result = run_fig4("ssvc", injection_rates=(0.05,), horizon=15_000)
-        for share in result.accepted[0.05]:
-            assert share == pytest.approx(0.05, abs=0.012)
-
     def test_bubble_ablation_moves_ceiling_to_one(self):
         result = run_fig4(
             "lrg", injection_rates=(1.0,), horizon=15_000, arbitration_cycles=0
@@ -68,22 +41,6 @@ class TestFig4:
 
 
 class TestFig5:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return run_fig5(horizon=120_000, seed=5)
-
-    def test_original_vc_couples_latency_to_rate(self, result):
-        """Low-allocation flows see far higher latency than the 40% flow."""
-        lat = result.mean_latency["virtual-clock"]
-        big = lat[0]  # 40%
-        small = min(lat[-2], lat[-1])  # the 2% flows
-        assert small > 3 * big
-
-    def test_halve_and_reset_flatten_the_curve(self, result):
-        spread = result.latency_stddev_across_flows
-        assert spread["ssvc-halve"] < spread["virtual-clock"]
-        assert spread["ssvc-reset"] < spread["virtual-clock"]
-
     def test_zero_delivery_flow_raises_instead_of_plotting_zero(self):
         """Regression: a horizon too short for the 2% flows to deliver a
         single packet used to report mean latency 0.0 and accepted ratio
@@ -94,31 +51,8 @@ class TestFig5:
         with pytest.raises(SimulationError, match="delivered no packets"):
             run_fig5(horizon=300, seed=5, schemes=("ssvc-subtract",))
 
-    def test_all_schemes_deliver_offered_load(self, result):
-        """Section 4.3: rates within ~2% of reservations (offered == rate).
-
-        The 0.95 floor (rather than 0.98) allows for measurement-window
-        edge effects at this shortened horizon; the full-length bench run
-        recorded in EXPERIMENTS.md lands within 2%.
-        """
-        for scheme, ratios in result.accepted_ratio.items():
-            for ratio in ratios:
-                assert ratio > 0.95, (scheme, ratios)
-
 
 class TestTables:
-    def test_table1_matches_paper(self):
-        result = run_table1()
-        assert result.buffering_kb == pytest.approx(1056.0)
-        assert result.crosspoint_kb == pytest.approx(45.0)
-        assert result.total_kb == pytest.approx(1101.0)
-
-    def test_table2_worst_point(self):
-        result = run_table2()
-        radix, width, slow = result.worst
-        assert (radix, width) == (8, 256)
-        assert slow == pytest.approx(8.4, abs=0.1)
-
     def test_table2_lookup(self):
         result = run_table2()
         assert result.frequency(64, 128) == pytest.approx(1.5, abs=0.01)
@@ -126,25 +60,7 @@ class TestTables:
             result.frequency(7, 128)
 
 
-class TestRateAdherence:
-    @pytest.mark.parametrize("mode", list(CounterMode))
-    def test_random_mixes_meet_reservations(self, mode):
-        result = run_rate_adherence(
-            num_cases=4, counter_mode=mode, horizon=40_000, seed=8
-        )
-        assert result.all_ok, result.format()
-
-
 class TestGLExperiments:
-    def test_eq1_bound_holds(self):
-        result = run_gl_bound(horizon=50_000)
-        assert result.holds
-        assert result.gl_packets > 50
-
-    def test_eq1_bound_holds_with_more_gl_inputs(self):
-        result = run_gl_bound(n_gl=6, horizon=50_000, seed=5)
-        assert result.holds
-
     def test_no_gl_delivery_raises_taxonomy_error(self):
         # Regression (RP203): "no GL packets" used to raise a bare
         # RuntimeError, invisible to callers catching ReproError.
@@ -154,38 +70,3 @@ class TestGLExperiments:
             run_gl_bound(horizon=40, gl_rate=0.0001, seed=17)
         assert isinstance(excinfo.value, ReproError)
         assert "no GL packets" in str(excinfo.value)
-
-    def test_policing_ablation_shows_starvation(self):
-        ablation = run_policing_ablation(horizon=20_000)
-        # Unpoliced: the abuser takes (nearly) everything, GB starves.
-        assert ablation.gb_throughput_unpoliced < 0.05
-        # Policed: GB gets the bulk, the abuser is pinned near its share.
-        assert ablation.gb_throughput_policed > 0.7
-        assert ablation.gl_throughput_policed < 0.15
-
-    def test_burst_budgets_meet_constraints(self):
-        result = run_gl_burst(repeats=6)
-        assert result.all_hold, result.format()
-
-
-class TestCircuitVerification:
-    def test_no_mismatches(self):
-        result = run_circuit_verification(fast=True)
-        assert result.total_trials > 3000
-
-
-class TestBaselines:
-    def test_idle_reservation_redistribution(self):
-        result = run_idle_reservation(
-            horizon=15_000, policies=("ssvc", "wrr-strict", "tdm")
-        )
-        assert result.totals["ssvc"] == pytest.approx(8 / 9, abs=0.01)
-        assert result.totals["tdm"] < 0.55
-        assert result.totals["wrr-strict"] < result.totals["ssvc"]
-
-    def test_fixed_priority_starves_and_costs_a_cycle(self):
-        result = run_fixed_priority_comparison(horizon=15_000)
-        assert result.low_priority_rate["fixed-priority"] < 0.01
-        assert result.low_priority_rate["ssvc"] > 0.3
-        # Two arbitration cycles: ceiling 8/10 instead of 8/9.
-        assert result.totals["fixed-priority"] == pytest.approx(0.8, abs=0.01)

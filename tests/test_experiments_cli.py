@@ -1,8 +1,46 @@
-"""CLI smoke tests: every experiment runs end-to-end in fast mode."""
+"""CLI tests: every experiment runs end to end in fast mode and passes
+the paper claims its report ends with; a broken claim fails the run."""
+
+import contextlib
+import functools
+import io
 
 import pytest
 
+from repro.experiments import fig4_bandwidth
 from repro.experiments.cli import EXPERIMENTS, main
+from repro.parallel import CHAOS_ENV
+
+
+@functools.lru_cache(maxsize=None)
+def fast_run(name):
+    """``repro-exp <name> --fast``, run once per pytest process: (exit, stdout)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([name, "--fast"])
+    return code, out.getvalue()
+
+
+def claim_rows(report):
+    """``(claim, paper, holds, evidence)`` for every claims-table row."""
+    rows = []
+    lines = report.splitlines()
+    for i, line in enumerate(lines):
+        if line != "paper claims":
+            continue
+        for row in lines[i + 3:]:
+            if not row.strip():
+                break
+            rows.append(tuple(cell.strip() for cell in row.split(" | ")))
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_fast_run_passes_every_claim(name):
+    code, out = fast_run(name)
+    assert code == 0, out
+    verdicts = [holds for _, _, holds, _ in claim_rows(out)]
+    assert verdicts and set(verdicts) == {"yes"}
 
 
 class TestCLI:
@@ -38,9 +76,10 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["does-not-exist"])
 
-    def test_fast_flag_accepted(self, capsys):
-        assert main(["circuit", "--fast"]) == 0
-        assert "0 mismatches" in capsys.readouterr().out
+    def test_fast_flag_accepted(self):
+        code, out = fast_run("circuit")
+        assert code == 0
+        assert "0 mismatches" in out
 
     def test_arbiter_choices_track_the_preset_registry(self, capsys):
         """Satellite fix (ISSUE 9): ``--arbiter`` choices are generated
@@ -77,11 +116,59 @@ class TestCLI:
         assert "'nope'" in message
         assert str(sorted(ARBITER_PRESETS)) in message
 
-    def test_tournament_fast_via_cli(self, capsys):
-        assert main(["tournament", "--fast"]) == 0
-        out = capsys.readouterr().out
+    def test_tournament_fast_via_cli(self):
+        code, out = fast_run("tournament")
+        assert code == 0
         assert "throughput/delay frontier" in out
-        assert "all qualitative claims hold: yes" in out
+        assert ("sw-qps >= qps-r at saturation", "arXiv:2010.08620") in [
+            row[:2] for row in claim_rows(out)
+        ]
+
+
+class TestClaimsGate:
+    """Mutation checks: the claims table must be able to fail the run."""
+
+    def test_a_broken_claim_fails_the_run(self, monkeypatch, capsys):
+        original = fig4_bandwidth._fig4_point
+
+        def shortchanged(point):
+            # At saturation under SSVC, hand 0.02 of flow7's 0.05
+            # reservation to flow1; total and flow0 stay put, so only the
+            # Fig. 4(b) reservation claim may break.
+            per_flow, total, grants = original(point)
+            if point.param("arbiter") == "ssvc" and point.param("rate") >= 1.0:
+                per_flow = list(per_flow)
+                per_flow[7] -= 0.02
+                per_flow[1] += 0.02
+            return per_flow, total, grants
+
+        monkeypatch.setattr(fig4_bandwidth, "_fig4_point", shortchanged)
+        assert main(["fig4", "--fast"]) == 1
+        captured = capsys.readouterr()
+        failed = [row for row in claim_rows(captured.out) if row[2] == "NO"]
+        assert [row[0] for row in failed] == [
+            "all inputs get at least their reserved rate of bandwidth "
+            "during congestion"
+        ]
+        assert "flow7" in failed[0][3]
+        assert "claim failed: fig4: all inputs get" in captured.err
+
+    def test_a_salvaged_hole_skips_its_claims(self, monkeypatch, capsys):
+        monkeypatch.setenv(CHAOS_ENV, "fig4:ssvc@1")
+        assert main(["fig4", "--fast", "--on-failure", "salvage"]) == 3
+        captured = capsys.readouterr()
+        rows = claim_rows(captured.out)
+        skipped = [row for row in rows if row[2] == "skipped"]
+        assert [row[0] for row in skipped] == [
+            "the output saturates at 8/9 flit/cycle",
+            "all inputs get at least their reserved rate of bandwidth "
+            "during congestion",
+            "the largest flow absorbs the ceiling's shortfall",
+        ]
+        assert all("ssvc@1 missing" in row[3] for row in skipped)
+        assert {row[2] for row in rows} == {"yes", "skipped"}
+        assert "KeyError" not in captured.out + captured.err
+        assert "Traceback" not in captured.out + captured.err
 
 
 class TestStoreFlags:

@@ -1,5 +1,6 @@
 """Tests for the arbitration-energy proxy and fabric activity counting."""
 
+import numpy as np
 import pytest
 
 from repro.circuit.fabric import ArbitrationFabric, FabricRequest
@@ -46,6 +47,25 @@ class TestFabricActivityCounting:
         assert fabric.last_discharge_count <= bound
 
 
+    def test_random_activity_stays_below_bound_and_thin(self):
+        """Measured pull-down activity over random arbitrations sits under
+        the analytic worst case, and arbitration stays a thin slice of
+        total energy next to moving an 8-flit, 128-bit packet."""
+        rng = np.random.default_rng(5)
+        fabric = ArbitrationFabric(radix=8, levels=8)
+        for _ in range(2000):
+            ports = rng.choice(8, size=int(rng.integers(1, 9)), replace=False)
+            fabric.arbitrate_and_grant([
+                gb(int(p), int(rng.integers(0, 8)), positions=8) for p in ports
+            ])
+        mean_activity = fabric.total_discharge_count / fabric.total_arbitrations
+        assert 0 < mean_activity < worst_case_discharges_per_arbitration(8, 8)
+        share = EnergyModel().arbitration_share(
+            int(mean_activity), flits=8, channel_bits=128
+        )
+        assert share < 0.10
+
+
 class TestEnergyModel:
     def test_data_energy_scales_with_payload(self):
         model = EnergyModel()
@@ -62,7 +82,8 @@ class TestEnergyModel:
         assert 0.0 < share < 0.15
 
     def test_overhead_ratio_grows_with_levels(self):
-        assert arbitration_energy_overhead(8, 8) > arbitration_energy_overhead(8, 2)
+        ratios = [arbitration_energy_overhead(8, levels) for levels in (2, 4, 8, 16)]
+        assert ratios == sorted(set(ratios))
 
     def test_overhead_is_lanes_ratio(self):
         # (levels + GL) / 1 baseline lane.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import SwitchConfig, TABLE1_CONFIG
+from repro.config import QoSConfig, SwitchConfig, TABLE1_CONFIG
 from repro.errors import ConfigError
 from repro.hw.area import AreaModel, crosspoint_area_overhead
 from repro.hw.lanes import (
@@ -43,6 +43,13 @@ class TestStorageTable1:
     def test_scales_with_other_configs(self):
         small = storage_breakdown(SwitchConfig(radix=8, channel_bits=128))
         assert small.total < storage_breakdown(TABLE1_CONFIG).total
+        totals = [
+            storage_breakdown(
+                SwitchConfig(radix=radix, channel_bits=256, qos=QoSConfig(sig_bits=3))
+            ).total
+            for radix in (8, 16, 32, 64)
+        ]
+        assert totals == sorted(set(totals))
 
     def test_rows_cover_all_items(self):
         rows = storage_breakdown(TABLE1_CONFIG).rows()

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.errors import ArbitrationError, ConfigError
+from repro.experiments.common import gb_only_config, run_simulation
 from repro.qos import ArrivalStampedVCArbiter, PreemptiveVCArbiter
+from repro.traffic.flows import Workload, gb_flow
+from repro.traffic.generators import BurstyInjection
+from repro.types import CounterMode, FlowId, TrafficClass
 from tests.conftest import gb_request
 
 
@@ -114,12 +118,49 @@ class TestPreemptiveVC:
             arb.usage_of(1, now=0)
 
 
+VARIANT_RATES = (0.40, 0.20, 0.10, 0.05, 0.04, 0.03, 0.02, 0.02)
+
+
+def run_bursty(preset, counter_mode=CounterMode.SUBTRACT):
+    """Eight bursty flows at 90% of the VARIANT_RATES reservations."""
+    workload = Workload(name="vc-variants")
+    for src, rate in enumerate(VARIANT_RATES):
+        workload.add(gb_flow(
+            src, 0, rate, packet_length=8,
+            process=BurstyInjection(rate * 0.9, burst_packets=4.0),
+        ))
+    config = gb_only_config(radix=8, sig_bits=4, counter_mode=counter_mode)
+    return run_simulation(config, workload, arbiter=preset,
+                          horizon=120_000, seed=31)
+
+
+class TestVariantsUnderBursts:
+    """Section 2.2/5 design-space comparisons on the same bursty traffic."""
+
+    def test_both_stampings_couple_latency_to_allocation(self):
+        for preset in ("virtual-clock", "virtual-clock-arrival"):
+            stats = run_bursty(preset).stats
+            latency = [
+                stats.flow_stats(FlowId(src, 0, TrafficClass.GB)).latency.mean
+                for src in range(len(VARIANT_RATES))
+            ]
+            assert all(v > 0 for v in latency), preset
+            assert min(latency[-2:]) > latency[0], preset
+
+    def test_pvc_frame_reset_matches_ssvc_reset_rates(self):
+        """SSVC-reset is the single-cycle hardware form of PVC's frame
+        reset: on a feasible mix both deliver every flow's offer."""
+        reset = run_bursty("ssvc-reset", CounterMode.RESET)
+        pvc = run_bursty("preemptive-vc", CounterMode.RESET)
+        for src in range(len(VARIANT_RATES)):
+            flow = FlowId(src, 0, TrafficClass.GB)
+            assert pvc.accepted_rate(flow) == pytest.approx(
+                reset.accepted_rate(flow), abs=0.02
+            )
+
+
 class TestPresetIntegration:
     def test_new_presets_run_end_to_end(self):
-        from repro.experiments.common import gb_only_config, run_simulation
-        from repro.traffic.flows import Workload, gb_flow
-        from repro.types import FlowId, TrafficClass
-
         config = gb_only_config(radix=4, channel_bits=64)
         for preset in ("virtual-clock-arrival", "preemptive-vc"):
             workload = Workload()

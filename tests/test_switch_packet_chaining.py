@@ -72,6 +72,26 @@ class TestChainingThroughput:
         assert gains[1] == pytest.approx(2.0, abs=0.05)  # 0.5 -> 1.0
 
 
+    def test_ssvc_two_flit_stream_recovers_the_bubble(self):
+        """Section 4.2's mitigation on the Fig. 4 switch: 2-flit packets
+        lose a third of the channel to the bubble unless chained."""
+        from repro.experiments.common import gb_only_config
+
+        rates = {}
+        for chaining in (False, True):
+            config = replace(
+                gb_only_config(), packet_chaining=chaining, max_chain_length=64
+            )
+            workload = Workload().add(
+                gb_flow(0, 0, 0.9, packet_length=2, inject_rate=None)
+            )
+            result = run_simulation(config, workload, arbiter="ssvc",
+                                    horizon=20_000, seed=1)
+            rates[chaining] = result.stats.output_throughput(0)
+        assert rates[False] == pytest.approx(2 / 3, abs=0.01)
+        assert rates[True] == pytest.approx(1.0, abs=0.02)
+
+
 class TestChainingFairness:
     def test_alternating_winners_never_chain(self):
         """Two backlogged inputs under LRG alternate, so nothing chains."""

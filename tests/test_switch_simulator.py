@@ -226,6 +226,20 @@ class TestMultiOutput:
         for dst in range(4):
             assert result.stats.output_throughput(dst) == pytest.approx(8 / 9, abs=0.01)
 
+    def test_radix16_permutation_saturates_every_output(self):
+        """Sixteen SSVC outputs under saturating permutation traffic each
+        carry the full L/(L+1) ceiling: outputs never interfere."""
+        from repro.experiments.common import gb_only_config, run_simulation
+        from repro.traffic.patterns import permutation_workload
+
+        result = run_simulation(
+            gb_only_config(radix=16, channel_bits=256), permutation_workload(16),
+            arbiter="ssvc", horizon=10_000, seed=2,
+        )
+        assert result.grants > 10_000
+        for dst in range(16):
+            assert result.stats.output_throughput(dst) == pytest.approx(8 / 9, abs=0.01)
+
     def test_reservation_only_flow_generates_no_traffic(self, small_config):
         workload = Workload()
         workload.add(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError
+from repro.experiments.common import format_claims
 from repro.experiments.tournament import (
     POLICIES,
     POLICY_ARBITERS,
@@ -32,7 +33,7 @@ class TestClaimsGate:
     def test_all_qualitative_claims_hold(self, fast_result):
         verdicts = fast_result.claims()
         assert len(verdicts) == 3
-        failed = [claim for claim, holds, _ in verdicts if not holds]
+        failed = [c.claim for c in verdicts if c.holds is not True]
         assert not failed, f"claims failed: {failed}"
 
     def test_islip_reaches_near_full_uniform_throughput(self, fast_result):
@@ -83,14 +84,16 @@ class TestReportShape:
         report = fast_result.format()
         assert "tournament — uniform" in report
         assert "throughput/delay frontier" in report
-        assert "qualitative claims" in report
         for policy in POLICIES:
             assert policy in report
 
     def test_main_fast_reports_verdict_and_hash(self):
         report = main(fast=True)
-        assert "all qualitative claims hold: yes" in report
-        assert "sweep hash: " in report
+        assert not report.failed
+        text = report.format()
+        assert "sweep hash: " in text
+        assert text.endswith(format_claims(report.claims))
+        assert "islip ~100% uniform throughput" in text
 
     def test_unknown_scenario_is_refused(self):
         with pytest.raises(ConfigError, match="unknown tournament scenario"):
@@ -98,7 +101,7 @@ class TestReportShape:
 
     def test_salvaged_holes_are_skipped_not_fabricated(self):
         # A result missing a cell renders tables without that column's
-        # value and drops the affected claims instead of inventing data.
+        # value and skips the affected claims instead of inventing data.
         from repro.experiments.tournament import TournamentResult
 
         partial = TournamentResult(
@@ -109,4 +112,6 @@ class TestReportShape:
         report = partial.format()
         assert "0.96" in report
         claims = partial.claims()
-        assert [c for c, _, _ in claims] == ["islip ~100% uniform throughput"]
+        judged = [c.claim for c in claims if c.holds is not None]
+        assert judged == ["islip ~100% uniform throughput"]
+        assert [c.verdict for c in claims] == ["yes", "skipped", "skipped"]
