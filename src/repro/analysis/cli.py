@@ -1,7 +1,7 @@
 """``repro-lint`` — the command-line front end of the analyzer.
 
-Every run loads its roots once and applies every per-file (RL0xx, RC1xx)
-and whole-program (RP2xx) rule. Exit codes: 0 clean (suppressed findings
+Every run loads its roots once and applies every rule (RL0xx, RC1xx,
+RP2xx). Exit codes: 0 clean (suppressed findings
 allowed), 1 open findings, 2 a root is missing or holds no ``.py`` file,
 a file failed to parse, or a CLI argument was invalid.
 
@@ -19,8 +19,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .engine import all_rules
-from .project import all_project_rules, analyze_project
+from .project import all_rules, analyze_project
 
 #: Analysis root when none is given.
 _DEFAULT_ROOT = "src"
@@ -55,14 +54,8 @@ def _render_rule_list() -> str:
     lines = []
     for rule in all_rules():
         scope = "guarded packages" if rule.guarded_only else "all files"
-        lines.append(f"{rule.id}  {rule.name:<24} [{rule.severity}] ({scope})")
+        lines.append(f"{rule.id}  {rule.name:<24} ({scope})")
         lines.append(f"       {rule.description}")
-    for project_rule in all_project_rules():
-        lines.append(
-            f"{project_rule.id}  {project_rule.name:<24} "
-            f"[{project_rule.severity}] (whole program)"
-        )
-        lines.append(f"       {project_rule.description}")
     return "\n".join(lines)
 
 

@@ -11,18 +11,16 @@ Where ``repro.analysis.rules`` checks local hygiene, these rules verify the
   ``repro.core`` actually sees :class:`repro.config.SwitchConfig`'s
   validated types at every boundary.
 
-They are ordinary engine rules (same registry, same suppression syntax) but
-they subscribe to ``FunctionDef`` nodes and analyze whole function bodies.
+RC101 and RC103 subscribe to ``FunctionDef`` nodes and analyze whole
+function bodies; RC102 checks ``ThermometerCode(...)`` call sites.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Set, Union
+from typing import List, Optional, Set
 
-from .engine import ModuleContext, Rule, Severity, constant_int, dotted_name, register
-
-_FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+from .project import ModuleInfo, Rule, dotted_name, own_nodes, register
 
 #: Method names that discharge a pending ``select()`` decision.
 _DISCHARGE_METHODS = ("commit", "abandon")
@@ -32,17 +30,16 @@ _DISCHARGE_METHODS = ("commit", "abandon")
 _PURE_SELECT_NAMES = frozenset({"select"})
 
 
-def _own_nodes(func: _FunctionNode) -> List[ast.AST]:
-    """All nodes of ``func``'s body, excluding nested function/class scopes."""
-    collected: List[ast.AST] = []
-    stack: List[ast.AST] = list(func.body)
-    while stack:
-        node = stack.pop()
-        collected.append(node)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-    return collected
+def _constant_int(node: Optional[ast.AST]) -> Optional[int]:
+    """The integer value of a (possibly negated) literal, else None."""
+    if node is None:
+        return None
+    if isinstance(node, ast.Constant) and isinstance(node.value, int) and not isinstance(node.value, bool):
+        return node.value
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        inner = _constant_int(node.operand)
+        return -inner if inner is not None else None
+    return None
 
 
 def _is_arbiter_select_call(node: ast.Call) -> bool:
@@ -79,15 +76,14 @@ class SelectCommitContract(Rule):
 
     id = "RC101"
     name = "select-without-commit"
-    severity = Severity.ERROR
     description = "arbiter select() whose decision is never committed, abandoned, or returned"
     node_types = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-    def visit(self, node: ast.AST, ctx: ModuleContext) -> None:
+    def visit(self, node: ast.AST, module: ModuleInfo) -> None:
         assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         if node.name in _PURE_SELECT_NAMES:
             return
-        own = _own_nodes(node)
+        own = own_nodes(node)
         select_calls = [
             n for n in own if isinstance(n, ast.Call) and _is_arbiter_select_call(n)
         ]
@@ -102,8 +98,8 @@ class SelectCommitContract(Rule):
                 continue
             if self._escapes_via_return(call, own, returned):
                 continue
-            ctx.report(
-                self,
+            self.report(
+                module,
                 call,
                 f"{receiver}.select() in {node.name}() is never committed, "
                 f"abandoned, or returned — QoS counters will not advance",
@@ -168,28 +164,27 @@ class ThermometerBoundsContract(Rule):
 
     id = "RC102"
     name = "thermometer-bounds"
-    severity = Severity.ERROR
     description = "ThermometerCode constructed with a constant level outside [0, positions)"
     node_types = (ast.Call,)
 
-    def visit(self, node: ast.AST, ctx: ModuleContext) -> None:
+    def visit(self, node: ast.AST, module: ModuleInfo) -> None:
         assert isinstance(node, ast.Call)
         name = dotted_name(node.func)
         if name is None or name.split(".")[-1] != "ThermometerCode":
             return
         positions = self._argument(node, 0, "positions")
         level = self._argument(node, 1, "level")
-        positions_value = constant_int(positions)
-        level_value = constant_int(level)
+        positions_value = _constant_int(positions)
+        level_value = _constant_int(level)
         if positions_value is not None and positions_value < 1:
-            ctx.report(self, node, f"ThermometerCode positions must be >= 1, got constant {positions_value}")
+            self.report(module, node, f"ThermometerCode positions must be >= 1, got constant {positions_value}")
         if level_value is None:
             return
         if level_value < 0:
-            ctx.report(self, node, f"ThermometerCode level must be >= 0, got constant {level_value}")
+            self.report(module, node, f"ThermometerCode level must be >= 0, got constant {level_value}")
         elif positions_value is not None and level_value >= positions_value:
-            ctx.report(
-                self,
+            self.report(
+                module,
                 node,
                 f"ThermometerCode level {level_value} out of range [0, {positions_value - 1}]",
             )
@@ -219,11 +214,10 @@ class TypedConfigContract(Rule):
 
     id = "RC103"
     name = "untyped-config"
-    severity = Severity.ERROR
     description = "public function takes an unannotated config parameter"
     node_types = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-    def visit(self, node: ast.AST, ctx: ModuleContext) -> None:
+    def visit(self, node: ast.AST, module: ModuleInfo) -> None:
         assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         if node.name.startswith("_") and node.name != "__init__":
             return
@@ -232,8 +226,8 @@ class TypedConfigContract(Rule):
             if not self._is_config_name(arg.arg):
                 continue
             if arg.annotation is None:
-                ctx.report(
-                    self,
+                self.report(
+                    module,
                     arg,
                     f"parameter {arg.arg!r} of public {node.name}() needs a config type "
                     f"annotation so mypy --strict can verify validated configs flow in",

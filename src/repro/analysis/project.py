@@ -1,21 +1,13 @@
-"""Whole-program analysis: project loader, symbol table, call graph.
-
-The per-file engine (:mod:`repro.analysis.engine`) sees one module at a
-time, so it can prove local hygiene but not the invariants that live on
-*paths between modules* — an optional ``seed=None`` parameter threaded
-three calls deep into ``default_rng``, a sweep worker that mutates a
-module-level cache in another file, an exception class whose base chain
-crosses two modules. This module closes that gap:
+"""The analyzer: program model, loader, and the one rule framework.
 
 * :class:`ProjectLoader` parses every ``*.py`` under one or more roots
-  **once** (the same :class:`~repro.analysis.engine.SourceModule` objects
-  the per-file engine consumes, so a ``repro-lint`` run never re-parses),
-  and builds a :class:`Project`:
+  **once** into :class:`ModuleInfo` objects and builds a
+  :class:`Project`:
 
   - a module table keyed by dotted name, with per-module import bindings
     (absolute targets resolved through relative imports and
     ``__init__`` re-exports, ``if TYPE_CHECKING`` imports marked
-    type-only),
+    type-only) and ``# reprolint:`` suppression comments,
   - a symbol table of top-level functions, classes and their methods,
     and module-level assignments classified by mutability,
   - an approximate call graph: call sites are resolved through import
@@ -23,11 +15,14 @@ crosses two modules. This module closes that gap:
     SweepExecutor(...)`` makes ``x.map`` resolve to
     ``SweepExecutor.map``).
 
-* :class:`ProjectRule` is the whole-program counterpart of
-  :class:`~repro.analysis.engine.Rule`: it receives the full
-  :class:`Project` and reports findings through :class:`ProjectContext`,
-  which applies the same ``# reprolint: disable=`` suppression grammar
-  as the per-file engine.
+* :class:`Rule` is the base class of every rule. A rule subscribes to
+  AST node types (``node_types`` + :meth:`Rule.visit`), and the run
+  walks each module **once**, dispatching every node to the rules
+  subscribed to its type; a rule that needs the whole program overrides
+  :meth:`Rule.check`, called once after the walk with the
+  :class:`Project`. Either way findings go through :meth:`Rule.report`,
+  which applies the suppression comments. :func:`analyze_project` is
+  the one run behind ``repro-lint``.
 
 Everything here is *approximate by design* — resolution returns ``None``
 rather than guessing when a name goes through a dynamic ``__getattr__``,
@@ -35,25 +30,109 @@ a ``getattr()`` fallback, or an import the project does not contain.
 Rules must treat unresolved edges as "unknown", never as violations.
 The loader is hardened against import cycles (resolution carries a
 visited set) and never executes project code.
+
+Suppression syntax (checked by tests in ``tests/test_analysis_rules.py``)::
+
+    x = datetime.now()  # reprolint: disable=wall-clock
+    # reprolint: disable=RL003        <- own-line comment guards the next line
+    # reprolint: disable-file=RL008   <- disables a rule for the whole module
+
+Rule IDs (``RL001``) and rule names (``unseeded-rng``) are interchangeable
+in suppression comments; ``all`` disables every rule for that line.
+Suppressed findings are kept (marked ``suppressed=True``) so the reports
+can audit them, but they never affect the exit code.
 """
 
 from __future__ import annotations
 
 import ast
+import io
+import json
 import os
-from dataclasses import dataclass, field
+import re
+import tokenize
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type
-
-from .engine import (
-    Engine,
-    Finding,
-    Report,
-    Severity,
-    SourceModule,
-    dotted_name,
-    finding_suppressed,
+from typing import (
+    Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type,
 )
+
+#: Sub-packages of ``repro`` whose modules are *guarded*: code here drives
+#: arbitration decisions, so rules with ``guarded_only=True`` fire only
+#: there (wall-clock reads are fine in a harness, not in the hot path).
+GUARDED_PACKAGES = ("core", "switch", "qos", "multiswitch")
+
+_SUPPRESS_RE = re.compile(
+    r"#\s*reprolint:\s*(disable|disable-file)\s*=\s*([A-Za-z0-9_,\-\s]+)"
+)
+
+
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for Name/Attribute chains, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = dotted_name(node.value)
+        return f"{base}.{node.attr}" if base else None
+    return None
+
+
+def own_nodes(fn_node: ast.AST) -> List[ast.AST]:
+    """All nodes of a function's body, excluding nested def/class scopes."""
+    assert isinstance(fn_node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    collected: List[ast.AST] = []
+    stack: List[ast.AST] = list(fn_node.body)
+    while stack:
+        node = stack.pop()
+        collected.append(node)
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+        ):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+    return collected
+
+
+def _module_parts(path: str) -> Tuple[str, ...]:
+    parts = Path(path).with_suffix("").parts
+    for i, part in enumerate(parts):
+        if part == "repro":
+            return tuple(parts[i:])
+    return ()
+
+
+def _parse_suppressions(source: str) -> Tuple[Dict[int, Set[str]], Set[str]]:
+    """Extract ``# reprolint:`` comments via tokenize (never from strings)."""
+    line_sup: Dict[int, Set[str]] = {}
+    file_sup: Set[str] = set()
+    if "reprolint" not in source:
+        return line_sup, file_sup
+    try:
+        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    # Best effort: an untokenizable module still gets linted, just without
+    # suppression comments (the parse error surfaces elsewhere anyway).
+    # reprolint: disable=swallowed-without-record
+    except tokenize.TokenError:  # incomplete final block etc. — best effort
+        tokens = []
+    for tok in tokens:
+        if tok.type != tokenize.COMMENT:
+            continue
+        match = _SUPPRESS_RE.search(tok.string)
+        if not match:
+            continue
+        kind, raw = match.groups()
+        names = {t.strip().lower() for t in raw.split(",") if t.strip()}
+        if kind == "disable-file":
+            file_sup |= names
+            continue
+        line = tok.start[0]
+        line_sup.setdefault(line, set()).update(names)
+        # An own-line comment guards the statement that follows it.
+        own_line = tok.line[: tok.start[1]].strip() == ""
+        if own_line:
+            line_sup.setdefault(line + 1, set()).update(names)
+    return line_sup, file_sup
+
 
 #: Name classes a module-level binding can have, as far as fork-safety
 #: cares: a mutable container, an OS resource (open file handle), or
@@ -177,7 +256,16 @@ class ModuleInfo:
     """Everything the project knows about one source module."""
 
     name: str  #: dotted module name, e.g. ``repro.qos.base``
-    source: SourceModule
+    path: str
+    source: str
+    tree: ast.Module
+    #: dotted-module path parts starting at the ``repro`` package root,
+    #: e.g. ``("repro", "core", "ssvc")``; empty when not under ``repro``.
+    parts: Tuple[str, ...] = ()
+    #: line -> rule ids/names suppressed on that line ("all" allowed)
+    line_suppressions: Dict[int, Set[str]] = field(default_factory=dict)
+    #: rule ids/names suppressed for the whole module
+    file_suppressions: Set[str] = field(default_factory=set)
     imports: Dict[str, ImportBinding] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
@@ -190,8 +278,9 @@ class ModuleInfo:
     dynamic_getattr: bool = False
 
     @property
-    def path(self) -> str:
-        return self.source.path
+    def guarded(self) -> bool:
+        """True when the module lives in a determinism-guarded package."""
+        return len(self.parts) >= 2 and self.parts[1] in GUARDED_PACKAGES
 
     def all_functions(self) -> Iterable[FunctionInfo]:
         for fn in self.functions.values():
@@ -395,11 +484,8 @@ class Project:
         self._reverse_calls: Optional[Dict[str, Set[str]]] = None
         self._function_index: Dict[str, FunctionInfo] = {}
         for mod in modules.values():
-            for fn in mod.all_functions():
+            for fn in mod.all_functions():  # nested defs included
                 self._function_index[fn.qualname] = fn
-            for qualname, fn in list(mod.functions.items()):
-                if fn.nested:
-                    self._function_index[fn.qualname] = fn
 
     # ------------------------------------------------------------- lookups
 
@@ -673,6 +759,24 @@ class Project:
         return seen
 
 
+def _parse_module(name: str, path: str, source: str) -> ModuleInfo:
+    """Parse one module (``SyntaxError`` propagates) and extract its
+    imports, symbols, call sites and suppression comments."""
+    tree = ast.parse(source, filename=path)
+    line_sup, file_sup = _parse_suppressions(source)
+    info = ModuleInfo(
+        name=name,
+        path=path,
+        source=source,
+        tree=tree,
+        parts=_module_parts(path),
+        line_suppressions=line_sup,
+        file_suppressions=file_sup,
+    )
+    _ModuleBuilder(info).visit(tree)
+    return info
+
+
 class ProjectLoader:
     """Parses project roots into a :class:`Project`.
 
@@ -707,14 +811,15 @@ class ProjectLoader:
             base = _package_base(root)
             for file_path in files:
                 try:
-                    source = SourceModule.from_path(file_path)
+                    info = _parse_module(
+                        _module_name(base, file_path),
+                        str(file_path),
+                        file_path.read_text(encoding="utf-8"),
+                    )
                 except (SyntaxError, UnicodeDecodeError, OSError) as exc:
                     self.parse_errors.append(f"{file_path}: {exc}")
                     continue
-                name = _module_name(base, file_path)
-                info = ModuleInfo(name=name, source=source)
-                _ModuleBuilder(info).visit(source.tree)
-                modules[name] = info
+                modules[info.name] = info
         return Project(modules)
 
 
@@ -735,101 +840,217 @@ def _module_name(base: Path, file_path: Path) -> str:
     return ".".join(parts)
 
 
-# ----------------------------------------------------------- project rules
+# ------------------------------------------------------------------- rules
 
 
-class ProjectRule:
-    """Base class for whole-program rules (the RP2xx series).
+@dataclass(frozen=True)
+class Finding:
+    """One rule violation at one source location."""
 
-    Unlike per-file rules, a project rule sees the complete
-    :class:`Project` in one :meth:`check` call and is responsible for its
-    own traversal; findings go through :meth:`ProjectContext.report`,
-    which applies inline suppressions and records the owning module.
+    path: str
+    line: int
+    col: int
+    rule_id: str
+    rule_name: str
+    message: str
+    suppressed: bool = False
+
+    def sort_key(self) -> Tuple[str, int, int, str]:
+        return (self.path, self.line, self.col, self.rule_id)
+
+    def render(self) -> str:
+        mark = " (suppressed)" if self.suppressed else ""
+        return (
+            f"{self.path}:{self.line}:{self.col}: "
+            f"{self.rule_id} [{self.rule_name}] {self.message}{mark}"
+        )
+
+
+class Rule:
+    """Base class of every reprolint rule.
+
+    Subclasses set the class attributes and override :meth:`visit` (for
+    the ``node_types`` they subscribe to), :meth:`check` (for a
+    whole-program pass), or both. One instance serves a whole run.
     """
 
-    id: str = "RP000"
-    name: str = "abstract-project-rule"
-    severity: Severity = Severity.ERROR
+    id: str = ""
+    name: str = ""
     description: str = ""
+    #: AST node classes dispatched to :meth:`visit`.
+    node_types: Tuple[Type[ast.AST], ...] = ()
+    #: When True, :meth:`visit` sees only GUARDED_PACKAGES modules.
+    guarded_only: bool = False
 
-    def check(self, project: Project, ctx: "ProjectContext") -> None:
-        raise NotImplementedError
+    def __init__(self) -> None:
+        self.findings: List[Finding] = []
+
+    def visit(self, node: ast.AST, module: ModuleInfo) -> None:
+        """Check one node of a subscribed type during the module walk."""
+
+    def check(self, project: Project) -> None:
+        """Check the whole program, once, after every module is walked."""
+
+    def report(self, module: ModuleInfo, node: ast.AST, message: str) -> None:
+        """Record a finding at ``node``; a suppression comment naming this
+        rule (or ``all``) on any of its lines, or file-wide, marks it
+        suppressed."""
+        line = getattr(node, "lineno", 1)
+        end_line = getattr(node, "end_lineno", None) or line
+        keys = {self.id.lower(), self.name.lower(), "all"}
+        suppressed = bool(keys & module.file_suppressions) or any(
+            keys & module.line_suppressions.get(physical, set())
+            for physical in range(line, end_line + 1)
+        )
+        self.findings.append(
+            Finding(
+                path=module.path,
+                line=line,
+                col=getattr(node, "col_offset", 0),
+                rule_id=self.id,
+                rule_name=self.name,
+                message=message,
+                suppressed=suppressed,
+            )
+        )
 
     @classmethod
     def describe(cls) -> Dict[str, object]:
         return {
             "id": cls.id,
             "name": cls.name,
-            "severity": str(cls.severity),
-            "scope": "project",
+            "guarded_only": cls.guarded_only,
             "description": cls.description,
         }
 
 
-_PROJECT_REGISTRY: List[Type[ProjectRule]] = []
+#: The rule catalogue, populated by :func:`register` when the rule modules
+#: (``rules``, ``contracts``, ``project_rules``) are imported.
+_REGISTRY: List[Type[Rule]] = []
 
 
-def register_project_rule(rule_cls: Type[ProjectRule]) -> Type[ProjectRule]:
-    """Class decorator adding a project rule to the registry."""
-    if any(existing.id == rule_cls.id for existing in _PROJECT_REGISTRY):
-        raise ValueError(f"duplicate project rule id {rule_cls.id}")
-    _PROJECT_REGISTRY.append(rule_cls)
+def register(rule_cls: Type[Rule]) -> Type[Rule]:
+    """Class decorator adding a rule to the catalogue."""
+    if any(existing.id == rule_cls.id for existing in _REGISTRY):
+        raise ValueError(f"duplicate rule id {rule_cls.id}")
+    _REGISTRY.append(rule_cls)
     return rule_cls
 
 
-def all_project_rules() -> List[Type[ProjectRule]]:
-    return list(_PROJECT_REGISTRY)
+def all_rules() -> List[Type[Rule]]:
+    """The rule catalogue, in id order."""
+    return sorted(_REGISTRY, key=lambda rule: rule.id)
 
 
-class ProjectContext:
-    """Finding sink for project rules (suppression-aware)."""
+@dataclass
+class Report:
+    """Aggregate result of a lint run over one or more roots."""
 
-    def __init__(self, project: Project) -> None:
-        self.project = project
-        self.findings: List[Finding] = []
+    findings: List[Finding] = field(default_factory=list)
+    files_scanned: int = 0
+    parse_errors: List[str] = field(default_factory=list)
+    active_rules: List[Dict[str, object]] = field(default_factory=list)
 
-    def report(
-        self, rule: ProjectRule, module: ModuleInfo, node: ast.AST, message: str
-    ) -> None:
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        end_line = getattr(node, "end_lineno", None) or line
-        self.findings.append(
-            Finding(
-                path=module.path,
-                line=line,
-                col=col,
-                rule_id=rule.id,
-                rule_name=rule.name,
-                severity=rule.severity,
-                message=message,
-                suppressed=finding_suppressed(
-                    module.source, rule.id, rule.name, line, end_line
-                ),
-            )
+    @property
+    def open_findings(self) -> List[Finding]:
+        return [f for f in self.findings if not f.suppressed]
+
+    @property
+    def suppressed_findings(self) -> List[Finding]:
+        return [f for f in self.findings if f.suppressed]
+
+    @property
+    def exit_code(self) -> int:
+        if self.parse_errors:
+            return 2
+        return 1 if self.open_findings else 0
+
+    def findings_per_rule(self) -> Dict[str, int]:
+        """Open findings per rule id, in id order."""
+        per_rule: Dict[str, int] = {}
+        for finding in self.open_findings:
+            per_rule[finding.rule_id] = per_rule.get(finding.rule_id, 0) + 1
+        return dict(sorted(per_rule.items()))
+
+    def summary(self) -> Dict[str, object]:
+        return {
+            "files_scanned": self.files_scanned,
+            "open_findings": len(self.open_findings),
+            "suppressed_findings": len(self.suppressed_findings),
+            "parse_errors": len(self.parse_errors),
+            "findings_per_rule": self.findings_per_rule(),
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(
+            {
+                "tool": "reprolint",
+                "rules": self.active_rules,
+                "summary": self.summary(),
+                "findings": [
+                    asdict(f) for f in sorted(self.findings, key=Finding.sort_key)
+                ],
+                "parse_errors": self.parse_errors,
+            },
+            indent=2,
         )
+
+    def to_text(self) -> str:
+        """Parse errors, every finding (suppressed ones marked), the open
+        findings per rule, and a one-line tally."""
+        lines = [f"parse error: {error}" for error in self.parse_errors]
+        for finding in sorted(self.findings, key=Finding.sort_key):
+            lines.append(finding.render())
+        per_rule = self.findings_per_rule()
+        lines.append("findings per rule:")
+        lines.extend(f"  {rule_id}: {count}" for rule_id, count in per_rule.items())
+        if not per_rule:
+            lines.append("  (none)")
+        lines.append(
+            f"{self.files_scanned} file(s) scanned, "
+            f"{len(self.open_findings)} finding(s), "
+            f"{len(self.suppressed_findings)} suppressed"
+        )
+        return "\n".join(lines)
+
+
+def _run(project: Project, parse_errors: Sequence[str] = ()) -> Report:
+    """Every registered rule over ``project``: one walk per module for the
+    node-subscribed visits, then each rule's whole-program check."""
+    rule_classes = all_rules()
+    rules = [cls() for cls in rule_classes]
+    dispatch: Dict[bool, Dict[type, List[Rule]]] = {False: {}, True: {}}
+    for rule in rules:
+        for node_type in rule.node_types:
+            dispatch[True].setdefault(node_type, []).append(rule)
+            if not rule.guarded_only:
+                dispatch[False].setdefault(node_type, []).append(rule)
+    for name in sorted(project.modules):
+        module = project.modules[name]
+        table = dispatch[module.guarded]
+        for node in ast.walk(module.tree):
+            for rule in table.get(type(node), ()):
+                rule.visit(node, module)
+    for rule in rules:
+        rule.check(project)
+    return Report(
+        findings=[finding for rule in rules for finding in rule.findings],
+        files_scanned=len(project.modules),
+        parse_errors=list(parse_errors),
+        active_rules=[cls.describe() for cls in rule_classes],
+    )
 
 
 def analyze_project(roots: Sequence[str]) -> Report:
-    """Load ``roots`` once and run every per-file and project rule.
-
-    The per-file engine reuses the loader's parsed :class:`SourceModule`
-    objects, so each file is parsed exactly once.
-    """
+    """Load ``roots`` once and run every rule: the ``repro-lint`` run."""
     loader = ProjectLoader(roots)
     project = loader.load()
-    engine = Engine()
-    project_rules = all_project_rules()
-    report = Report(
-        files_scanned=len(project.modules),
-        parse_errors=list(loader.parse_errors),
-        active_rules=[cls.describe() for cls in engine.rule_classes]
-        + [cls.describe() for cls in project_rules],
-    )
-    for name in sorted(project.modules):
-        report.findings.extend(engine.lint_module(project.modules[name].source))
-    ctx = ProjectContext(project)
-    for rule_cls in project_rules:
-        rule_cls().check(project, ctx)
-    report.findings.extend(ctx.findings)
-    return report
+    return _run(project, loader.parse_errors)
+
+
+def lint_source(source: str, path: str = "<string>") -> List[Finding]:
+    """Every rule over one in-memory module (test/tooling convenience);
+    ``path`` names the module and decides whether it is guarded."""
+    parts = _module_parts(path)
+    module = _parse_module(".".join(parts) or Path(path).stem, path, source)
+    return _run(Project({module.name: module})).findings

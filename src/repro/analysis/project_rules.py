@@ -1,25 +1,22 @@
-"""Whole-program rules (the RP2xx series).
+"""Whole-program rules: each follows its contract across module boundaries.
 
-Each rule here verifies an invariant that spans modules — exactly the
-class of bug the per-file engine structurally cannot see (the
-process-global packet-id counter fixed in PR 1, the swallowed worker
-exceptions found by RL011, the journal-vs-kernel flush discipline from
-PRs 2–5 all crossed at least one module boundary).
-
-The rules lean on :class:`repro.analysis.project.Project` for symbol and
-call resolution and treat every *unresolved* edge as unknown, never as a
-violation: an approximate analyzer that guesses produces suppression
-noise, one that abstains produces trust.
+The process-global packet-id counter, swallowed worker exceptions and
+the journal-vs-kernel flush discipline all crossed at least one module
+boundary. The rules here lean on :class:`repro.analysis.project.Project`
+for symbol and call resolution and treat every *unresolved* edge as
+unknown, never as a violation: an approximate analyzer that guesses
+produces suppression noise, one that abstains produces trust.
 
 Rule summary (details in ``docs/STATIC_ANALYSIS.md``):
 
-* **RP201 seed-provenance** — every RNG construction must be reachable
-  only through call paths that thread an explicit seed. The analyzer
-  taints each function's seed expressions back to parameters and flags
-  (a) call sites that leave an optional seed parameter ``None``,
-  (b) explicit ``None`` seeds, (c) RNG seeds derived from anything that
-  is not a parameter, a seeded attribute, or a constant, and
-  (d) ``SeedSequence()`` drawn from OS entropy.
+* **RL001 unseeded-rng** — every random draw comes from an explicitly
+  seeded generator. Callee names resolve through the module's imports,
+  so ``from numpy.random import default_rng`` is the same constructor
+  as ``np.random.default_rng``. Flags draws from hidden global state
+  (``random.shuffle``, ``np.random.rand``), constructions without a seed
+  or with ``None``, and — following seeds along the call graph — seeds
+  that derive from nothing explicit and call sites that leave an
+  optional seed parameter ``None``.
 * **RP202 fork-safety** — any callable submitted to
   ``SweepExecutor.map``/``run`` must be picklable (no lambdas, no nested
   functions) and must transitively avoid module-level mutable state,
@@ -41,17 +38,17 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .engine import Severity, dotted_name
 from .project import (
     CallSite,
     FunctionInfo,
     ModuleInfo,
     MUTABLE_KIND,
     Project,
-    ProjectContext,
-    ProjectRule,
     RESOURCE_KIND,
-    register_project_rule,
+    Rule,
+    dotted_name,
+    own_nodes,
+    register,
 )
 
 # --------------------------------------------------------------- taint utils
@@ -94,27 +91,11 @@ def _seedish_call(expr: ast.AST) -> bool:
     return False
 
 
-def _own_statements(fn_node: ast.AST) -> List[ast.AST]:
-    """All nodes of the function body, excluding nested def/class scopes."""
-    assert isinstance(fn_node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    collected: List[ast.AST] = []
-    stack: List[ast.AST] = list(fn_node.body)
-    while stack:
-        node = stack.pop()
-        collected.append(node)
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
-        ):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-    return collected
-
-
 def _local_taint(fn: FunctionInfo, initial: Set[str]) -> Set[str]:
     """Fixpoint of names derived (via assignment / loop targets) from
     ``initial`` names or seeded instance attributes inside ``fn``."""
     tainted = set(initial)
-    own = _own_statements(fn.fn_node)
+    own = own_nodes(fn.fn_node)
 
     def value_tainted(value: ast.AST) -> bool:
         return (
@@ -150,41 +131,66 @@ def _local_taint(fn: FunctionInfo, initial: Set[str]) -> Set[str]:
     return tainted
 
 
-# ------------------------------------------------------------- RP201 helpers
+# ---------------------------------------------------------------- RL001 seeds
 
-#: RNG constructor terminal names -> (positional index, keyword) of the
+#: RNG constructors (absolute names) -> (positional index, keyword) of the
 #: seed argument.
 _RNG_CTORS: Dict[str, Tuple[int, str]] = {
-    "default_rng": (0, "seed"),
-    "RandomState": (0, "seed"),
-    "Random": (0, "x"),
-    "SeedSequence": (0, "entropy"),
+    "numpy.random.default_rng": (0, "seed"),
+    "numpy.random.RandomState": (0, "seed"),
+    "numpy.random.SeedSequence": (0, "entropy"),
+    "random.Random": (0, "x"),
 }
 
+#: Module-level samplers that draw from hidden process-wide state: the
+#: stdlib ``random`` Mersenne Twister and numpy's legacy RandomState.
+_GLOBAL_SAMPLERS = frozenset(
+    [f"random.{fn}" for fn in (
+        "random", "randint", "randrange", "choice", "choices", "sample",
+        "shuffle", "uniform", "gauss", "normalvariate", "expovariate",
+        "betavariate", "triangular", "seed", "getrandbits",
+    )]
+    + [f"numpy.random.{fn}" for fn in (
+        "random", "rand", "randn", "randint", "random_sample", "choice",
+        "shuffle", "permutation", "uniform", "normal", "poisson",
+        "exponential", "binomial", "geometric", "seed",
+    )]
+)
 
-def _rng_seed_expr(call: ast.Call) -> Optional[Tuple[str, Optional[ast.AST]]]:
-    """``(ctor_name, seed_expr)`` when ``call`` constructs an RNG.
 
-    ``seed_expr`` is None when the construction passes no seed at all.
-    Matches both the canonical spellings (``np.random.default_rng``) and
-    bare imported names (``default_rng(...)``); misidentifying an
-    unrelated local ``Random`` class costs a spurious provenance check,
-    which the constant/taint analysis then almost always satisfies.
-    """
-    name = dotted_name(call.func)
-    if name is None:
+def _absolute_name(module: ModuleInfo, node: ast.AST) -> Optional[str]:
+    """A callee as an absolute dotted name, resolved through the module's
+    imports (``npr.rand`` after ``import numpy.random as npr`` is
+    ``numpy.random.rand``); names bound by no import stay as written."""
+    text = dotted_name(node)
+    if text is None:
         return None
-    terminal = name.rpartition(".")[2]
-    spec = _RNG_CTORS.get(terminal)
-    if spec is None:
+    head, dot, rest = text.partition(".")
+    binding = module.imports.get(head)
+    if binding is None or binding.type_only:
+        return text
+    return binding.target + dot + rest
+
+
+def _rng_seed_expr(
+    call: ast.Call, name: Optional[str]
+) -> Optional[Tuple[str, Optional[ast.AST]]]:
+    """``(ctor, seed_expr)`` when ``call`` (callee ``name``) constructs an
+    RNG; ``seed_expr`` is None when no seed is passed. None for any other
+    call, and when ``*args``/``**kwargs`` hide the seed."""
+    spec = _RNG_CTORS.get(name or "")
+    if spec is None or any(kw.arg is None for kw in call.keywords) or any(
+        isinstance(arg, ast.Starred) for arg in call.args
+    ):
         return None
     index, keyword = spec
+    ctor = dotted_name(call.func) or ""
     for kw in call.keywords:
         if kw.arg == keyword:
-            return terminal, kw.value
+            return ctor, kw.value
     if len(call.args) > index:
-        return terminal, call.args[index]
-    return terminal, None
+        return ctor, call.args[index]
+    return ctor, None
 
 
 def _has_none_guard(fn: FunctionInfo, param: str) -> bool:
@@ -243,30 +249,62 @@ def _map_call_arguments(
     return supplied
 
 
-@register_project_rule
-class SeedProvenanceRule(ProjectRule):
-    """RP201: every RNG construction must thread an explicit seed.
+@register
+class UnseededRngRule(Rule):
+    """RL001: every random draw comes from an explicitly seeded generator.
 
-    The per-file RL001 catches a literally unseeded ``default_rng()``;
-    this rule catches the cross-module version, where the construction
-    *looks* seeded (``default_rng(seed)``) but the seed is an optional
-    parameter some caller three modules away leaves as ``None``. The
-    taint pass marks each function parameter that flows into an RNG seed
-    position (transitively through project calls); any call site that
-    omits such a parameter (when its default is ``None``) or passes an
-    explicit ``None`` is a path from the caller to an unseeded RNG.
-    Constructions whose seed derives from neither a parameter, a seeded
-    attribute (``self.seed``), a seed-deriving call (``.spawn``), nor a
-    constant are flagged at the construction site, as is
-    ``SeedSequence()`` drawn from OS entropy.
+    Seeded determinism is what makes the Fig. 4 shares and the Eq. 1
+    bound checkable. Callee names resolve through the module's imports.
+    Flagged at the call site, in every module: draws from hidden global
+    state (``random.random()``, ``random.shuffle()``, legacy
+    ``np.random.<sampler>()``), and ``default_rng()`` /
+    ``RandomState()`` / ``SeedSequence()`` / ``random.Random()`` built
+    without a seed or with ``None``.
+
+    Following seeds along the call graph, the rule also catches the
+    construction that *looks* seeded (``default_rng(seed)``) while some
+    caller three modules away leaves ``seed`` as ``None``. The taint pass
+    marks each function parameter that flows into an RNG seed position
+    (transitively through project calls); a call site that omits such a
+    parameter (when its default is ``None``) or passes an explicit
+    ``None`` is a path to an unseeded RNG, unless the function guards
+    the parameter (``if seed is None: raise ...``). Seeds that derive
+    from neither a parameter, a seeded attribute (``self.seed``), a
+    seed-deriving call (``.spawn``), nor a constant are flagged at the
+    construction site. Drawing from an injected ``Generator`` is fine —
+    the simulator's convention is ``np.random.SeedSequence(master).spawn(...)``
+    per flow.
     """
 
-    id = "RP201"
-    name = "seed-provenance"
-    severity = Severity.ERROR
-    description = "call path reaches an RNG whose seed is not explicitly threaded"
+    id = "RL001"
+    name = "unseeded-rng"
+    description = "RNG draw from global state, or a seed that is not explicitly threaded"
+    node_types = (ast.Call,)
 
-    def check(self, project: Project, ctx: ProjectContext) -> None:
+    def visit(self, node: ast.AST, module: ModuleInfo) -> None:
+        assert isinstance(node, ast.Call)
+        name = _absolute_name(module, node.func)
+        if name in _GLOBAL_SAMPLERS:
+            self.report(
+                module, node,
+                f"{dotted_name(node.func)}() draws from hidden global RNG "
+                "state; use an injected, seeded Generator",
+            )
+            return
+        rng = _rng_seed_expr(node, name)
+        if rng is None:
+            return
+        ctor, seed_expr = rng
+        if seed_expr is None or (
+            isinstance(seed_expr, ast.Constant) and seed_expr.value is None
+        ):
+            self.report(
+                module, node,
+                f"{ctor}() without a seed draws from OS entropy; pass an "
+                "explicit seed or SeedSequence",
+            )
+
+    def check(self, project: Project) -> None:
         project.call_graph()  # populates CallSite.resolved
         #: (function qualname, param name) -> representative RNG site text
         sinks: Dict[Tuple[str, str], str] = {}
@@ -274,20 +312,14 @@ class SeedProvenanceRule(ProjectRule):
             module = project.modules[fn.module]
             param_names = [p.arg for p in fn.params]
             for site in fn.calls:
-                rng = _rng_seed_expr(site.node)
+                rng = _rng_seed_expr(
+                    site.node, _absolute_name(module, site.node.func)
+                )
                 if rng is None:
                     continue
                 ctor, seed_expr = rng
-                if seed_expr is None:
-                    if ctor == "SeedSequence":
-                        ctx.report(
-                            self, module, site.node,
-                            "SeedSequence() without entropy draws from the OS; "
-                            "pass the master seed explicitly",
-                        )
-                    continue  # other no-arg constructions are RL001's finding
-                if isinstance(seed_expr, ast.Constant):
-                    continue  # literal seed (None literals are RL001's)
+                if seed_expr is None or isinstance(seed_expr, ast.Constant):
+                    continue  # no seed or a literal one: judged in visit()
                 sink_params = [
                     p for p in param_names
                     if _mentions(seed_expr, _local_taint(fn, {p}))
@@ -305,17 +337,16 @@ class SeedProvenanceRule(ProjectRule):
                     or _mentions(seed_expr, _local_taint(fn, set()))
                 ):
                     continue  # derived from seeded attrs / spawn chains
-                ctx.report(
-                    self, module, site.node,
+                self.report(
+                    module, site.node,
                     f"{ctor}(...) seed does not derive from a parameter, a "
                     "seeded attribute, or a constant — provenance unknown",
                 )
-        self._propagate_and_flag(project, ctx, sinks)
+        self._propagate_and_flag(project, sinks)
 
     def _propagate_and_flag(
         self,
         project: Project,
-        ctx: ProjectContext,
         sinks: Dict[Tuple[str, str], str],
     ) -> None:
         # Fixpoint: a caller param that flows into a sink param is a sink.
@@ -369,15 +400,15 @@ class SeedProvenanceRule(ProjectRule):
                             and isinstance(default, ast.Constant)
                             and default.value is None
                         ):
-                            ctx.report(
-                                self, module, site.node,
+                            self.report(
+                                module, site.node,
                                 f"call to {callee.name}() omits seed parameter "
                                 f"{param!r} (defaults to None) — unseeded "
                                 f"{origin} becomes reachable",
                             )
                     elif isinstance(arg, ast.Constant) and arg.value is None:
-                        ctx.report(
-                            self, module, site.node,
+                        self.report(
+                            module, site.node,
                             f"call to {callee.name}() passes {param}=None — "
                             f"unseeded {origin} becomes reachable",
                         )
@@ -412,7 +443,7 @@ def _locally_bound_names(fn: FunctionInfo) -> Set[str]:
         elif isinstance(target, ast.Starred):
             add_binding_targets(target.value)
 
-    for node in _own_statements(fn.fn_node):
+    for node in own_nodes(fn.fn_node):
         if isinstance(node, ast.Assign):
             for target in node.targets:
                 add_binding_targets(target)
@@ -432,8 +463,8 @@ def _locally_bound_names(fn: FunctionInfo) -> Set[str]:
     return bound
 
 
-@register_project_rule
-class ForkSafetyRule(ProjectRule):
+@register
+class ForkSafetyRule(Rule):
     """RP202: sweep workers must be fork- and pickle-safe.
 
     ``SweepExecutor`` forks workers into separate processes; the
@@ -450,10 +481,9 @@ class ForkSafetyRule(ProjectRule):
 
     id = "RP202"
     name = "fork-unsafe-worker"
-    severity = Severity.ERROR
     description = "sweep worker (or its callees) relies on fork-unsafe module state"
 
-    def check(self, project: Project, ctx: ProjectContext) -> None:
+    def check(self, project: Project) -> None:
         project.call_graph()
         for fn in project.functions():
             module = project.modules[fn.module]
@@ -464,7 +494,7 @@ class ForkSafetyRule(ProjectRule):
                     continue
                 if not self._is_executor_receiver(site, local_types):
                     continue
-                self._check_worker(project, ctx, module, fn, site, worker)
+                self._check_worker(project, module, fn, site, worker)
 
     @staticmethod
     def _submitted_worker(site: CallSite) -> Optional[ast.AST]:
@@ -490,15 +520,14 @@ class ForkSafetyRule(ProjectRule):
     def _check_worker(
         self,
         project: Project,
-        ctx: ProjectContext,
         module: ModuleInfo,
         caller: FunctionInfo,
         site: CallSite,
         worker: ast.AST,
     ) -> None:
         if isinstance(worker, ast.Lambda):
-            ctx.report(
-                self, module, worker,
+            self.report(
+                module, worker,
                 "lambda submitted as a sweep worker is not picklable; "
                 "define a module-level function",
             )
@@ -508,13 +537,13 @@ class ForkSafetyRule(ProjectRule):
             return  # unresolvable worker: unknown, not a violation
         for root in roots:
             if root.nested:
-                ctx.report(
-                    self, module, worker,
+                self.report(
+                    module, worker,
                     f"sweep worker {root.name!r} is a nested function — not "
                     "picklable by qualified name; move it to module level",
                 )
                 continue
-            self._check_reachable_state(project, ctx, site, root)
+            self._check_reachable_state(project, site, root)
 
     def _worker_roots(
         self,
@@ -556,7 +585,6 @@ class ForkSafetyRule(ProjectRule):
     def _check_reachable_state(
         self,
         project: Project,
-        ctx: ProjectContext,
         submit_site: CallSite,
         root: FunctionInfo,
     ) -> None:
@@ -568,14 +596,11 @@ class ForkSafetyRule(ProjectRule):
                 continue
             fn_module = project.modules[fn.module]
             bound = _locally_bound_names(fn)
-            for node in _own_statements(fn.fn_node):
-                self._check_node(
-                    ctx, fn_module, fn, root, node, bound, reported
-                )
+            for node in own_nodes(fn.fn_node):
+                self._check_node(fn_module, fn, root, node, bound, reported)
 
     def _check_node(
         self,
-        ctx: ProjectContext,
         fn_module: ModuleInfo,
         fn: FunctionInfo,
         root: FunctionInfo,
@@ -592,8 +617,8 @@ class ForkSafetyRule(ProjectRule):
             key = (fn.qualname, "global:" + ",".join(node.names))
             if key not in reported:
                 reported.add(key)
-                ctx.report(
-                    self, fn_module, node,
+                self.report(
+                    fn_module, node,
                     f"{fn.name}() writes module-level state via 'global "
                     f"{', '.join(node.names)}'{via}; worker results must be "
                     "a pure function of the sweep point",
@@ -611,8 +636,8 @@ class ForkSafetyRule(ProjectRule):
                 key = (fn.qualname, target.id)
                 if key not in reported:
                     reported.add(key)
-                    ctx.report(
-                        self, fn_module, node,
+                    self.report(
+                        fn_module, node,
                         f"{fn.name}() mutates module-level {target.id!r} via "
                         f".{node.func.attr}(){via}; per-process copies diverge "
                         "silently after fork",
@@ -632,8 +657,8 @@ class ForkSafetyRule(ProjectRule):
                     key = (fn.qualname, target.value.id)
                     if key not in reported:
                         reported.add(key)
-                        ctx.report(
-                            self, fn_module, node,
+                        self.report(
+                            fn_module, node,
                             f"{fn.name}() assigns into module-level "
                             f"{target.value.id!r}{via}; per-process copies "
                             "diverge silently after fork",
@@ -643,8 +668,8 @@ class ForkSafetyRule(ProjectRule):
                 key = (fn.qualname, node.id)
                 if key not in reported:
                     reported.add(key)
-                    ctx.report(
-                        self, fn_module, node,
+                    self.report(
+                        fn_module, node,
                         f"{fn.name}() uses module-level file handle "
                         f"{node.id!r}{via}; open handles must not cross the "
                         "fork boundary",
@@ -670,8 +695,8 @@ _BUILTIN_EXCEPTION_BASES = frozenset(
 )
 
 
-@register_project_rule
-class ExceptionContractRule(ProjectRule):
+@register
+class ExceptionContractRule(Rule):
     """RP203: raised exceptions conform to the ``ReproError`` taxonomy.
 
     Callers are promised (``repro.errors``) that one ``except
@@ -690,17 +715,16 @@ class ExceptionContractRule(ProjectRule):
 
     id = "RP203"
     name = "exception-contract"
-    severity = Severity.ERROR
     description = "raise outside the ReproError taxonomy, or re-wrap dropping the cause"
 
-    def check(self, project: Project, ctx: ProjectContext) -> None:
+    def check(self, project: Project) -> None:
         for fn in project.functions():
             module = project.modules[fn.module]
-            own = _own_statements(fn.fn_node)
+            own = own_nodes(fn.fn_node)
             handlers = [n for n in own if isinstance(n, ast.ExceptHandler)]
             for node in own:
                 if isinstance(node, ast.Raise):
-                    self._check_raise(project, ctx, module, fn, node, handlers)
+                    self._check_raise(project, module, fn, node, handlers)
 
     # ------------------------------------------------------------ taxonomy
 
@@ -738,7 +762,6 @@ class ExceptionContractRule(ProjectRule):
     def _check_raise(
         self,
         project: Project,
-        ctx: ProjectContext,
         module: ModuleInfo,
         fn: FunctionInfo,
         node: ast.Raise,
@@ -751,18 +774,17 @@ class ExceptionContractRule(ProjectRule):
         in_taxonomy = self._in_taxonomy(project, module, name)
         if in_taxonomy is False:
             if terminal not in _ALLOWED_BUILTIN_RAISES:
-                ctx.report(
-                    self, module, node,
+                self.report(
+                    module, node,
                     f"raise {terminal}(...) in {fn.name}() is outside the "
                     f"{_TAXONOMY_ROOT} taxonomy; callers catching ReproError "
                     "will miss it — raise a taxonomy error instead",
                 )
                 return
-        self._check_rewrap(ctx, module, fn, node, handlers, in_taxonomy)
+        self._check_rewrap(module, fn, node, handlers, in_taxonomy)
 
     def _check_rewrap(
         self,
-        ctx: ProjectContext,
         module: ModuleInfo,
         fn: FunctionInfo,
         node: ast.Raise,
@@ -781,8 +803,8 @@ class ExceptionContractRule(ProjectRule):
             # from None`` — the repo's lookup idiom); severing a broad or
             # taxonomy catch erases real evidence.
             if not self._catches_only_specific_builtins(handler):
-                ctx.report(
-                    self, module, node,
+                self.report(
+                    module, node,
                     f"re-wrap in {fn.name}() severs a broad failure context "
                     "with 'from None'; keep the chain ('from exc') so the "
                     "original error stays diagnosable",
@@ -795,8 +817,8 @@ class ExceptionContractRule(ProjectRule):
             return  # nothing to chain from; implicit __context__ stands
         if node.exc is not None and _mentions(node.exc, {bound}):
             return  # original error is embedded in the new one
-        ctx.report(
-            self, module, node,
+        self.report(
+            module, node,
             f"re-wrap in {fn.name}() drops the caught exception "
             f"{bound!r}; add 'from {bound}' (or embed it) so the cause "
             "chain survives",
@@ -835,8 +857,8 @@ class ExceptionContractRule(ProjectRule):
 # ------------------------------------------------------------- RP204 helpers
 
 
-@register_project_rule
-class ProbeFlushRule(ProjectRule):
+@register
+class ProbeFlushRule(Rule):
     """RP204: locally batched probe counters flush on every exit path.
 
     Kernel hot loops follow the pattern blessed by ``repro.obs``:
@@ -852,10 +874,9 @@ class ProbeFlushRule(ProjectRule):
 
     id = "RP204"
     name = "probe-flush"
-    severity = Severity.ERROR
     description = "kernel batches probe counters but misses a flush on some exit path"
 
-    def check(self, project: Project, ctx: ProjectContext) -> None:
+    def check(self, project: Project) -> None:
         for fn in project.functions():
             module = project.modules[fn.module]
             if not self._resolves_hooks(fn):
@@ -865,8 +886,8 @@ class ProbeFlushRule(ProjectRule):
                 continue
             flush_stmts = self._flush_statements(fn)
             if not flush_stmts:
-                ctx.report(
-                    self, module, fn.fn_node,
+                self.report(
+                    module, fn.fn_node,
                     f"{fn.name}() batches counters "
                     f"({', '.join(sorted(counters))}) and resolves probe "
                     "hooks but never flushes them — the probe sees zeros",
@@ -874,7 +895,7 @@ class ProbeFlushRule(ProjectRule):
                 continue
             first_increment = min(line for _, line in counters.items())
             first_flush = min(stmt.lineno for stmt in flush_stmts)
-            for node in _own_statements(fn.fn_node):
+            for node in own_nodes(fn.fn_node):
                 if not isinstance(node, ast.Return):
                     continue
                 if any(
@@ -882,8 +903,8 @@ class ProbeFlushRule(ProjectRule):
                 ):
                     continue
                 if first_increment < node.lineno < first_flush:
-                    ctx.report(
-                        self, module, node,
+                    self.report(
+                        module, node,
                         f"return in {fn.name}() exits before the probe flush "
                         f"at line {first_flush}; batched counters "
                         f"({', '.join(sorted(counters))}) are lost on this "
@@ -903,7 +924,7 @@ class ProbeFlushRule(ProjectRule):
         """Local scalar counters incremented inside a loop -> first
         increment line. A counter is a name assigned a constant int and
         ``+=``-incremented within a ``for``/``while`` body."""
-        own = _own_statements(fn.fn_node)
+        own = own_nodes(fn.fn_node)
         initialized: Set[str] = set()
         for node in own:
             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant):
@@ -947,7 +968,7 @@ class ProbeFlushRule(ProjectRule):
     @staticmethod
     def _count_hook_aliases(fn: FunctionInfo) -> Set[str]:
         aliases: Set[str] = set()
-        for node in _own_statements(fn.fn_node):
+        for node in own_nodes(fn.fn_node):
             if not isinstance(node, ast.Assign):
                 continue
             value = node.value

@@ -1,45 +1,24 @@
-"""Simulator-specific AST rules (the RL1xx series).
+"""Simulator-specific hygiene rules (the RL0xx series).
 
 Each rule encodes an invariant the paper's guarantees depend on. The
 guarantees in question: SSVC bandwidth adherence (paper Fig. 4) requires
 bit-identical replay of arbitration decisions, and the GL worst-case bound
 (Eq. 1) is only checkable against a deterministic simulator. Hence the
 recurring theme below: nothing in the arbitration path may depend on
-global RNG state, wall-clock time, float round-off, or unordered
-container iteration.
+wall-clock time, float round-off, or unordered container iteration.
+The seed rule (RL001) follows seeds along call paths, so it lives with
+the whole-program rules in ``project_rules``.
 
-Rules are registered in id order; ``repro-lint --list-rules`` prints this
-module's docstrings as the authoritative rule catalogue (see
-``docs/STATIC_ANALYSIS.md``).
+``repro-lint --list-rules`` prints the catalogue; ``docs/STATIC_ANALYSIS.md``
+documents each rule.
 """
 
 from __future__ import annotations
 
 import ast
+from typing import Optional
 
-from .engine import ModuleContext, Rule, Severity, dotted_name, register
-
-#: Functions on the stdlib ``random`` module that consume the *global*
-#: (hidden, process-wide) Mersenne Twister state.
-_GLOBAL_RANDOM_FNS = frozenset(
-    {
-        "random", "randint", "randrange", "choice", "choices", "sample",
-        "shuffle", "uniform", "gauss", "normalvariate", "expovariate",
-        "betavariate", "triangular", "seed", "getrandbits",
-    }
-)
-
-#: Legacy ``numpy.random.*`` module-level samplers backed by the global
-#: RandomState (as opposed to an injected ``Generator``).
-_GLOBAL_NUMPY_FNS = frozenset(
-    {
-        "random", "rand", "randn", "randint", "random_sample", "choice",
-        "shuffle", "permutation", "uniform", "normal", "poisson",
-        "exponential", "binomial", "geometric", "seed",
-    }
-)
-
-_NUMPY_ALIASES = ("numpy.random", "np.random")
+from .project import ModuleInfo, Rule, dotted_name, register
 
 _WALL_CLOCK_CALLS = frozenset(
     {
@@ -50,44 +29,6 @@ _WALL_CLOCK_CALLS = frozenset(
         "datetime.datetime.today", "datetime.date.today",
     }
 )
-
-
-@register
-class UnseededRngRule(Rule):
-    """RL001: every random draw must come from an injected, seeded generator.
-
-    Flags any use of the stdlib ``random`` module's global state
-    (``random.random()``, ``random.shuffle()``, ...), ``random.Random()``
-    constructed without a seed, ``numpy.random.default_rng()`` /
-    ``RandomState()`` without a seed, and the legacy global
-    ``numpy.random.<sampler>()`` functions. Seeded construction
-    (``default_rng(seed)``, ``Random(42)``) and drawing from an injected
-    ``Generator`` object are fine — the simulator's convention is
-    ``np.random.SeedSequence(master).spawn(...)`` per flow.
-    """
-
-    id = "RL001"
-    name = "unseeded-rng"
-    severity = Severity.ERROR
-    description = "RNG draw from global or unseeded state breaks seeded determinism"
-    node_types = (ast.Call,)
-
-    def visit(self, node: ast.AST, ctx: ModuleContext) -> None:
-        assert isinstance(node, ast.Call)
-        name = dotted_name(node.func)
-        if name is None:
-            return
-        unseeded = not node.args and not node.keywords
-        head, _, tail = name.rpartition(".")
-        if head == "random" and tail in _GLOBAL_RANDOM_FNS:
-            ctx.report(self, node, f"{name}() draws from the global random state; inject a seeded Random/Generator instead")
-        elif name in ("random.Random", "Random") and unseeded:
-            ctx.report(self, node, f"{name}() without a seed is nondeterministic; pass an explicit seed")
-        elif head in _NUMPY_ALIASES and tail in ("default_rng", "RandomState"):
-            if unseeded or (len(node.args) == 1 and isinstance(node.args[0], ast.Constant) and node.args[0].value is None):
-                ctx.report(self, node, f"{name}() without a seed is nondeterministic; pass an explicit seed or SeedSequence")
-        elif head in _NUMPY_ALIASES and tail in _GLOBAL_NUMPY_FNS:
-            ctx.report(self, node, f"{name}() uses numpy's global RandomState; use an injected Generator")
 
 
 @register
@@ -102,16 +43,15 @@ class WallClockRule(Rule):
 
     id = "RL002"
     name = "wall-clock"
-    severity = Severity.ERROR
     description = "wall-clock read inside a determinism-guarded package"
     node_types = (ast.Call,)
     guarded_only = True
 
-    def visit(self, node: ast.AST, ctx: ModuleContext) -> None:
+    def visit(self, node: ast.AST, module: ModuleInfo) -> None:
         assert isinstance(node, ast.Call)
         name = dotted_name(node.func)
         if name in _WALL_CLOCK_CALLS:
-            ctx.report(self, node, f"{name}() reads the wall clock; simulator code must use the cycle counter")
+            self.report(module, node, f"{name}() reads the wall clock; simulator code must use the cycle counter")
 
 
 @register
@@ -127,11 +67,10 @@ class FloatEqualityRule(Rule):
 
     id = "RL003"
     name = "float-equality"
-    severity = Severity.ERROR
     description = "exact ==/!= comparison against a float expression"
     node_types = (ast.Compare,)
 
-    def visit(self, node: ast.AST, ctx: ModuleContext) -> None:
+    def visit(self, node: ast.AST, module: ModuleInfo) -> None:
         assert isinstance(node, ast.Compare)
         operands = [node.left, *node.comparators]
         for op, left, right in zip(node.ops, operands, operands[1:]):
@@ -139,7 +78,7 @@ class FloatEqualityRule(Rule):
                 continue
             for side in (left, right):
                 if self._is_floatish(side):
-                    ctx.report(self, node, "exact float comparison; use math.isclose or integer units")
+                    self.report(module, node, "exact float comparison; use math.isclose or integer units")
                     return
 
     @staticmethod
@@ -165,19 +104,18 @@ class MutableDefaultRule(Rule):
 
     id = "RL004"
     name = "mutable-default"
-    severity = Severity.ERROR
     description = "mutable default argument shared across calls"
     node_types = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-    def visit(self, node: ast.AST, ctx: ModuleContext) -> None:
+    def visit(self, node: ast.AST, module: ModuleInfo) -> None:
         assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         defaults = list(node.args.defaults) + [
             d for d in node.args.kw_defaults if d is not None
         ]
         for default in defaults:
             if self._is_mutable(default):
-                ctx.report(
-                    self,
+                self.report(
+                    module,
                     default,
                     f"mutable default argument in {node.name}(); use None and create inside the body",
                 )
@@ -205,40 +143,13 @@ class BareExceptRule(Rule):
 
     id = "RL005"
     name = "bare-except"
-    severity = Severity.ERROR
     description = "bare except clause hides programming errors"
     node_types = (ast.ExceptHandler,)
 
-    def visit(self, node: ast.AST, ctx: ModuleContext) -> None:
+    def visit(self, node: ast.AST, module: ModuleInfo) -> None:
         assert isinstance(node, ast.ExceptHandler)
         if node.type is None:
-            ctx.report(self, node, "bare except; catch ReproError or a concrete exception type")
-
-
-@register
-class SwallowedExceptionRule(Rule):
-    """RL006: no silently swallowed exceptions.
-
-    ``except SomeError: pass`` (or ``...``) erases the only evidence that
-    an invariant broke. Either handle the error, re-raise, or log via the
-    stats collector; if swallowing is genuinely correct, say why with an
-    inline ``# reprolint: disable=swallowed-exception`` justification.
-    """
-
-    id = "RL006"
-    name = "swallowed-exception"
-    severity = Severity.WARNING
-    description = "exception handler whose only body is pass/..."
-    node_types = (ast.ExceptHandler,)
-
-    def visit(self, node: ast.AST, ctx: ModuleContext) -> None:
-        assert isinstance(node, ast.ExceptHandler)
-        body = node.body
-        if len(body) == 1 and (
-            isinstance(body[0], ast.Pass)
-            or (isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant) and body[0].value.value is Ellipsis)
-        ):
-            ctx.report(self, node, "exception silently swallowed; handle it or justify the suppression inline")
+            self.report(module, node, "bare except; catch ReproError or a concrete exception type")
 
 
 @register
@@ -256,25 +167,24 @@ class SetIterationRule(Rule):
 
     id = "RL007"
     name = "set-iteration"
-    severity = Severity.ERROR
     description = "iteration over an unordered set inside a guarded package"
     node_types = (ast.For, ast.AsyncFor, ast.comprehension, ast.Call)
     guarded_only = True
 
-    def visit(self, node: ast.AST, ctx: ModuleContext) -> None:
+    def visit(self, node: ast.AST, module: ModuleInfo) -> None:
         if isinstance(node, (ast.For, ast.AsyncFor)):
-            self._check_iterable(node.iter, ctx)
+            self._check_iterable(node.iter, module)
         elif isinstance(node, ast.comprehension):
-            self._check_iterable(node.iter, ctx)
+            self._check_iterable(node.iter, module)
         elif isinstance(node, ast.Call):
             if isinstance(node.func, ast.Attribute) and node.func.attr == "popitem":
-                ctx.report(self, node, "dict.popitem() order is incidental; pop an explicit key")
+                self.report(module, node, "dict.popitem() order is incidental; pop an explicit key")
 
-    def _check_iterable(self, iterable: ast.AST, ctx: ModuleContext) -> None:
+    def _check_iterable(self, iterable: ast.AST, module: ModuleInfo) -> None:
         if isinstance(iterable, (ast.Set, ast.SetComp)):
-            ctx.report(self, iterable, "iterating a set literal; order is undefined — sort or use a list")
+            self.report(module, iterable, "iterating a set literal; order is undefined — sort or use a list")
         elif isinstance(iterable, ast.Call) and dotted_name(iterable.func) in ("set", "frozenset"):
-            ctx.report(self, iterable, "iterating set(...); order is undefined — use sorted(...) instead")
+            self.report(module, iterable, "iterating set(...); order is undefined — use sorted(...) instead")
 
 
 @register
@@ -290,15 +200,14 @@ class PrintInLibraryRule(Rule):
 
     id = "RL008"
     name = "print-in-library"
-    severity = Severity.WARNING
     description = "print() call inside a guarded library package"
     node_types = (ast.Call,)
     guarded_only = True
 
-    def visit(self, node: ast.AST, ctx: ModuleContext) -> None:
+    def visit(self, node: ast.AST, module: ModuleInfo) -> None:
         assert isinstance(node, ast.Call)
         if isinstance(node.func, ast.Name) and node.func.id == "print":
-            ctx.report(self, node, "print() in library code; return data or use repro.metrics reporting")
+            self.report(module, node, "print() in library code; return data or use repro.metrics reporting")
 
 
 #: Module prefixes that spawn OS processes; fan-out must go through the
@@ -321,26 +230,25 @@ class FanOutImportRule(Rule):
 
     id = "RL009"
     name = "fan-out-import"
-    severity = Severity.ERROR
     description = "process-pool import outside the repro.parallel subsystem"
     node_types = (ast.Import, ast.ImportFrom)
 
-    def visit(self, node: ast.AST, ctx: ModuleContext) -> None:
-        if ctx.module.parts[:2] == ("repro", "parallel"):
+    def visit(self, node: ast.AST, module: ModuleInfo) -> None:
+        if module.parts[:2] == ("repro", "parallel"):
             return
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if self._is_fan_out(alias.name):
-                    self._flag(node, alias.name, ctx)
+                    self._flag(node, alias.name, module)
         elif isinstance(node, ast.ImportFrom):
             if node.level or node.module is None:  # relative import
                 return
             if self._is_fan_out(node.module):
-                self._flag(node, node.module, ctx)
+                self._flag(node, node.module, module)
             elif node.module == "concurrent" and any(
                 alias.name == "futures" for alias in node.names
             ):
-                self._flag(node, "concurrent.futures", ctx)
+                self._flag(node, "concurrent.futures", module)
 
     @staticmethod
     def _is_fan_out(name: str) -> bool:
@@ -349,9 +257,9 @@ class FanOutImportRule(Rule):
             for prefix in _FAN_OUT_MODULES
         )
 
-    def _flag(self, node: ast.AST, name: str, ctx: ModuleContext) -> None:
-        ctx.report(
-            self,
+    def _flag(self, node: ast.AST, name: str, module: ModuleInfo) -> None:
+        self.report(
+            module,
             node,
             f"direct {name} import bypasses the deterministic sweep "
             "executor; use repro.parallel.SweepExecutor",
@@ -375,31 +283,30 @@ class FaultDeepImportRule(Rule):
 
     id = "RL010"
     name = "fault-deep-import"
-    severity = Severity.ERROR
     description = "deep import into repro.faults internals instead of the facade"
     node_types = (ast.Import, ast.ImportFrom)
 
-    def visit(self, node: ast.AST, ctx: ModuleContext) -> None:
-        if ctx.module.parts[:2] == ("repro", "faults"):
+    def visit(self, node: ast.AST, module: ModuleInfo) -> None:
+        if module.parts[:2] == ("repro", "faults"):
             return
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.startswith("repro.faults."):
-                    self._flag(node, alias.name, ctx)
+                    self._flag(node, alias.name, module)
         elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
+            imported = node.module or ""
             if node.level:
                 # Relative deep import: ``from ..faults.plan import X``
                 # parses as level=2, module="faults.plan".
-                parts = module.split(".")
+                parts = imported.split(".")
                 if len(parts) >= 2 and parts[0] == "faults":
-                    self._flag(node, "." * node.level + module, ctx)
-            elif module.startswith("repro.faults."):
-                self._flag(node, module, ctx)
+                    self._flag(node, "." * node.level + imported, module)
+            elif imported.startswith("repro.faults."):
+                self._flag(node, imported, module)
 
-    def _flag(self, node: ast.AST, name: str, ctx: ModuleContext) -> None:
-        ctx.report(
-            self,
+    def _flag(self, node: ast.AST, name: str, module: ModuleInfo) -> None:
+        self.report(
+            module,
             node,
             f"deep import {name} reaches into repro.faults internals; "
             "import from the repro.faults package root",
@@ -418,11 +325,11 @@ _RECORD_MARKERS = (
 class SwallowedWithoutRecordRule(Rule):
     """RL011: every exception handler must re-raise, record, or resolve.
 
-    RL006 catches the trivial ``except E: pass``; this rule catches the
-    subtler swallow — a handler that *does* something (reset a cache,
-    assign a fallback) but lets the only evidence of the failure vanish:
-    no re-raise, no return/break/continue the caller can observe, no use
-    of the bound exception, and no call into a recording sink (probe
+    Flags a handler that lets the only evidence of the failure vanish,
+    whether it does nothing (``except E: pass``) or something (reset a
+    cache, assign a fallback): no re-raise, no return/break/continue the
+    caller can observe, no use of the bound exception, and no call into
+    a recording sink (probe
     counters, journal, logger, report, stderr...). The resilience layer
     made this load-bearing: a retry/salvage decision is only auditable if
     every absorbed failure leaves a trace (``resilience.*`` counters, the
@@ -432,23 +339,12 @@ class SwallowedWithoutRecordRule(Rule):
 
     id = "RL011"
     name = "swallowed-without-record"
-    severity = Severity.WARNING
     description = "exception handler neither re-raises, records, nor resolves"
     node_types = (ast.ExceptHandler,)
 
-    def visit(self, node: ast.AST, ctx: ModuleContext) -> None:
+    def visit(self, node: ast.AST, module: ModuleInfo) -> None:
         assert isinstance(node, ast.ExceptHandler)
-        body = node.body
-        if len(body) == 1 and (
-            isinstance(body[0], ast.Pass)
-            or (
-                isinstance(body[0], ast.Expr)
-                and isinstance(body[0].value, ast.Constant)
-                and body[0].value.value is Ellipsis
-            )
-        ):
-            return  # RL006's territory; one finding per defect is enough
-        for stmt in body:
+        for stmt in node.body:
             for sub in ast.walk(stmt):
                 if isinstance(sub, (ast.Raise, ast.Return, ast.Break, ast.Continue)):
                     return
@@ -460,8 +356,8 @@ class SwallowedWithoutRecordRule(Rule):
                     and sub.id == node.name
                 ):
                     return  # the exception object flows somewhere visible
-        ctx.report(
-            self,
+        self.report(
+            module,
             node,
             "exception absorbed without re-raise, record, or control-flow "
             "exit; count/journal/log the failure or justify inline",
@@ -512,14 +408,9 @@ class NumpyDeterminismRule(Rule):
 
     The array kernel's parity contract (``docs/KERNELS.md``) holds only
     if its numpy usage is as replayable as the scalar loops it mirrors.
-    Three hazards are flagged inside the guarded packages:
+    Two hazards are flagged inside the guarded packages (global-state
+    ``np.random`` samplers are RL001's, everywhere):
 
-    * ``np.random.*`` global-state samplers — a hidden process-wide
-      RandomState draw cannot be replayed; the sanctioned idiom is a
-      seeded ``np.random.SeedSequence(...).spawn(...)`` / ``default_rng``
-      Generator (RL001 flags the same samplers everywhere, but an
-      un-guarded module can suppress it locally — inside the guarded
-      packages this rule makes the ban non-negotiable);
     * float dtypes in array constructors — an explicit ``dtype=float64``
       (or a ``zeros``/``ones``/``empty`` call *without* a dtype, which
       defaults to float64) puts round-off into the grant path, where the
@@ -533,40 +424,31 @@ class NumpyDeterminismRule(Rule):
 
     id = "RL012"
     name = "numpy-determinism"
-    severity = Severity.ERROR
     description = "numpy usage that can break bit-identical arbitration replay"
     node_types = (ast.Call,)
     guarded_only = True
 
-    def visit(self, node: ast.AST, ctx: ModuleContext) -> None:
+    def visit(self, node: ast.AST, module: ModuleInfo) -> None:
         assert isinstance(node, ast.Call)
         name = dotted_name(node.func)
         if name is not None:
             head, _, tail = name.rpartition(".")
-            if head in _NUMPY_ALIASES and tail in _GLOBAL_NUMPY_FNS:
-                ctx.report(
-                    self,
-                    node,
-                    f"{name}() draws from numpy's hidden global RandomState; "
-                    "arbitration code must use a seeded, injected Generator",
-                )
-                return
             if head in _NUMPY_HEADS and tail in _ARRAY_CTORS:
-                self._check_ctor(node, name, tail, ctx)
+                self._check_ctor(node, name, tail, module)
                 return
         if isinstance(node.func, ast.Attribute):
             if node.func.attr == "astype":
                 if node.args and self._is_float_dtype(node.args[0]):
-                    ctx.report(
-                        self,
+                    self.report(
+                        module,
                         node,
                         "astype() to a float dtype in arbitration code; "
                         "the grant path compares integers only",
                     )
                 return
-            if node.func.attr in _TIE_BREAK_FNS and not self._documented(node, ctx):
-                ctx.report(
-                    self,
+            if node.func.attr in _TIE_BREAK_FNS and not self._documented(node, module):
+                self.report(
+                    module,
                     node,
                     f"{node.func.attr}() without a documented tie-break; "
                     "numpy picks the lowest index on ties — add a "
@@ -575,21 +457,21 @@ class NumpyDeterminismRule(Rule):
                 )
 
     def _check_ctor(
-        self, node: ast.Call, name: str, tail: str, ctx: ModuleContext
+        self, node: ast.Call, name: str, tail: str, module: ModuleInfo
     ) -> None:
         dtype = next((kw.value for kw in node.keywords if kw.arg == "dtype"), None)
         if dtype is None:
             if tail in _FLOAT_DEFAULT_CTORS:
-                ctx.report(
-                    self,
+                self.report(
+                    module,
                     node,
                     f"{name}() without a dtype defaults to float64; grant-path "
                     "arrays must pass an explicit integer or bool dtype",
                 )
             return
         if self._is_float_dtype(dtype):
-            ctx.report(
-                self,
+            self.report(
+                module,
                 node,
                 f"{name}() with a float dtype in arbitration code; the "
                 "grant path compares integers only",
@@ -605,8 +487,8 @@ class NumpyDeterminismRule(Rule):
             return spelling in _FLOAT_DTYPE_STRINGS
         return False
 
-    def _documented(self, node: ast.Call, ctx: ModuleContext) -> bool:
-        lines = ctx.module.source.splitlines()
+    def _documented(self, node: ast.Call, module: ModuleInfo) -> bool:
+        lines = module.source.splitlines()
         lo = max(node.lineno - 3, 0)
         hi = min(node.lineno + 1, len(lines))
         window = "\n".join(lines[lo:hi]).lower()
@@ -672,7 +554,6 @@ class IterativeArbiterContractRule(Rule):
 
     id = "RL013"
     name = "iterative-arbiter-contract"
-    severity = Severity.ERROR
     description = (
         "iterative matchers must keep grant phases pure and advance "
         "round-robin pointers only on accepted grants"
@@ -680,7 +561,7 @@ class IterativeArbiterContractRule(Rule):
     node_types = (ast.ClassDef,)
     guarded_only = True
 
-    def visit(self, node: ast.AST, ctx: ModuleContext) -> None:
+    def visit(self, node: ast.AST, module: ModuleInfo) -> None:
         assert isinstance(node, ast.ClassDef)
         if not any(
             (dotted_name(base) or "").split(".")[-1] == "IterativeArbiter"
@@ -689,9 +570,9 @@ class IterativeArbiterContractRule(Rule):
             return
         for item in node.body:
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._check_method(item, ctx)
+                self._check_method(item, module)
 
-    def _check_method(self, method: ast.AST, ctx: ModuleContext) -> None:
+    def _check_method(self, method: ast.AST, module: ModuleInfo) -> None:
         assert isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
         lowered = method.name.lower()
         pointer_ok = "accept" in lowered or method.name == "__init__"
@@ -709,11 +590,11 @@ class IterativeArbiterContractRule(Rule):
                     stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
                 )
                 for target in targets:
-                    self._check_write(target, method, ctx,
+                    self._check_write(target, method, module,
                                       pointer_ok, is_phase, params)
             elif isinstance(stmt, ast.Delete):
                 for target in stmt.targets:
-                    self._check_write(target, method, ctx,
+                    self._check_write(target, method, module,
                                       pointer_ok, is_phase, params)
             elif (
                 isinstance(stmt, ast.Call)
@@ -728,8 +609,8 @@ class IterativeArbiterContractRule(Rule):
                         "shared scheduler state" if root == "self"
                         else f"the caller's {root!r}"
                     )
-                    ctx.report(
-                        self,
+                    self.report(
+                        module,
                         stmt,
                         f"{method.name}() calls .{stmt.func.attr}() on "
                         f"{what}; grant/propose phases must stay pure — "
@@ -740,7 +621,7 @@ class IterativeArbiterContractRule(Rule):
         self,
         target: ast.AST,
         method: ast.AST,
-        ctx: ModuleContext,
+        module: ModuleInfo,
         pointer_ok: bool,
         is_phase: bool,
         params: "set[str]",
@@ -748,15 +629,15 @@ class IterativeArbiterContractRule(Rule):
         assert isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
         if isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
-                self._check_write(element, method, ctx,
+                self._check_write(element, method, module,
                                   pointer_ok, is_phase, params)
             return
         root = _rl013_root(target)
         if root is None:
             return
         if _rl013_touches_pointer(target) and root == "self" and not pointer_ok:
-            ctx.report(
-                self,
+            self.report(
+                module,
                 target,
                 f"{method.name}() writes a round-robin pointer; pointers "
                 "advance only on accepted grants (an accept-phase method "
@@ -768,8 +649,8 @@ class IterativeArbiterContractRule(Rule):
                 "shared scheduler state" if root == "self"
                 else f"the caller's {root!r}"
             )
-            ctx.report(
-                self,
+            self.report(
+                module,
                 target,
                 f"{method.name}() assigns into {what}; grant/propose "
                 "phases must stay pure — mutate in the accept phase or "

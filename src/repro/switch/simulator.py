@@ -407,7 +407,7 @@ class Simulation:
             if spec.priority_level:
                 try:
                     self.switch.set_priority_level(spec.flow.src, spec.priority_level)
-                except Exception:  # reprolint: disable=swallowed-exception
+                except Exception:  # reprolint: disable=swallowed-without-record
                     # Levels are only meaningful for the fixed-priority
                     # baseline; other arbiters reject or ignore them by
                     # design, so a failed set_priority_level is expected.

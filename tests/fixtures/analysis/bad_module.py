@@ -1,14 +1,18 @@
 """A deliberately broken module exercised by the reprolint test suite.
 
 Every statement below violates one analyzer rule; the expected finding set
-is asserted in ``tests/test_analysis_contracts.py``. This file is *not*
-imported anywhere — it only needs to parse.
+is asserted in ``tests/test_analysis_contracts.py`` and, per function, in
+``tests/test_analysis_coverage.py``. This file is *not* imported anywhere —
+it only needs to parse.
 """
 
 import random
 from concurrent.futures import ProcessPoolExecutor
+from random import shuffle
 
 import numpy as np
+import numpy.random as npr
+from numpy.random import RandomState, default_rng
 
 from repro.core import ThermometerCode
 from repro.faults.injector import FaultInjector
@@ -35,6 +39,32 @@ def unseeded_generator():
     return np.random.default_rng()
 
 
+def imported_unseeded_generator():
+    """RL001: a directly imported default_rng() without a seed."""
+    return default_rng()
+
+
+def imported_unseeded_random_state():
+    """RL001: a directly imported RandomState() without a seed."""
+    return RandomState()
+
+
+def none_seeded_generator():
+    """RL001: a None seed draws from OS entropy like no seed at all."""
+    return default_rng(None)
+
+
+def imported_global_shuffle(items):
+    """RL001: a directly imported shuffle() uses the global random state."""
+    shuffle(items)
+    return items
+
+
+def aliased_global_sampler():
+    """RL001: numpy's global RandomState reached through a module alias."""
+    return npr.rand(3)
+
+
 def float_equality(aux_vc_value):
     """RL003: exact equality against a float credit value."""
     return aux_vc_value == 0.5
@@ -47,7 +77,7 @@ def mutable_default(history=[]):
 
 
 def bare_except(action):
-    """RL005 + RL006: bare except that also swallows the error."""
+    """RL005 + RL011: bare except that also swallows the error."""
     try:
         action()
     except:

@@ -1,7 +1,8 @@
 """A deliberately non-deterministic numpy module for the RL012 tests.
 
-Every function below trips the numpy-determinism rule in a different way;
-the expected finding set is asserted in ``tests/test_analysis_rules.py``.
+Every function below trips the numpy-determinism rule (or, for the two
+global-state samplers, the seed rule RL001) in a different way; the
+expected finding set is asserted in ``tests/test_analysis_rules.py``.
 Linted under a ``src/repro/qos/`` path (RL012 only fires inside the guarded
 simulator packages). This file is *not* imported anywhere — it only needs
 to parse.
@@ -11,12 +12,12 @@ import numpy as np
 
 
 def global_state_draw(n):
-    """RL012 (and RL001): hidden global RandomState, unreplayable."""
+    """RL001: hidden global RandomState, unreplayable."""
     return np.random.randint(0, n)
 
 
 def global_state_shuffle(candidates):
-    """RL012: global-state shuffle of an arbitration candidate list."""
+    """RL001: global-state shuffle of an arbitration candidate list."""
     np.random.shuffle(candidates)
     return candidates
 

@@ -5,9 +5,12 @@ the contract tests prove the rules do not flag correct idioms.
 """
 
 import math
+import random
 from typing import Optional, Sequence
 
 import numpy as np
+import numpy.random as npr
+from numpy.random import RandomState, default_rng
 
 from repro.config import SwitchConfig
 from repro.core import ThermometerCode
@@ -20,6 +23,32 @@ def seeded_draw(seed: int) -> float:
     """Seeded construction is the sanctioned RNG idiom."""
     rng = np.random.default_rng(seed)
     return float(rng.random())
+
+
+def imported_seeded_generator(seed: int):
+    """A directly imported default_rng() with an explicit seed."""
+    return default_rng(seed)
+
+
+def imported_seeded_random_state(seed: int):
+    """A directly imported RandomState() with an explicit seed."""
+    return RandomState(seed)
+
+
+def sequence_seeded_generator(seed: int):
+    """A SeedSequence seed instead of None."""
+    return default_rng(np.random.SeedSequence(seed))
+
+
+def seeded_shuffle(items: list, seed: int) -> list:
+    """Shuffling through a seeded Random instead of the global state."""
+    random.Random(seed).shuffle(items)
+    return items
+
+
+def aliased_seeded_sampler(seed: int):
+    """Drawing from a seeded Generator reached through a module alias."""
+    return npr.default_rng(seed).random(3)
 
 
 def float_comparison(aux_vc_value: float) -> bool:

@@ -1,4 +1,4 @@
-"""RP201 bait: unseeded RNG paths."""
+"""RL001 bait: unseeded RNG paths."""
 
 import numpy as np
 
@@ -11,20 +11,20 @@ def make_rng(seed=None):
 
 
 def sweep_point():
-    # RP201: omits the seed parameter -> default None reaches the RNG.
+    # RL001: omits the seed parameter -> default None reaches the RNG.
     return make_rng()
 
 
 def explicit_none():
-    # RP201: passes seed=None explicitly.
+    # RL001: passes seed=None explicitly.
     return make_rng(seed=None)
 
 
 def from_module_state():
-    # RP201: seed derives from module state, not a parameter or constant.
+    # RL001: seed derives from module state, not a parameter or constant.
     return np.random.default_rng(_STATE["entropy"])
 
 
 def os_entropy():
-    # RP201: SeedSequence() with no entropy draws from the OS.
+    # RL001: SeedSequence() with no entropy draws from the OS.
     return np.random.SeedSequence()

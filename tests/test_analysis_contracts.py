@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import all_project_rules, all_rules, analyze_project, lint_source
+from repro.analysis import all_rules, analyze_project, lint_source
 from repro.analysis import cli
 from repro.analysis.cli import main as lint_main
 
@@ -31,7 +31,7 @@ GOOD = FIXTURES / "good_module.py"
 def test_bad_fixture_trips_the_expected_rules():
     report = analyze_project([str(BAD)])
     found = {f.rule_id for f in report.open_findings}
-    assert {"RL001", "RL003", "RL004", "RL005", "RL006", "RL009", "RL010", "RL011", "RC101", "RC102", "RC103"} <= found
+    assert {"RL001", "RL003", "RL004", "RL005", "RL009", "RL010", "RL011", "RC101", "RC102", "RC103"} <= found
     assert report.exit_code != 0
 
 
@@ -83,7 +83,7 @@ def test_suppressions_in_tree_are_visible_in_report(src_report):
     suppressed = [
         f for f in src_report.suppressed_findings if Path(f.path) == simulator
     ]
-    assert [f.rule_id for f in suppressed] == ["RL006"]
+    assert [f.rule_id for f in suppressed] == ["RL011"]
     assert suppressed[0].render() in src_report.to_text()
     assert src_report.to_text().count("(suppressed)") == len(
         src_report.suppressed_findings
@@ -102,11 +102,10 @@ def test_cli_json_report_shape_and_exit_codes(capsys):
     assert len(rule_ids) >= 8
     summary = payload["summary"]
     assert summary["files_scanned"] == 1
-    assert summary["open_findings"] == 12
+    assert summary["open_findings"] == 17
     assert summary["findings_per_rule"] == {
-        "RC101": 1, "RC102": 1, "RC103": 1, "RL001": 2, "RL003": 1,
-        "RL004": 1, "RL005": 1, "RL006": 1, "RL009": 1, "RL010": 1,
-        "RL011": 1,
+        "RC101": 1, "RC102": 1, "RC103": 1, "RL001": 7, "RL003": 1,
+        "RL004": 1, "RL005": 1, "RL009": 1, "RL010": 1, "RL011": 2,
     }
 
 
@@ -125,8 +124,9 @@ def test_cli_clean_tree_exits_zero(src_report, monkeypatch, capsys):
     assert code == 0
     assert payload["summary"]["open_findings"] == 0
     assert {rule["id"] for rule in payload["rules"]} >= {
-        "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007", "RL008",
-        "RL009", "RL010", "RL011", "RC101", "RC102", "RC103",
+        "RL001", "RL002", "RL003", "RL004", "RL005", "RL007", "RL008",
+        "RL009", "RL010", "RL011", "RL012", "RL013", "RC101", "RC102", "RC103",
+        "RP202", "RP203", "RP204",
     }
 
 
@@ -135,7 +135,7 @@ def test_cli_select_ignore_and_list_rules(capsys):
     listing = capsys.readouterr().out
     assert "RL001" in listing and "unseeded-rng" in listing
     rule_lines = [line for line in listing.splitlines() if line[:1] == "R"]
-    assert len(rule_lines) == len(all_rules()) + len(all_project_rules()) == 20
+    assert len(rule_lines) == len(all_rules()) == 18
 
     # Every run applies every rule: rule filters are usage errors (exit 2).
     for flag in ("--select", "--ignore"):

@@ -1,9 +1,8 @@
-"""RP201–RP204 behaviour on the good/bad fixture packages and the
-``repro-lint`` CLI wiring.
+"""Whole-program rule behaviour (RL001's seed provenance, RP202–RP204) on
+the good/bad fixture packages and the ``repro-lint`` CLI wiring.
 
-The core acceptance assertion of the issue lives here: every project
-rule demonstrably fires on the bad mini-project and stays silent on the
-good one.
+Every whole-program rule demonstrably fires on the bad mini-project and
+stays silent on the good one.
 """
 
 import json
@@ -12,13 +11,13 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.cli import main as lint_main
-from repro.analysis.project import all_project_rules, analyze_project
+from repro.analysis.project import all_rules, analyze_project
 
 REPO = Path(__file__).resolve().parent.parent
 GOOD_ROOT = str(REPO / "tests" / "fixtures" / "project_good")
 BAD_ROOT = str(REPO / "tests" / "fixtures" / "project_bad")
 
-PROJECT_RULE_IDS = ("RP201", "RP202", "RP203", "RP204")
+PROJECT_RULE_IDS = ("RL001", "RP202", "RP203", "RP204")
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +35,7 @@ def _rule_findings(report, rule_id):
 
 
 def test_all_project_rules_are_registered():
-    assert {cls.id for cls in all_project_rules()} >= set(PROJECT_RULE_IDS)
+    assert {cls.id for cls in all_rules()} >= set(PROJECT_RULE_IDS)
 
 
 @pytest.mark.parametrize("rule_id", PROJECT_RULE_IDS)
@@ -48,21 +47,21 @@ def test_rule_fires_on_bad_and_is_silent_on_good(rule_id, bad_report, good_repor
     )
 
 
-# -------------------------------------------------------------- RP201 shape
+# ------------------------------------------------------ RL001 seed shape
 
 
-def test_rp201_finds_the_three_unseeded_paths(bad_report):
-    messages = "\n".join(f.message for f in _rule_findings(bad_report, "RP201"))
+def test_seed_rule_finds_the_unseeded_paths(bad_report):
+    messages = "\n".join(f.message for f in _rule_findings(bad_report, "RL001"))
     assert "omits seed parameter" in messages
     assert "passes seed=None" in messages
     assert "provenance unknown" in messages
-    assert "SeedSequence() without entropy" in messages
+    assert "SeedSequence() without a seed" in messages
 
 
-def test_rp201_respects_none_guards(good_report):
+def test_seed_rule_respects_none_guards(good_report):
     # goodpkg.rng.verified(seed=None) raises on None before the RNG; callers
     # omitting the seed must not be flagged.
-    assert not _rule_findings(good_report, "RP201")
+    assert not _rule_findings(good_report, "RL001")
 
 
 # -------------------------------------------------------------- RP202 shape
@@ -127,8 +126,8 @@ def test_cli_project_json_format(capsys):
         "parse_errors", "findings_per_rule",
     }
     assert {key for f in payload["findings"] for key in f} == {
-        "path", "line", "col", "rule_id", "rule_name", "severity",
-        "message", "suppressed",
+        "path", "line", "col", "rule_id", "rule_name", "message",
+        "suppressed",
     }
 
 

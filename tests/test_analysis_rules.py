@@ -58,11 +58,6 @@ RULE_CASES = [
         "def f(g):\n    try:\n        g()\n    except RuntimeError:\n        raise ValueError\n",
     ),
     (
-        "RL006",
-        "def f(g):\n    try:\n        g()\n    except ValueError:\n        pass\n",
-        "def f(g, log):\n    try:\n        g()\n    except ValueError as exc:\n        log(exc)\n",
-    ),
-    (
         "RL007",
         "def f(items):\n    for x in set(items):\n        yield x\n",
         "def f(items):\n    for x in sorted(set(items)):\n        yield x\n",
@@ -192,6 +187,12 @@ def test_unseeded_rng_flags_legacy_numpy_global_state():
     assert "RL001" in open_ids(source)
 
 
+def test_swallowed_without_record_flags_pass_and_ellipsis_bodies():
+    for body in ("pass", "..."):
+        source = f"def f(g):\n    try:\n        g()\n    except ValueError:\n        {body}\n"
+        assert open_ids(source, path=PLAIN_PATH) == ["RL011"], body
+
+
 def test_float_equality_flags_division_operand():
     source = "def f(a, b, c):\n    return a == b / c\n"
     assert "RL003" in open_ids(source)
@@ -255,7 +256,7 @@ def test_fault_deep_import_exempts_the_faults_package():
 
 
 def test_numpy_determinism_fires_only_in_guarded_packages():
-    source = "import numpy as np\nx = np.random.shuffle([1, 2])\n"
+    source = "import numpy as np\nx = np.zeros(4)\n"
     assert "RL012" not in open_ids(source, path=PLAIN_PATH)
     assert "RL012" in open_ids(source, path="src/repro/switch/x.py")
 
@@ -270,8 +271,10 @@ def fixture_ids(name: str, rule_id: str) -> list:
 
 
 def test_numpy_determinism_fixture_pair():
-    # One finding per offending function in the bad fixture.
-    assert len(fixture_ids("bad_numpy_module.py", "RL012")) == 7
+    # One finding per offending function in the bad fixture, except the
+    # two global-state samplers, which are RL001's.
+    assert len(fixture_ids("bad_numpy_module.py", "RL012")) == 5
+    assert len(fixture_ids("bad_numpy_module.py", "RL001")) == 2
     assert fixture_ids("good_numpy_module.py", "RL012") == []
 
 
@@ -295,6 +298,7 @@ def test_rule_registry_is_complete_and_unique():
     ids = [r.id for r in rules]
     assert len(ids) == len(set(ids))
     assert len(ids) >= 8
+    assert ids == sorted(ids)
     assert set(RULE_IDS) <= set(ids)
 
 
