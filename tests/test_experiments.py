@@ -8,9 +8,14 @@ lookups, the re-arbitration ablation, and the typed errors a broken run must rai
 reporting plausible-looking numbers.
 """
 
+import contextlib
+import hashlib
+import io
+
 import pytest
 
 from repro.errors import ConfigError
+from repro.experiments.cli import main
 from repro.experiments.common import ARBITER_PRESETS, make_arbiter_factory
 from repro.experiments.fig4_bandwidth import run_fig4
 from repro.experiments.fig5_latency_fairness import run_fig5
@@ -70,3 +75,19 @@ class TestGLExperiments:
             run_gl_bound(horizon=40, gl_rate=0.0001, seed=17)
         assert isinstance(excinfo.value, ReproError)
         assert "no GL packets" in str(excinfo.value)
+
+
+class TestComposition:
+    #: SHA-256 of ``repro-exp composition --fast`` stdout. The two-stage
+    #: simulator draws its own arrivals, so this pins its traffic draws
+    #: and its schedule in one number.
+    FAST_REPORT_SHA256 = (
+        "f6854520210fb9ab7f52ca17cf5d183c93ae2b61a759d92b5a1ca6eda0c3c3cc"
+    )
+
+    def test_fast_report_digest_is_pinned(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["composition", "--fast"]) == 0
+        digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+        assert digest == self.FAST_REPORT_SHA256

@@ -11,16 +11,24 @@ wake; any rework of that step must reproduce them exactly.
 
 Each hash is the SHA-256 of the ``repr`` of a ``collect_events=True``
 event stream (grants and deliveries, packet ids included).
+
+The ``arbiter`` axis pins the grant schedule of every entry in
+``ARBITER_PRESETS`` on one small workload (GB reservations on two outputs,
+BE traffic from reserved inputs, one priority level), on the event kernel
+only: the array kernel refuses non-SSVC stacks. Iterative presets run on
+``voq_config()``. Several presets (arrival-stamped VC, PVC, CCSP, GSF) run
+in no paper artifact, so these hashes are what holds their schedules.
 """
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
 from repro.config import FIG4_CONFIG
-from repro.experiments.common import make_simulation
+from repro.experiments.common import ARBITER_PRESETS, make_simulation, voq_config
 from repro.faults import FaultPlan, packet_drop, packet_dup
 from repro.traffic.flows import Workload, be_flow, gb_flow
 from repro.traffic.patterns import fig4_workload
@@ -41,6 +49,30 @@ def _mixed_length_workload() -> Workload:
     return workload
 
 
+def _preset_workload() -> Workload:
+    """GB reservations on outputs 0 and 1, BE traffic from reserved inputs.
+
+    Every BE source also holds a reservation at its output, so arbiters
+    that require one per requester (Virtual Clock, SSVC) accept it.
+    """
+    workload = Workload(name="preset-mix")
+    for src, rate in enumerate((0.1, 0.2, 0.3, 0.15)):
+        workload.add(gb_flow(src, 0, reserved_rate=rate))
+    workload.add(gb_flow(4, 1, reserved_rate=0.4, inject_rate=0.3))
+    workload.add(
+        replace(gb_flow(5, 1, reserved_rate=0.3, inject_rate=0.5), priority_level=3)
+    )
+    workload.add(replace(be_flow(1, 0, packet_length=4, inject_rate=0.3), priority_level=1))
+    workload.add(be_flow(2, 0, packet_length=(1, 4), inject_rate=0.2))
+    workload.add(be_flow(4, 1, packet_length=2))
+    return workload
+
+
+def _events_hash(events) -> str:
+    payload = "\n".join(repr(event) for event in events)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 def _run_hash(name: str, kernel: str) -> str:
     plan = None
     if name == "fig4":
@@ -57,9 +89,7 @@ def _run_hash(name: str, kernel: str) -> str:
     sim = make_simulation(
         kernel, FIG4_CONFIG, workload, seed=1, collect_events=True, fault_plan=plan
     )
-    result = sim.run(HORIZON)
-    payload = "\n".join(repr(event) for event in result.events)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return _events_hash(sim.run(HORIZON).events)
 
 
 PINNED = {
@@ -73,3 +103,53 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_saturating_event_stream_hash_is_pinned(name, kernel):
     assert _run_hash(name, kernel) == PINNED[name]
+
+
+PRESET_HORIZON = 6_000
+ITERATIVE_PRESETS = ("islip", "qps-r", "sw-qps")
+
+
+def _preset_hash(preset: str) -> str:
+    config = voq_config() if preset in ITERATIVE_PRESETS else FIG4_CONFIG
+    sim = make_simulation(
+        "event",
+        config,
+        _preset_workload(),
+        arbiter_factory=ARBITER_PRESETS[preset],
+        seed=5,
+        collect_events=True,
+    )
+    return _events_hash(sim.run(PRESET_HORIZON).events)
+
+
+PINNED_PRESETS = {
+    "ccsp": "a032435d28e62a84414c8e45675aeae8dc04ce8d42715beb6eb6ac6daa73a37e",
+    "dwrr": "e6602e923c366a3bb272e6cecc0ac3012f0791c7d33c29e6cf5c080214489142",
+    "fixed-priority": "a8c40a87dd410332ee6b98bea00ec4d3876715467aec4d4795340e0aede4de31",
+    "gsf": "7f39a054cca86e4d3e7f495b31889ca0e5abae22d4093228208e51f76bc6e940",
+    "islip": "72b92d2b297d0f0efa46ac973503660a364c2c0cf28f65f5ebcdd01d762ddf38",
+    "lrg": "1557e48b6a11f51252932ac694deb28f530eb1010945cccc963071c645f7cfff",
+    "preemptive-vc": "e3cfbe7135eaa0c40faf8cfd8eed11424bf467c38b4b4b538aa5f6c353384bf9",
+    "qps-r": "d6a848286d4e2b343edaa9d1ff5b410fc5fe0744f8aeaed12a566db9c52cbb42",
+    "ssvc": "b64ac572a903687964dc5908514ac13ea4364a3a0971ec643e0fc2c1b8ee9e29",
+    "ssvc-halve": "a4386a71939184160a8eacbb2ce8a918e3b08eda5c96a61d3b24dc276f3e1942",
+    "ssvc-reset": "73b34dc7f6c88d85df84152919ef5064e568e50063841469ef834359ff5baefb",
+    "ssvc-subtract": "b64ac572a903687964dc5908514ac13ea4364a3a0971ec643e0fc2c1b8ee9e29",
+    "sw-qps": "0a394dcefbfd1486297a2a391aea343485ac939a4d06785d0a9e44e30622338c",
+    "tdm": "b2ff71756abd6c77a61d10a1c3fa1f4390cb157f93db7c8c1256dce036aa8ab5",
+    "three-class": "a081f6a19ca6bbeffafeaee9466afee825cc1b944e54bb97b1cc450d0042ee5e",
+    "virtual-clock": "aacf4fe38bf786a4bed1048dc9212fae67cf0eefc66f23a6cf32d2476364f27e",
+    "virtual-clock-arrival": "c9efdee348a80af94c1f575e246d08f12be40dc0f978b14ca15e6b10abf49d44",
+    "wfq": "f14655e6d1fa373fc84332e6e4706c40b22f22a8d979e0f1aba0f53434f2e1bc",
+    "wrr": "013092f47a928c02d2d6cb9dfbdbab4c2af5774fa439bc1a4ad1a3bd716f7391",
+    "wrr-strict": "c6d3456d0727bb0f61d5b7133c51cc49c7308913d4f040e1053196e20a78d1ab",
+}
+
+
+def test_every_preset_is_pinned():
+    assert sorted(PINNED_PRESETS) == sorted(ARBITER_PRESETS)
+
+
+@pytest.mark.parametrize("arbiter", sorted(ARBITER_PRESETS))
+def test_preset_event_stream_hash_is_pinned(arbiter):
+    assert _preset_hash(arbiter) == PINNED_PRESETS[arbiter]
