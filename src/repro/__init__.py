@@ -36,60 +36,84 @@ Package map:
   also the ``repro-exp`` CLI.
 """
 
-from .config import FIG4_CONFIG, TABLE1_CONFIG, GLPolicerConfig, QoSConfig, SwitchConfig
-from .core import (
-    BandwidthAllocator,
-    LRGState,
-    Request,
-    SSVCCore,
-    ThermometerCode,
-    VirtualClockCounter,
-    burst_budgets,
-    compute_vtick,
-    gl_latency_bound,
-)
-from .errors import (
-    AdmissionError,
-    ArbitrationError,
-    CircuitError,
-    ConfigError,
-    ReproError,
-    SimulationError,
-    TrafficError,
-    VerificationError,
-)
-from .experiments import ARBITER_PRESETS, make_arbiter_factory, run_simulation
-from .serialization import load_experiment, save_experiment
-from .qos import (
-    DWRRArbiter,
-    FixedPriorityArbiter,
-    GSFArbiter,
-    LRGArbiter,
-    OutputArbiter,
-    SSVCArbiter,
-    TDMArbiter,
-    ThreeClassArbiter,
-    VirtualClockArbiter,
-    WFQArbiter,
-    WRRArbiter,
-)
-from .switch import Packet, Simulation, SimulationResult, SwizzleSwitch
-from .traffic import (
-    BernoulliInjection,
-    BurstyInjection,
-    FlowSpec,
-    SaturatingInjection,
-    Workload,
-    be_flow,
-    fig4_workload,
-    gb_flow,
-    gl_flow,
-    hotspot_workload,
-    permutation_workload,
-    single_output_workload,
-    uniform_random_workload,
-)
-from .types import CounterMode, FlowId, TrafficClass
+import importlib
+from typing import Any
+
+#: Where each public name lives. ``import repro`` loads none of these:
+#: a name's module is imported on first access (PEP 562), so a tool that
+#: needs one subpackage, such as the stdlib-only linter in
+#: ``repro.analysis``, does not pay for numpy and the simulators.
+_EXPORTS = {
+    ".config": ("FIG4_CONFIG", "TABLE1_CONFIG", "GLPolicerConfig", "QoSConfig", "SwitchConfig"),
+    ".core": (
+        "BandwidthAllocator",
+        "LRGState",
+        "Request",
+        "SSVCCore",
+        "ThermometerCode",
+        "VirtualClockCounter",
+        "burst_budgets",
+        "compute_vtick",
+        "gl_latency_bound",
+    ),
+    ".errors": (
+        "AdmissionError",
+        "ArbitrationError",
+        "CircuitError",
+        "ConfigError",
+        "ReproError",
+        "SimulationError",
+        "TrafficError",
+        "VerificationError",
+    ),
+    ".experiments": ("ARBITER_PRESETS", "make_arbiter_factory", "run_simulation"),
+    ".serialization": ("load_experiment", "save_experiment"),
+    ".qos": (
+        "DWRRArbiter",
+        "FixedPriorityArbiter",
+        "GSFArbiter",
+        "LRGArbiter",
+        "OutputArbiter",
+        "SSVCArbiter",
+        "TDMArbiter",
+        "ThreeClassArbiter",
+        "VirtualClockArbiter",
+        "WFQArbiter",
+        "WRRArbiter",
+    ),
+    ".switch": ("Packet", "Simulation", "SimulationResult", "SwizzleSwitch"),
+    ".traffic": (
+        "BernoulliInjection",
+        "BurstyInjection",
+        "FlowSpec",
+        "SaturatingInjection",
+        "Workload",
+        "be_flow",
+        "fig4_workload",
+        "gb_flow",
+        "gl_flow",
+        "hotspot_workload",
+        "permutation_workload",
+        "single_output_workload",
+        "uniform_random_workload",
+    ),
+    ".types": ("CounterMode", "FlowId", "TrafficClass"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str) -> Any:
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> "list[str]":
+    return sorted(set(globals()) | set(_MODULE_OF))
+
 
 __version__ = "1.0.0"
 

@@ -9,7 +9,7 @@ are deliberately free of simulator internals so the arbiters in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from ..types import TrafficClass
 
@@ -66,7 +66,7 @@ class Grant:
         return self.request.input_port
 
 
-def split_by_class(requests: "list[Request] | tuple[Request, ...]") -> "dict[TrafficClass, list[Request]]":
+def split_by_class(requests: Iterable[Request]) -> "dict[TrafficClass, list[Request]]":
     """Group requests by traffic class (always returns all three keys)."""
     groups: "dict[TrafficClass, list[Request]]" = {
         TrafficClass.BE: [],

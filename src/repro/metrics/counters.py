@@ -9,13 +9,15 @@ standard NoC measurement methodology.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..errors import SimulationError
-from ..switch.flit import Packet
 from ..types import FlowId, TrafficClass
 from .latency import LatencyStats
 from .throughput import ThroughputWindow
+
+if TYPE_CHECKING:  # the switch package imports this module
+    from ..switch.flit import Packet
 
 
 @dataclass

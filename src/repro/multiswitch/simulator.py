@@ -37,6 +37,7 @@ from ..faults import FaultInjector, FaultKind, FaultPlan, resolve_injector
 from ..metrics.counters import StatsCollector
 from ..obs.probe import Probe, resolve_hooks
 from ..switch.flit import Packet, fresh_packet_ids
+from ..traffic.generators import BernoulliInjection
 from ..types import FlowId, TrafficClass
 from .topology import ClosTopology
 
@@ -98,6 +99,8 @@ class ComposedFlow:
             raise TrafficError(f"rate must be in (0, 1], got {self.rate}")
         if self.packet_flits < 1:
             raise TrafficError(f"packet_flits must be >= 1, got {self.packet_flits}")
+        if self.inject_rate is not None and not 0.0 < self.inject_rate <= 1.0:
+            raise TrafficError(f"inject_rate must be in (0, 1], got {self.inject_rate}")
 
     @property
     def flow_id(self) -> FlowId:
@@ -284,7 +287,7 @@ class MultiStageSimulation:
             )
 
     def _build_arrivals(self, horizon: int):
-        """Per-flow arrival schedules (geometric, matching BernoulliInjection)."""
+        """Per-flow Bernoulli arrival schedules, one spawned seed per flow."""
         heap: List[Tuple[int, int]] = []  # (time, flow index)
         schedules: List[Deque[int]] = []
         seeds = np.random.SeedSequence(self.seed).spawn(len(self.flows))
@@ -292,16 +295,10 @@ class MultiStageSimulation:
             if flow.inject_rate is None:
                 schedules.append(deque())  # saturating: handled by top-up
                 continue
-            rng = np.random.default_rng(child)
-            p = min(flow.inject_rate / flow.packet_flits, 1.0)
-            expected = int(horizon * p * 1.2) + 16
-            gaps = rng.geometric(p, size=expected)
-            times = np.cumsum(gaps) - 1
-            while times.size and times[-1] < horizon:
-                times = np.concatenate(
-                    [times, times[-1] + np.cumsum(rng.geometric(p, size=expected))]
-                )
-            schedule = deque(int(t) for t in times[times < horizon])
+            times = BernoulliInjection(flow.inject_rate).arrival_times(
+                horizon, flow.packet_flits, np.random.default_rng(child)
+            )
+            schedule = deque(int(t) for t in times)
             schedules.append(schedule)
             if schedule:
                 heapq.heappush(heap, (schedule[0], idx))

@@ -26,10 +26,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from ..resilience import atomic_write_text
-from ..serialization import JSONDict, config_to_dict, stats_collector_to_dict
 from .probe import CountingProbe
 
 if TYPE_CHECKING:  # keep kernel imports out of the runtime graph
+    from ..serialization import JSONDict
     from ..switch.simulator import SimulationResult
 
 #: Bumped when the report layout changes incompatibly.
@@ -84,6 +84,10 @@ class RunReport:
         probe: Optional[CountingProbe] = None,
     ) -> "RunReport":
         """Assemble a report from a finished run and its optional probe."""
+        # Imported here: serialization imports the traffic and switch
+        # packages, and the switch kernels import this package.
+        from ..serialization import config_to_dict, stats_collector_to_dict
+
         return cls(
             kernel=result.kernel,
             workload=result.workload_name,

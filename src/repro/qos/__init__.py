@@ -2,7 +2,8 @@
 
 Per-output arbiters implement the two-phase
 :class:`~repro.qos.base.OutputArbiter` interface (pure ``select`` followed
-by ``commit``); iterative schedulers implement the switch-wide
+by ``commit``; the base class owns ``select``'s request prologue and each
+policy supplies ``choose``); iterative schedulers implement the switch-wide
 :class:`~repro.qos.iterative.IterativeArbiter` ``match`` interface over
 virtual output queues. The full catalogue:
 
@@ -12,10 +13,6 @@ The paper's mechanisms:
   least-recently-granted policy (the "No QoS" baseline of Fig. 4a).
 * :class:`~repro.qos.virtual_clock_arbiter.VirtualClockArbiter` — the
   original fine-grained Virtual Clock (Fig. 5's "Original Virtual Clock").
-* :class:`~repro.qos.arrival_stamped_vc.ArrivalStampedVCArbiter` — Virtual
-  Clock stamped at arrival time (the classic network formulation).
-* :class:`~repro.qos.preemptive_vc.PreemptiveVCArbiter` — Virtual Clock
-  with in-flight preemption of lower-priority holders.
 * :class:`~repro.qos.ssvc_arbiter.SSVCArbiter` — the paper's contribution:
   coarse thermometer-code comparison + LRG tie-break, with SUBTRACT / HALVE
   / RESET counter management.
@@ -28,6 +25,10 @@ and ablation benches:
 
 * :class:`~repro.qos.fixed_priority.FixedPriorityArbiter` — the DAC'12
   4-level message-based scheme (two arbitration cycles, starvation-prone).
+* :class:`~repro.qos.arrival_stamped_vc.ArrivalStampedVCArbiter` — Virtual
+  Clock stamped at arrival time (Zhang's original formulation).
+* :class:`~repro.qos.preemptive_vc.PreemptiveVCArbiter` — PVC-style
+  frame-based normalized usage (no in-flight preemption is modelled).
 * :class:`~repro.qos.weighted_round_robin.WRRArbiter` (work-conserving and
   strict variants) and :class:`~repro.qos.deficit_round_robin.DWRRArbiter`.
 * :class:`~repro.qos.fair_queuing.WFQArbiter` — finish-time fair queuing.

@@ -37,8 +37,7 @@ class ArrivalStampedVCArbiter(OutputArbiter):
     name = "virtual-clock-arrival"
 
     def __init__(self, num_inputs: int, lrg: Optional[LRGState] = None) -> None:
-        self.num_inputs = num_inputs
-        self.lrg = lrg if lrg is not None else LRGState(num_inputs)
+        super().__init__(num_inputs, lrg)
         self._vticks: Dict[int, float] = {}
         self._last_stamp: Dict[int, float] = {}
         #: (arrival_cycle, stamp) of the current head packet per input;
@@ -47,10 +46,7 @@ class ArrivalStampedVCArbiter(OutputArbiter):
 
     def register_flow(self, input_port: int, rate: float, packet_flits: int) -> float:
         """Admit a flow; returns its Vtick."""
-        if not 0 <= input_port < self.num_inputs:
-            raise ArbitrationError(
-                f"input_port {input_port} out of range [0, {self.num_inputs})"
-            )
+        self._check_port(input_port)
         vtick = compute_vtick(rate, packet_flits)
         self._vticks[input_port] = vtick
         self._last_stamp[input_port] = 0.0
@@ -67,15 +63,8 @@ class ArrivalStampedVCArbiter(OutputArbiter):
         self._head_stamp[port] = (request.arrival_cycle, stamp)
         return stamp
 
-    def select(self, requests: Sequence[Request], now: int) -> Optional[Request]:
-        if not requests:
-            return None
-        self._validate(requests)
-        stamps = {r.input_port: self._stamp(r) for r in requests}
-        best = min(stamps.values())
-        tied = [r.input_port for r in requests if stamps[r.input_port] == best]
-        winner_port = tied[0] if len(tied) == 1 else self.lrg.arbitrate(tied)
-        return next(r for r in requests if r.input_port == winner_port)
+    def choose(self, requests: Sequence[Request], now: int) -> Request:
+        return self._lowest(requests, self._stamp)
 
     def commit(self, winner: Request, now: int) -> None:
         port = winner.input_port

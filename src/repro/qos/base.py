@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..core.arbitration import Request
-from ..errors import ArbitrationError
+from ..core.lrg import LRGState
+from ..errors import ArbitrationError, ConfigError
 
 
 class OutputArbiter(abc.ABC):
@@ -18,6 +19,12 @@ class OutputArbiter(abc.ABC):
     decision (the winning input is still free, the channel is idle) it calls
     :meth:`commit`, which is where state such as LRG order and auxVC
     counters advances. Tests may call :meth:`arbitrate` to do both at once.
+
+    A policy implements :meth:`choose` and :meth:`commit`; :meth:`select`
+    owns the request prologue (no requests, no winner; duplicate ports are
+    an error). The helpers below hold the plumbing policies share: the
+    port and rate checks of ``register_flow`` adapters, the LRG pick, and
+    the lowest-key-wins rule of the clock-based policies.
 
     Class attribute ``arbitration_cycles`` lets a policy override the
     switch-level re-arbitration latency: the Swizzle Switch arbitrates in a
@@ -32,14 +39,37 @@ class OutputArbiter(abc.ABC):
     #: Human-readable policy name used in reports.
     name: str = "arbiter"
 
-    @abc.abstractmethod
+    def __init__(self, num_inputs: int, lrg: Optional[LRGState] = None) -> None:
+        if num_inputs < 1:
+            raise ConfigError(f"num_inputs must be >= 1, got {num_inputs}")
+        self.num_inputs = num_inputs
+        #: The output's LRG order (the hardware keeps one per output);
+        #: arbiters stacked on one output share it by passing it in.
+        self.lrg = lrg if lrg is not None else LRGState(num_inputs)
+
     def select(self, requests: Sequence[Request], now: int) -> Optional[Request]:
         """Choose a winner among ``requests`` without mutating state.
 
-        Returns ``None`` when the policy declines to grant anyone this
-        cycle (e.g. TDM with an idle slot owner) even though requests are
-        pending — this is how non-work-conserving policies waste slots.
+        Returns ``None`` when nobody requests, or when the policy declines
+        to grant anyone this cycle (e.g. TDM with an idle slot owner) even
+        though requests are pending — this is how non-work-conserving
+        policies waste slots.
+
+        Raises:
+            ArbitrationError: if two requests come from one input (an
+                input has one head of line).
         """
+        if not requests:
+            return None
+        if len({r.input_port for r in requests}) != len(requests):
+            raise ArbitrationError(
+                f"duplicate requesting ports: {sorted(r.input_port for r in requests)}"
+            )
+        return self.choose(requests, now)
+
+    @abc.abstractmethod
+    def choose(self, requests: Sequence[Request], now: int) -> Optional[Request]:
+        """The policy's decision over non-empty, duplicate-free ``requests``."""
 
     @abc.abstractmethod
     def commit(self, winner: Request, now: int) -> None:
@@ -54,9 +84,36 @@ class OutputArbiter(abc.ABC):
 
     # ------------------------------------------------------------- utilities
 
+    def _check_port(self, input_port: int) -> None:
+        """Reject an input index outside the switch radix."""
+        if not 0 <= input_port < self.num_inputs:
+            raise ConfigError(
+                f"input_port {input_port} out of range [0, {self.num_inputs})"
+            )
+
     @staticmethod
-    def _validate(requests: Sequence[Request]) -> None:
-        """Reject duplicate input ports — an input has one head of line."""
-        ports = [r.input_port for r in requests]
-        if len(set(ports)) != len(ports):
-            raise ArbitrationError(f"duplicate requesting ports: {sorted(ports)}")
+    def _check_rate(rate: float) -> None:
+        """Reject a reserved rate outside (0, 1] of the channel."""
+        if not 0.0 < rate <= 1.0:
+            raise ConfigError(f"rate must be in (0, 1], got {rate}")
+
+    @staticmethod
+    def _request_at(requests: Sequence[Request], port: int) -> Request:
+        """The request of input ``port`` (which must be among ``requests``)."""
+        return next(r for r in requests if r.input_port == port)
+
+    def _lrg_pick(self, pool: Sequence[Request]) -> Request:
+        """The least recently granted request of ``pool``."""
+        return self._request_at(pool, self.lrg.arbitrate(r.input_port for r in pool))
+
+    def _lowest(
+        self, requests: Sequence[Request], key: Callable[[Request], float]
+    ) -> Request:
+        """The request with the lowest ``key``; LRG breaks ties.
+
+        ``key`` is evaluated once per request, in request order.
+        """
+        keys = [key(r) for r in requests]
+        best = min(keys)
+        tied = [r for r, k in zip(requests, keys) if k == best]
+        return tied[0] if len(tied) == 1 else self._lrg_pick(tied)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from ..core.arbitration import Request
-from ..core.lrg import LRGState
 from ..errors import ArbitrationError, ConfigError
 from .base import OutputArbiter
 
@@ -53,15 +52,12 @@ class CCSPArbiter(OutputArbiter):
     name = "ccsp"
 
     def __init__(self, num_inputs: int, default_burst_flits: float = 16.0) -> None:
-        if num_inputs < 1:
-            raise ConfigError(f"num_inputs must be >= 1, got {num_inputs}")
+        super().__init__(num_inputs)
         if default_burst_flits <= 0:
             raise ConfigError(
                 f"default_burst_flits must be positive, got {default_burst_flits}"
             )
-        self.num_inputs = num_inputs
         self.default_burst_flits = default_burst_flits
-        self.lrg = LRGState(num_inputs)
         self._flows: Dict[int, _CCSPFlow] = {}
 
     # ---------------------------------------------------------- registration
@@ -80,12 +76,8 @@ class CCSPArbiter(OutputArbiter):
         lower — callers wanting explicit levels pass ``priority`` (higher
         value = higher priority).
         """
-        if not 0 <= input_port < self.num_inputs:
-            raise ArbitrationError(
-                f"input_port {input_port} out of range [0, {self.num_inputs})"
-            )
-        if not 0.0 < rate <= 1.0:
-            raise ConfigError(f"rate must be in (0, 1], got {rate}")
+        self._check_port(input_port)
+        self._check_rate(rate)
         burst = burst_flits if burst_flits is not None else self.default_burst_flits
         if burst < packet_flits:
             raise ConfigError(
@@ -124,23 +116,15 @@ class CCSPArbiter(OutputArbiter):
 
     # --------------------------------------------------------- select/commit
 
-    def select(self, requests: Sequence[Request], now: int) -> Optional[Request]:
-        if not requests:
-            return None
-        self._validate(requests)
+    def choose(self, requests: Sequence[Request], now: int) -> Request:
         eligible = []
         for request in requests:
             flow = self._flow(request.input_port)
             self._sync(flow, now)
             if flow.credit >= request.packet_flits:
                 eligible.append(request)
-        pool = eligible if eligible else list(requests)  # work conserving
-        top = max(self._flow(r.input_port).priority for r in pool)
-        contenders = [r for r in pool if self._flow(r.input_port).priority == top]
-        if len(contenders) == 1:
-            return contenders[0]
-        winner_port = self.lrg.arbitrate(r.input_port for r in contenders)
-        return next(r for r in contenders if r.input_port == winner_port)
+        pool = eligible or requests  # work conserving
+        return self._lowest(pool, lambda r: -self._flow(r.input_port).priority)
 
     def commit(self, winner: Request, now: int) -> None:
         flow = self._flow(winner.input_port)

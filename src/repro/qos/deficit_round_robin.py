@@ -36,11 +36,9 @@ class DWRRArbiter(OutputArbiter):
         quanta: Optional[Dict[int, int]] = None,
         default_quantum: int = 8,
     ) -> None:
-        if num_inputs < 1:
-            raise ConfigError(f"num_inputs must be >= 1, got {num_inputs}")
+        super().__init__(num_inputs)
         if default_quantum < 1:
             raise ConfigError(f"default_quantum must be >= 1, got {default_quantum}")
-        self.num_inputs = num_inputs
         self._quanta = {p: default_quantum for p in range(num_inputs)}
         for port, quantum in (quanta or {}).items():
             self.set_quantum(port, quantum)
@@ -50,8 +48,7 @@ class DWRRArbiter(OutputArbiter):
 
     def set_quantum(self, input_port: int, quantum: int) -> None:
         """Assign a per-round flit quantum to an input."""
-        if not 0 <= input_port < self.num_inputs:
-            raise ConfigError(f"input_port {input_port} out of range [0, {self.num_inputs})")
+        self._check_port(input_port)
         if quantum < 1:
             raise ConfigError(f"quantum must be >= 1, got {quantum}")
         self._quanta[input_port] = quantum
@@ -61,8 +58,7 @@ class DWRRArbiter(OutputArbiter):
 
     def register_flow(self, input_port: int, rate: float, packet_flits: int) -> float:
         """Reservation adapter: quantum proportional to the reserved rate."""
-        if not 0.0 < rate <= 1.0:
-            raise ConfigError(f"rate must be in (0, 1], got {rate}")
+        self._check_rate(rate)
         self.set_quantum(input_port, max(1, round(rate * self.QUANTUM_SCALE)))
         return 1.0 / self.QUANTUM_SCALE
 
@@ -70,7 +66,7 @@ class DWRRArbiter(OutputArbiter):
         """Current deficit counter of an input, in flits."""
         return self._deficit.get(input_port, 0)
 
-    def select(self, requests: Sequence[Request], now: int) -> Optional[Request]:
+    def choose(self, requests: Sequence[Request], now: int) -> Optional[Request]:
         """Classic DRR visit: one quantum per visit, serve while deficit lasts.
 
         The cursor stays on a flow across consecutive arbitrations until its
@@ -78,9 +74,6 @@ class DWRRArbiter(OutputArbiter):
         quantum sends several packets back-to-back per round — this is what
         makes DRR's shares proportional to the quanta.
         """
-        if not requests:
-            return None
-        self._validate(requests)
         by_port = {r.input_port: r for r in requests}
         # Bounded walk: each flow is visited at most twice (the second pass
         # happens when every backlogged flow needed its quantum charge).

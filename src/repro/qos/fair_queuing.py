@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from ..core.arbitration import Request
-from ..core.lrg import LRGState
 from ..errors import ConfigError
 from .base import OutputArbiter
 
@@ -32,21 +31,17 @@ class WFQArbiter(OutputArbiter):
     name = "wfq"
 
     def __init__(self, num_inputs: int, weights: Optional[Dict[int, float]] = None) -> None:
-        if num_inputs < 1:
-            raise ConfigError(f"num_inputs must be >= 1, got {num_inputs}")
-        self.num_inputs = num_inputs
+        super().__init__(num_inputs)
         self._weights = {p: 1.0 for p in range(num_inputs)}
         for port, weight in (weights or {}).items():
             self.set_weight(port, weight)
         self._finish: Dict[int, float] = {p: 0.0 for p in range(num_inputs)}
         self._pending: Dict[int, float] = {}
         self._virtual_time = 0.0
-        self.lrg = LRGState(num_inputs)
 
     def set_weight(self, input_port: int, weight: float) -> None:
         """Assign a service weight to an input."""
-        if not 0 <= input_port < self.num_inputs:
-            raise ConfigError(f"input_port {input_port} out of range [0, {self.num_inputs})")
+        self._check_port(input_port)
         if weight <= 0:
             raise ConfigError(f"weight must be positive, got {weight}")
         self._weights[input_port] = weight
@@ -73,15 +68,8 @@ class WFQArbiter(OutputArbiter):
         self._pending[port] = tag
         return tag
 
-    def select(self, requests: Sequence[Request], now: int) -> Optional[Request]:
-        if not requests:
-            return None
-        self._validate(requests)
-        tags = {r.input_port: self._finish_tag(r) for r in requests}
-        best = min(tags.values())
-        tied = [r.input_port for r in requests if tags[r.input_port] == best]
-        winner_port = tied[0] if len(tied) == 1 else self.lrg.arbitrate(tied)
-        return next(r for r in requests if r.input_port == winner_port)
+    def choose(self, requests: Sequence[Request], now: int) -> Request:
+        return self._lowest(requests, self._finish_tag)
 
     def commit(self, winner: Request, now: int) -> None:
         tag = self._finish_tag(winner)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from ..core.arbitration import Request
-from ..core.lrg import LRGState
 from ..errors import ConfigError
 from .base import OutputArbiter
 
@@ -39,16 +38,14 @@ class FixedPriorityArbiter(OutputArbiter):
     arbitration_cycles = 2
 
     def __init__(self, num_inputs: int, input_levels: Optional[Dict[int, int]] = None) -> None:
-        self.num_inputs = num_inputs
-        self.lrg = LRGState(num_inputs)
+        super().__init__(num_inputs)
         self._levels: Dict[int, int] = {}
         for port, level in (input_levels or {}).items():
             self.set_level(port, level)
 
     def set_level(self, input_port: int, level: int) -> None:
         """Assign a priority level to an input's messages."""
-        if not 0 <= input_port < self.num_inputs:
-            raise ConfigError(f"input_port {input_port} out of range [0, {self.num_inputs})")
+        self._check_port(input_port)
         if not 0 <= level < NUM_LEVELS:
             raise ConfigError(f"level must be in [0, {NUM_LEVELS}), got {level}")
         self._levels[input_port] = level
@@ -57,14 +54,8 @@ class FixedPriorityArbiter(OutputArbiter):
         """The priority level an input's messages carry (default 0)."""
         return self._levels.get(input_port, 0)
 
-    def select(self, requests: Sequence[Request], now: int) -> Optional[Request]:
-        if not requests:
-            return None
-        self._validate(requests)
-        top = max(self.level_of(r.input_port) for r in requests)
-        contenders = [r for r in requests if self.level_of(r.input_port) == top]
-        winner_port = self.lrg.arbitrate(r.input_port for r in contenders)
-        return next(r for r in contenders if r.input_port == winner_port)
+    def choose(self, requests: Sequence[Request], now: int) -> Request:
+        return self._lowest(requests, lambda r: -self.level_of(r.input_port))
 
     def commit(self, winner: Request, now: int) -> None:
         self.lrg.grant(winner.input_port)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from ..core.arbitration import Request
-from ..core.lrg import LRGState
 from ..errors import ConfigError
 from .base import OutputArbiter
 
@@ -40,31 +39,28 @@ class GSFArbiter(OutputArbiter):
         frame_cycles: int = 512,
         default_budget: int = 4,
     ) -> None:
+        super().__init__(num_inputs)
         if frame_cycles < 1:
             raise ConfigError(f"frame_cycles must be >= 1, got {frame_cycles}")
         if default_budget < 1:
             raise ConfigError(f"default_budget must be >= 1, got {default_budget}")
-        self.num_inputs = num_inputs
         self.frame_cycles = frame_cycles
         self._budgets = {p: default_budget for p in range(num_inputs)}
         for port, budget in (budgets or {}).items():
             self.set_budget(port, budget)
         self._remaining: Dict[int, int] = dict(self._budgets)
         self._frame = 0
-        self.lrg = LRGState(num_inputs)
 
     def set_budget(self, input_port: int, budget: int) -> None:
         """Assign a per-frame packet budget to an input."""
-        if not 0 <= input_port < self.num_inputs:
-            raise ConfigError(f"input_port {input_port} out of range [0, {self.num_inputs})")
+        self._check_port(input_port)
         if budget < 1:
             raise ConfigError(f"budget must be >= 1, got {budget}")
         self._budgets[input_port] = budget
 
     def register_flow(self, input_port: int, rate: float, packet_flits: int) -> float:
         """Reservation adapter: per-frame budget matching the reserved rate."""
-        if not 0.0 < rate <= 1.0:
-            raise ConfigError(f"rate must be in (0, 1], got {rate}")
+        self._check_rate(rate)
         budget = max(1, round(rate * self.frame_cycles / max(packet_flits, 1)))
         self.set_budget(input_port, budget)
         return budget / self.frame_cycles
@@ -80,15 +76,10 @@ class GSFArbiter(OutputArbiter):
         self._sync_frame(now)
         return self._remaining.get(input_port, 0)
 
-    def select(self, requests: Sequence[Request], now: int) -> Optional[Request]:
-        if not requests:
-            return None
-        self._validate(requests)
+    def choose(self, requests: Sequence[Request], now: int) -> Request:
         self._sync_frame(now)
         budgeted = [r for r in requests if self._remaining.get(r.input_port, 0) > 0]
-        pool = budgeted if budgeted else list(requests)
-        winner_port = self.lrg.arbitrate(r.input_port for r in pool)
-        return next(r for r in pool if r.input_port == winner_port)
+        return self._lrg_pick(budgeted or requests)
 
     def commit(self, winner: Request, now: int) -> None:
         self._sync_frame(now)

@@ -53,7 +53,7 @@ class IterativeArbiter(OutputArbiter):
             raise ArbitrationError(
                 f"iterative schedulers need at least 2 ports, got {num_inputs}"
             )
-        self.num_inputs = num_inputs
+        super().__init__(num_inputs)
         self._seed = 0
 
     # ----------------------------------------------------------- seed wiring
@@ -103,6 +103,8 @@ class IterativeArbiter(OutputArbiter):
             f"{self.name} is an iterative matching scheduler; the simulator "
             "must call match(), not per-output select()"
         )
+
+    choose = select
 
     def commit(self, winner: Request, now: int) -> None:
         """Refused: grants are committed through :meth:`match`."""

@@ -26,15 +26,10 @@ class LRGArbiter(OutputArbiter):
     name = "lrg"
 
     def __init__(self, num_inputs: int, lrg: Optional[LRGState] = None) -> None:
-        self.num_inputs = num_inputs
-        self.lrg = lrg if lrg is not None else LRGState(num_inputs)
+        super().__init__(num_inputs, lrg)
 
-    def select(self, requests: Sequence[Request], now: int) -> Optional[Request]:
-        if not requests:
-            return None
-        self._validate(requests)
-        winner_port = self.lrg.arbitrate(r.input_port for r in requests)
-        return next(r for r in requests if r.input_port == winner_port)
+    def choose(self, requests: Sequence[Request], now: int) -> Request:
+        return self._lrg_pick(requests)
 
     def commit(self, winner: Request, now: int) -> None:
         self.lrg.grant(winner.input_port)

@@ -43,11 +43,10 @@ class PreemptiveVCArbiter(OutputArbiter):
         frame_cycles: int = 2048,
         lrg: Optional[LRGState] = None,
     ) -> None:
+        super().__init__(num_inputs, lrg)
         if frame_cycles < 1:
             raise ConfigError(f"frame_cycles must be >= 1, got {frame_cycles}")
-        self.num_inputs = num_inputs
         self.frame_cycles = frame_cycles
-        self.lrg = lrg if lrg is not None else LRGState(num_inputs)
         self._rates: Dict[int, float] = {}
         self._usage: Dict[int, float] = {}
         self._frame = 0
@@ -55,12 +54,8 @@ class PreemptiveVCArbiter(OutputArbiter):
 
     def register_flow(self, input_port: int, rate: float, packet_flits: int) -> float:
         """Admit a flow; returns its per-flit usage increment (1/rate)."""
-        if not 0 <= input_port < self.num_inputs:
-            raise ArbitrationError(
-                f"input_port {input_port} out of range [0, {self.num_inputs})"
-            )
-        if not 0.0 < rate <= 1.0:
-            raise ConfigError(f"rate must be in (0, 1], got {rate}")
+        self._check_port(input_port)
+        self._check_rate(rate)
         self._rates[input_port] = rate
         self._usage[input_port] = 0.0
         return 1.0 / rate
@@ -81,16 +76,8 @@ class PreemptiveVCArbiter(OutputArbiter):
                 self._usage[port] = 0.0
             self.frame_resets += 1
 
-    def select(self, requests: Sequence[Request], now: int) -> Optional[Request]:
-        if not requests:
-            return None
-        self._validate(requests)
-        self._sync_frame(now)
-        usage = {r.input_port: self.usage_of(r.input_port, now) for r in requests}
-        best = min(usage.values())
-        tied = [r.input_port for r in requests if usage[r.input_port] == best]
-        winner_port = tied[0] if len(tied) == 1 else self.lrg.arbitrate(tied)
-        return next(r for r in requests if r.input_port == winner_port)
+    def choose(self, requests: Sequence[Request], now: int) -> Request:
+        return self._lowest(requests, lambda r: self.usage_of(r.input_port, now))
 
     def commit(self, winner: Request, now: int) -> None:
         self._sync_frame(now)

@@ -36,9 +36,9 @@ class SSVCArbiter(OutputArbiter):
         qos: Optional[QoSConfig] = None,
         lrg: Optional[LRGState] = None,
     ) -> None:
-        self.num_inputs = num_inputs
+        super().__init__(num_inputs, lrg)
         self.qos = qos if qos is not None else QoSConfig()
-        self.core = SSVCCore(self.qos, num_inputs, lrg=lrg)
+        self.core = SSVCCore(self.qos, num_inputs, lrg=self.lrg)
         self.name = f"ssvc-{self.qos.counter_mode.value}"
 
     # ---------------------------------------------------------- registration
@@ -49,12 +49,9 @@ class SSVCArbiter(OutputArbiter):
 
     # --------------------------------------------------------- select/commit
 
-    def select(self, requests: Sequence[Request], now: int) -> Optional[Request]:
-        if not requests:
-            return None
-        self._validate(requests)
-        winner_port = self.core.select((r.input_port for r in requests), now)
-        return next(r for r in requests if r.input_port == winner_port)
+    def choose(self, requests: Sequence[Request], now: int) -> Request:
+        winner_port = self.core.select([r.input_port for r in requests], now)
+        return self._request_at(requests, winner_port)
 
     def commit(self, winner: Request, now: int) -> None:
         self.core.commit(winner.input_port, now)

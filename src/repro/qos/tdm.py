@@ -84,9 +84,9 @@ class TDMArbiter(OutputArbiter):
         frame_slots: Optional[int] = None,
         slot_cycles: int = 9,
     ) -> None:
+        super().__init__(num_inputs)
         if slot_cycles < 1:
             raise ConfigError(f"slot_cycles must be >= 1, got {slot_cycles}")
-        self.num_inputs = num_inputs
         self.slot_cycles = slot_cycles
         self.frame_slots = frame_slots or 4 * num_inputs
         self._rates: Dict[int, float] = dict(rates or {})
@@ -95,8 +95,7 @@ class TDMArbiter(OutputArbiter):
 
     def register_flow(self, input_port: int, rate: float, packet_flits: int) -> float:
         """Reservation adapter: rebuild the slot table with the new rate."""
-        if not 0 <= input_port < self.num_inputs:
-            raise ConfigError(f"input_port {input_port} out of range [0, {self.num_inputs})")
+        self._check_port(input_port)
         self._rates[input_port] = rate
         self.table = build_slot_table(self._rates, self.frame_slots)
         return 1.0 / self.frame_slots
@@ -105,18 +104,13 @@ class TDMArbiter(OutputArbiter):
         """The input owning the slot active at cycle ``now``."""
         return self.table[(now // self.slot_cycles) % len(self.table)]
 
-    def select(self, requests: Sequence[Request], now: int) -> Optional[Request]:
-        if not requests:
-            return None
-        self._validate(requests)
+    def choose(self, requests: Sequence[Request], now: int) -> Optional[Request]:
         owner = self.slot_owner(now)
-        if owner is None:
-            self.wasted_slots += 1
-            return None
         for request in requests:
             if request.input_port == owner:
                 return request
-        self.wasted_slots += 1  # owner idle: slot wasted, nobody else may use it
+        # Unowned slot or idle owner: the slot is wasted, nobody else may use it.
+        self.wasted_slots += 1
         return None
 
     def commit(self, winner: Request, now: int) -> None:

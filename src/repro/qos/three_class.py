@@ -56,8 +56,7 @@ class ThreeClassArbiter(OutputArbiter):
         gb_arbiter: Optional[OutputArbiter] = None,
         lrg: Optional[LRGState] = None,
     ) -> None:
-        self.num_inputs = num_inputs
-        self.lrg = lrg if lrg is not None else LRGState(num_inputs)
+        super().__init__(num_inputs, lrg)
         if gb_arbiter is None:
             gb_arbiter = SSVCArbiter(num_inputs, qos=qos, lrg=self.lrg)
         self.gb_arbiter = gb_arbiter
@@ -67,7 +66,7 @@ class ThreeClassArbiter(OutputArbiter):
 
     # ---------------------------------------------------------- registration
 
-    def register_gb_flow(self, input_port: int, rate: float, packet_flits: int) -> float:
+    def register_flow(self, input_port: int, rate: float, packet_flits: int) -> float:
         """Admit a GB reservation; returns the flow's Vtick."""
         register = getattr(self.gb_arbiter, "register_flow", None)
         if register is None:
@@ -78,29 +77,23 @@ class ThreeClassArbiter(OutputArbiter):
 
     # --------------------------------------------------------- select/commit
 
-    def select(self, requests: Sequence[Request], now: int) -> Optional[Request]:
-        if not requests:
-            return None
-        self._validate(requests)
-        groups = split_by_class(list(requests))
+    def choose(self, requests: Sequence[Request], now: int) -> Optional[Request]:
+        groups = split_by_class(requests)
 
         gl_requests = groups[TrafficClass.GL]
         if gl_requests and self.gl_policer.eligible(now):
-            winner_port = self.lrg.arbitrate(r.input_port for r in gl_requests)
-            return next(r for r in gl_requests if r.input_port == winner_port)
+            return self._lrg_pick(gl_requests)
         for demoted in gl_requests:
             self.gl_policer.note_throttled(now, demoted.input_port)
 
         gb_requests = groups[TrafficClass.GB]
         if gb_requests:
-            return self.gb_arbiter.select(gb_requests, now)
+            # A subset of validated requests: skip the GB arbiter's prologue.
+            return self.gb_arbiter.choose(gb_requests, now)
 
-        # BE plane also absorbs policed-out GL requests (demotion penalty).
-        be_requests = groups[TrafficClass.BE] + gl_requests
-        if not be_requests:
-            return None
-        winner_port = self.lrg.arbitrate(r.input_port for r in be_requests)
-        return next(r for r in be_requests if r.input_port == winner_port)
+        # BE plane also absorbs policed-out GL requests (demotion penalty);
+        # with no GB request these two planes hold every request.
+        return self._lrg_pick(groups[TrafficClass.BE] + gl_requests)
 
     # ----------------------------------------------------------- fault hooks
 

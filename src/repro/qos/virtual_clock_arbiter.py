@@ -32,18 +32,14 @@ class VirtualClockArbiter(OutputArbiter):
     name = "virtual-clock"
 
     def __init__(self, num_inputs: int, lrg: Optional[LRGState] = None) -> None:
-        self.num_inputs = num_inputs
-        self.lrg = lrg if lrg is not None else LRGState(num_inputs)
+        super().__init__(num_inputs, lrg)
         self._clocks: Dict[int, VirtualClockCounter] = {}
 
     # ---------------------------------------------------------- registration
 
     def register_flow(self, input_port: int, rate: float, packet_flits: int) -> float:
         """Admit a flow and return its Vtick (cycles per packet)."""
-        if not 0 <= input_port < self.num_inputs:
-            raise ArbitrationError(
-                f"input_port {input_port} out of range [0, {self.num_inputs})"
-            )
+        self._check_port(input_port)
         vtick = compute_vtick(rate, packet_flits)
         self._clocks[input_port] = VirtualClockCounter(vtick=vtick)
         return vtick
@@ -57,17 +53,8 @@ class VirtualClockArbiter(OutputArbiter):
 
     # --------------------------------------------------------- select/commit
 
-    def select(self, requests: Sequence[Request], now: int) -> Optional[Request]:
-        if not requests:
-            return None
-        self._validate(requests)
-        stamps = {
-            r.input_port: self.clock(r.input_port).effective(now) for r in requests
-        }
-        best = min(stamps.values())
-        tied = [r.input_port for r in requests if stamps[r.input_port] == best]
-        winner_port = tied[0] if len(tied) == 1 else self.lrg.arbitrate(tied)
-        return next(r for r in requests if r.input_port == winner_port)
+    def choose(self, requests: Sequence[Request], now: int) -> Request:
+        return self._lowest(requests, lambda r: self.clock(r.input_port).effective(now))
 
     def commit(self, winner: Request, now: int) -> None:
         self.clock(winner.input_port).on_transmit(now)

@@ -39,9 +39,7 @@ class WRRArbiter(OutputArbiter):
         weights: Optional[Dict[int, int]] = None,
         work_conserving: bool = True,
     ) -> None:
-        if num_inputs < 1:
-            raise ConfigError(f"num_inputs must be >= 1, got {num_inputs}")
-        self.num_inputs = num_inputs
+        super().__init__(num_inputs)
         self.work_conserving = work_conserving
         self._weights = {p: 1 for p in range(num_inputs)}
         for port, weight in (weights or {}).items():
@@ -52,8 +50,7 @@ class WRRArbiter(OutputArbiter):
 
     def set_weight(self, input_port: int, weight: int) -> None:
         """Assign a per-round packet weight to an input."""
-        if not 0 <= input_port < self.num_inputs:
-            raise ConfigError(f"input_port {input_port} out of range [0, {self.num_inputs})")
+        self._check_port(input_port)
         if weight < 1:
             raise ConfigError(f"weight must be >= 1, got {weight}")
         self._weights[input_port] = weight
@@ -68,8 +65,7 @@ class WRRArbiter(OutputArbiter):
         callers can reason about quantization, mirroring the Vtick return
         of the clock-based arbiters.
         """
-        if not 0.0 < rate <= 1.0:
-            raise ConfigError(f"rate must be in (0, 1], got {rate}")
+        self._check_rate(rate)
         self.set_weight(input_port, max(1, round(rate * self.WEIGHT_SCALE)))
         return 1.0 / self.WEIGHT_SCALE
 
@@ -77,10 +73,7 @@ class WRRArbiter(OutputArbiter):
         self._credits = dict(self._weights)
         self._cursor = 0
 
-    def select(self, requests: Sequence[Request], now: int) -> Optional[Request]:
-        if not requests:
-            return None
-        self._validate(requests)
+    def choose(self, requests: Sequence[Request], now: int) -> Optional[Request]:
         by_port = {r.input_port: r for r in requests}
         if all(c <= 0 for c in self._credits.values()):
             self._refill()

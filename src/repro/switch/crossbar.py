@@ -83,9 +83,7 @@ class SwizzleSwitch:
             raise SimulationError(f"output {dst} out of range [0, {self.config.radix})")
         reservation = self.allocators[dst].reserve(src, rate, packet_flits)
         arbiter = self.arbiters[dst]
-        register = getattr(arbiter, "register_gb_flow", None) or getattr(
-            arbiter, "register_flow", None
-        )
+        register = getattr(arbiter, "register_flow", None)
         if register is not None:
             register(src, rate, packet_flits)
         return reservation

@@ -396,6 +396,9 @@ class Simulation:
         """Install reservations and priority levels from the workload."""
         if self._programmed:
             return
+        # Levels are only meaningful for the fixed-priority baseline; a
+        # switch whose arbiters have no levels ignores them by design.
+        has_levels = any(hasattr(a, "set_level") for a in self.switch.arbiters)
         for spec in self.workload:
             if spec.reserved_rate is not None:
                 self.switch.reserve_gb(
@@ -404,14 +407,8 @@ class Simulation:
                     spec.reserved_rate,
                     max(int(round(spec.mean_packet_flits)), 1),
                 )
-            if spec.priority_level:
-                try:
-                    self.switch.set_priority_level(spec.flow.src, spec.priority_level)
-                except Exception:  # reprolint: disable=swallowed-without-record
-                    # Levels are only meaningful for the fixed-priority
-                    # baseline; other arbiters reject or ignore them by
-                    # design, so a failed set_priority_level is expected.
-                    pass
+            if spec.priority_level and has_levels:
+                self.switch.set_priority_level(spec.flow.src, spec.priority_level)
         self._programmed = True
 
     def _claim_run(self) -> None:

@@ -171,10 +171,7 @@ class LongestQueueFirstArbiter(OutputArbiter):
 
     name = "lqf"
 
-    def select(self, requests, now):
-        self._validate(requests)
-        if not requests:
-            return None
+    def choose(self, requests, now):
         return max(requests, key=lambda r: (r.queued_flits, -r.input_port))
 
     def commit(self, winner, now):
@@ -191,9 +188,9 @@ def test_occupancy_sensitive_schedules_match_reference(seed, radix):
     horizon = 600
     arrivals = draw_arrivals(rng, radix, horizon, n_packets=40)
     kernel = run_kernel(config, arrivals,
-                        lambda o, c: LongestQueueFirstArbiter(), horizon)
+                        lambda o, c: LongestQueueFirstArbiter(c.radix), horizon)
     reference = naive_simulate(
-        config, arrivals, [LongestQueueFirstArbiter() for _ in range(radix)],
+        config, arrivals, [LongestQueueFirstArbiter(radix) for _ in range(radix)],
         horizon,
     )
     assert kernel == reference
@@ -236,7 +233,7 @@ def test_occupancy_sensitive_schedules_match_flit_kernel(seed):
                              process=BernoulliInjection(0.05)))
 
     def factory(o, c):
-        return LongestQueueFirstArbiter()
+        return LongestQueueFirstArbiter(c.radix)
 
     def grants_of(result):
         return [

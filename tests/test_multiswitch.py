@@ -117,6 +117,12 @@ class TestSimulatorBasics:
                 self.TOPO, [flow(0, 2, rate=0.6), flow(0, 3, rate=0.6)]
             )
 
+    @pytest.mark.parametrize("inject_rate", [0.0, -0.1, 1.5])
+    def test_inject_rate_outside_unit_interval_rejected(self, inject_rate):
+        # 0.0 used to build fine and crash the run inside numpy's sampler.
+        with pytest.raises(TrafficError, match="inject_rate"):
+            ComposedFlow(0, 3, rate=0.2, inject_rate=inject_rate)
+
     def test_empty_flow_list_rejected(self):
         with pytest.raises(TrafficError):
             MultiStageSimulation(self.TOPO, [])

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.lrg import LRGState
-from repro.errors import ArbitrationError
+from repro.errors import ArbitrationError, ConfigError
 from repro.qos import LRGArbiter, VirtualClockArbiter
 from tests.conftest import gb_request
 
@@ -43,7 +43,7 @@ class TestVirtualClockArbiter:
             arb.select([gb_request(0)], now=0)
 
     def test_register_rejects_bad_port(self):
-        with pytest.raises(ArbitrationError):
+        with pytest.raises(ConfigError):
             VirtualClockArbiter(4).register_flow(7, 0.5, 8)
 
     def test_smallest_stamp_wins(self):

@@ -21,7 +21,7 @@ def make_arbiter(gl_reserved=0.1, burst_window=100, n=4):
 class TestPriorityOrder:
     def test_gl_preempts_gb_and_be(self):
         arb = make_arbiter()
-        arb.register_gb_flow(1, 0.5, 8)
+        arb.register_flow(1, 0.5, 8)
         winner = arb.select(
             [be_request(0), gb_request(1), gl_request(2)], now=0
         )
@@ -29,7 +29,7 @@ class TestPriorityOrder:
 
     def test_gb_preempts_be(self):
         arb = make_arbiter()
-        arb.register_gb_flow(1, 0.5, 8)
+        arb.register_flow(1, 0.5, 8)
         winner = arb.select([be_request(0), gb_request(1)], now=0)
         assert winner.input_port == 1
 
@@ -50,7 +50,7 @@ class TestPriorityOrder:
 class TestPolicing:
     def test_gl_loses_priority_after_burst_window(self):
         arb = make_arbiter(gl_reserved=0.01, burst_window=50)
-        arb.register_gb_flow(1, 0.5, 8)
+        arb.register_flow(1, 0.5, 8)
         # One GL packet charges 1/0.01 = 100 cycles > window.
         assert arb.arbitrate([gl_request(0)], now=0).input_port == 0
         winner = arb.select([gl_request(0), gb_request(1)], now=1)
@@ -65,7 +65,7 @@ class TestPolicing:
 
     def test_gl_priority_recovers_with_real_time(self):
         arb = make_arbiter(gl_reserved=0.1, burst_window=5)
-        arb.register_gb_flow(1, 0.5, 8)
+        arb.register_flow(1, 0.5, 8)
         arb.arbitrate([gl_request(0)], now=0)  # usage clock -> 10
         assert arb.select([gl_request(0), gb_request(1)], now=1).input_port == 1
         # By cycle 10 the usage clock lead has decayed within the window.
@@ -75,22 +75,22 @@ class TestPolicing:
         arb = ThreeClassArbiter(
             4, gl_policer_config=GLPolicerConfig(reserved_rate=0.05, burst_window=None)
         )
-        arb.register_gb_flow(1, 0.5, 8)
+        arb.register_flow(1, 0.5, 8)
         for now in range(0, 50, 10):
             winner = arb.arbitrate([gl_request(0), gb_request(1)], now=now)
             assert winner.input_port == 0
 
     def test_zero_reservation_never_grants_gl_priority(self):
         arb = make_arbiter(gl_reserved=0.0, burst_window=100)
-        arb.register_gb_flow(1, 0.5, 8)
+        arb.register_flow(1, 0.5, 8)
         assert arb.select([gl_request(0), gb_request(1)], now=0).input_port == 1
 
 
 class TestGBPlane:
-    def test_register_gb_flow_requires_capable_arbiter(self):
+    def test_register_flow_requires_capable_arbiter(self):
         arb = ThreeClassArbiter(4, gb_arbiter=LRGArbiter(4))
         with pytest.raises(ArbitrationError):
-            arb.register_gb_flow(0, 0.5, 8)
+            arb.register_flow(0, 0.5, 8)
 
     def test_injected_gb_arbiter_is_used(self):
         inner = LRGArbiter(4)
@@ -102,8 +102,8 @@ class TestGBPlane:
     def test_shared_lrg_across_planes(self):
         """A BE grant demotes the input in the GB tie-break too."""
         arb = make_arbiter()
-        arb.register_gb_flow(0, 0.4, 8)
-        arb.register_gb_flow(1, 0.4, 8)
+        arb.register_flow(0, 0.4, 8)
+        arb.register_flow(1, 0.4, 8)
         arb.arbitrate([be_request(0)], now=0)  # input 0 granted via BE plane
         winner = arb.arbitrate([gb_request(0), gb_request(1)], now=0)
         assert winner.input_port == 1

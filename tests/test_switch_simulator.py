@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import GLPolicerConfig, SwitchConfig
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.qos import LRGArbiter
 from repro.switch.events import GrantEvent, PacketDelivered
 from repro.switch.simulator import Simulation
@@ -352,3 +352,27 @@ class TestGLThrottleAccounting:
         # cycle, so the two-input run must report well above the
         # single-input run — not the same count, as cycle-only dedupe gave.
         assert two.gl_throttle_events[0] > 1.5 * one.gl_throttle_events[0]
+
+
+class TestPriorityLevels:
+    """Workload priority levels reach the arbiters that have levels."""
+
+    @staticmethod
+    def _leveled_workload():
+        flow = trace_flow(0, 1, [0, 20])
+        return Workload().add(FlowSpec(**{**flow.__dict__, "priority_level": 2}))
+
+    def test_levels_are_ignored_by_a_stack_without_levels(self, small_config):
+        sim = Simulation(small_config, self._leveled_workload(),
+                         arbiter_factory=lrg_factory)
+        assert sim.run(100).stats.flows
+
+    def test_set_level_error_propagates_from_the_run(self, small_config):
+        class RejectingLevels(LRGArbiter):
+            def set_level(self, input_port, level):
+                raise ConfigError(f"level {level} rejected")
+
+        sim = Simulation(small_config, self._leveled_workload(),
+                         arbiter_factory=lambda o, c: RejectingLevels(c.radix))
+        with pytest.raises(ConfigError, match="level 2 rejected"):
+            sim.run(100)
