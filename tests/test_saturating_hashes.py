@@ -18,6 +18,12 @@ BE traffic from reserved inputs, one priority level), on the event kernel
 only: the array kernel refuses non-SSVC stacks. Iterative presets run on
 ``voq_config()``. Several presets (arrival-stamped VC, PVC, CCSP, GSF) run
 in no paper artifact, so these hashes are what holds their schedules.
+
+The ``bitflip`` axis runs the same workload with auxVC bit-flips on output
+0 under the HALVE, RESET and three-class stacks. The flips lift two
+counters to high levels, which moves output 0's HALVE and RESET events to
+other commits (the second one from cycle 3348 to 3195): these hashes pin
+how a flipped counter feeds the saturation check.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import pytest
 
 from repro.config import FIG4_CONFIG
 from repro.experiments.common import ARBITER_PRESETS, make_simulation, voq_config
-from repro.faults import FaultPlan, packet_drop, packet_dup
+from repro.faults import FaultPlan, counter_bitflip, packet_drop, packet_dup
 from repro.traffic.flows import Workload, be_flow, gb_flow
 from repro.traffic.patterns import fig4_workload
 
@@ -153,3 +159,37 @@ def test_every_preset_is_pinned():
 @pytest.mark.parametrize("arbiter", sorted(ARBITER_PRESETS))
 def test_preset_event_stream_hash_is_pinned(arbiter):
     assert _preset_hash(arbiter) == PINNED_PRESETS[arbiter]
+
+
+#: Flip the top register bit of input 1's counter, then stack four flips on
+#: input 3's, all on output 0 (the SSVC-reserved output of the workload).
+BITFLIP_PLAN = FaultPlan(
+    seed=0,
+    faults=(counter_bitflip(1, 0, bit=11, at_cycle=1_000),)
+    + tuple(
+        counter_bitflip(3, 0, bit=bit, at_cycle=2_000 + i)
+        for i, bit in enumerate((11, 10, 9, 8))
+    ),
+)
+
+PINNED_BITFLIPS = {
+    "ssvc-halve": "5df61f7acea4f589398ada5df0a9c6039d0ed56cf54f70098afa22cf2a877b9a",
+    "ssvc-reset": "a17c62102f729e7ce232b1ec3664cdb25426d39260f8b9b63665d9cb092e1eb6",
+    "three-class": "cca8a2091140e0cfd4af4db9810630280f906994b7f3488d3da70c18edbfb6b6",
+}
+
+
+@pytest.mark.parametrize("arbiter", sorted(PINNED_BITFLIPS))
+def test_bitflip_event_stream_hash_is_pinned(arbiter):
+    sim = make_simulation(
+        "event",
+        FIG4_CONFIG,
+        _preset_workload(),
+        arbiter_factory=ARBITER_PRESETS[arbiter],
+        seed=5,
+        collect_events=True,
+        fault_plan=BITFLIP_PLAN,
+    )
+    events = sim.run(PRESET_HORIZON).events
+    assert _events_hash(events) != PINNED_PRESETS[arbiter]  # the flips bite
+    assert _events_hash(events) == PINNED_BITFLIPS[arbiter]
