@@ -9,7 +9,7 @@ are deliberately free of simulator internals so the arbiters in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..types import TrafficClass
 
@@ -64,18 +64,6 @@ class Grant:
     def input_port(self) -> int:
         """Convenience accessor for the winning input index."""
         return self.request.input_port
-
-
-def split_by_class(requests: Iterable[Request]) -> "dict[TrafficClass, list[Request]]":
-    """Group requests by traffic class (always returns all three keys)."""
-    groups: "dict[TrafficClass, list[Request]]" = {
-        TrafficClass.BE: [],
-        TrafficClass.GB: [],
-        TrafficClass.GL: [],
-    }
-    for req in requests:
-        groups[req.traffic_class].append(req)
-    return groups
 
 
 def highest_present_class(requests: "list[Request] | tuple[Request, ...]") -> Optional[TrafficClass]:

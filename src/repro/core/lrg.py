@@ -49,7 +49,11 @@ class LRGState:
                     f"initial_order must be a permutation of range({n}), got {order}"
                 )
             self._order = order
-        self._rank = {inp: r for r, inp in enumerate(self._order)}
+        # _rank[i] is input i's position in _order; grant() keeps both in
+        # step, so arbitration reads a rank with one list index.
+        self._rank = [0] * n
+        for r, inp in enumerate(self._order):
+            self._rank[inp] = r
         self.grant_count = 0
 
     # ----------------------------------------------------------------- views
@@ -58,6 +62,14 @@ class LRGState:
     def order(self) -> List[int]:
         """Inputs from highest to lowest priority (a copy)."""
         return list(self._order)
+
+    @property
+    def ranks(self) -> Sequence[int]:
+        """Priority rank of every input, indexed by input (0 = highest).
+
+        A live read-only view, updated in place by :meth:`grant`.
+        """
+        return self._rank
 
     def rank(self, i: int) -> int:
         """Priority rank of input ``i`` (0 = highest priority)."""
@@ -92,9 +104,14 @@ class LRGState:
     def grant(self, winner: int) -> None:
         """Demote ``winner`` below every other input (self-updating LRG)."""
         self._check(winner)
-        self._order.remove(winner)
-        self._order.append(winner)
-        self._rank = {inp: r for r, inp in enumerate(self._order)}
+        order = self._order
+        rank = self._rank
+        pos = rank[winner]
+        # Only the inputs behind the winner move: each gains one place.
+        del order[pos]
+        order.append(winner)
+        for r in range(pos, self.n):
+            rank[order[r]] = r
         self.grant_count += 1
 
     def arbitrate(self, requesters: Iterable[int]) -> int:
@@ -113,7 +130,15 @@ class LRGState:
             raise ArbitrationError(f"duplicate requesters: {reqs}")
         for r in reqs:
             self._check(r)
-        return min(reqs, key=self._rank.__getitem__)
+        return self.pick(reqs)
+
+    def pick(self, requesters: Iterable[int]) -> int:
+        """:meth:`arbitrate` for callers that have validated ``requesters``.
+
+        ``requesters`` must be non-empty, duplicate-free and in range; the
+        arbiters check that once per request set, in their prologue.
+        """
+        return min(requesters, key=self._rank.__getitem__)
 
     # --------------------------------------------------------------- helpers
 

@@ -94,11 +94,13 @@ class SSVCCore:
             fresh state sized lazily at first registration is created.
         num_inputs: switch radix (sizes the lazily created LRG state).
 
-    The core is *pure selection + explicit commit*: :meth:`select` inspects
-    counters without mutating them, :meth:`commit` performs the grant-time
-    updates. This split lets the simulator abandon a tentative decision
-    (e.g. when a GL request pre-empts the GB plane) without corrupting
-    state, and makes the class easy to test.
+    The core is *selection + explicit commit*: :meth:`select` changes no
+    counter value and no LRG order that :meth:`snapshot` or
+    :attr:`lrg` would report (it only applies the real-time decay due by
+    ``now``, as every reader at ``now`` does), and :meth:`commit` performs
+    the grant-time updates. This split lets the simulator abandon a
+    tentative decision (e.g. when a GL request pre-empts the GB plane)
+    without corrupting state, and makes the class easy to test.
     """
 
     def __init__(
@@ -125,6 +127,14 @@ class SSVCCore:
         self._scale = 1
         self._quantum_num = qos.quantum
         self._saturation_num = qos.saturation
+        # QoSConfig is frozen: read its derived values once, not per grant.
+        self._quantum = qos.quantum
+        self._top_level = qos.levels - 1
+        self._mode = qos.counter_mode
+        self._decays = qos.counter_mode is CounterMode.SUBTRACT
+        # Set when a bit-flip leaves a counter at saturation, so the next
+        # commit scans every flow instead of the winner alone.
+        self._flipped_to_saturation = False
         #: statistics exposed for tests and the experiment harness
         self.halve_events = 0
         self.reset_events = 0
@@ -176,16 +186,31 @@ class SSVCCore:
 
     # -------------------------------------------------------------- counters
 
+    def _epoch(self, now: int) -> int:
+        """Real-time window index at ``now``; -1 when counters never decay.
+
+        Every flow's ``epoch`` is >= 0, so -1 makes :meth:`_decay` a no-op
+        in HALVE and RESET modes.
+        """
+        return now // self._quantum if self._decays else -1
+
+    def _decay(self, flow: _FlowState, epoch: int) -> None:
+        """Apply the lazy real-time decay due by window ``epoch``.
+
+        Callers test ``flow.epoch < epoch`` first (the rare case), so the
+        hot paths skip the call entirely.
+        """
+        shifts = epoch - flow.epoch
+        value = flow.value_num - shifts * self._quantum_num
+        flow.value_num = value if value > 0 else 0
+        self.window_shifts += shifts
+        flow.epoch = epoch
+
     def _sync(self, flow: _FlowState, now: int) -> None:
-        """Apply lazy real-time decay (SUBTRACT mode only)."""
-        if self.qos.counter_mode is not CounterMode.SUBTRACT:
-            return
-        epoch = now // self.qos.quantum
-        if epoch > flow.epoch:
-            decay = (epoch - flow.epoch) * self._quantum_num
-            flow.value_num = max(flow.value_num - decay, 0)
-            self.window_shifts += epoch - flow.epoch
-            flow.epoch = epoch
+        """Bring ``flow`` up to date at cycle ``now``."""
+        epoch = self._epoch(now)
+        if flow.epoch < epoch:
+            self._decay(flow, epoch)
 
     def counter_value(self, input_port: int, now: int) -> float:
         """Current auxVC register content (relative cycles) for a flow."""
@@ -203,7 +228,7 @@ class SSVCCore:
         """Coarse priority level of the flow at ``now`` (0 = highest)."""
         flow = self._flow(input_port)
         self._sync(flow, now)
-        return min(flow.value_num // self._quantum_num, self.qos.levels - 1)
+        return min(flow.value_num // self._quantum_num, self._top_level)
 
     def thermometer(self, input_port: int, now: int) -> ThermometerCode:
         """Thermometer-code register content for the wire-level model."""
@@ -216,44 +241,46 @@ class SSVCCore:
     # --------------------------------------------------------- select/commit
 
     def select(self, candidates: Iterable[int], now: int) -> int:
-        """Pick the winner among requesting inputs (pure).
+        """Pick the winner among requesting inputs (no grant-state change).
 
         The SSVC decision (paper Section 3.1): the smallest thermometer
         level wins outright; ties within a level are broken by LRG.
         """
-        cands = list(candidates)
-        if not cands:
-            raise ArbitrationError("SSVC select requires at least one candidate")
-        # Single pass with the quantum/levels lookups hoisted; keeps the
-        # running best level and its ties in candidate order — equivalent
-        # to a levels dict + min + filter without building any of them
-        # (this runs once per arbitration, the simulator's hottest call).
+        # One pass, keeping the running best level and its ties in
+        # candidate order; the epoch is computed once and decay applied
+        # inline (this runs once per arbitration, the simulator's hottest
+        # call).
         quantum_num = self._quantum_num
-        top_level = self.qos.levels - 1
+        top_level = self._top_level
         flows = self._flows
-        sync_needed = self.qos.counter_mode is CounterMode.SUBTRACT
+        epoch = self._epoch(now)
         best = -1
         tied: List[int] = []
-        for i in cands:
+        for i in candidates:
             try:
                 flow = flows[i]
             except KeyError:
                 raise ArbitrationError(
                     f"input {i} has no GB reservation at this output"
                 ) from None
-            if sync_needed:
-                self._sync(flow, now)
+            if flow.epoch < epoch:
+                self._decay(flow, epoch)
             level = flow.value_num // quantum_num
             if level > top_level:
                 level = top_level
-            if best < 0 or level < best:
+            if level == best:
+                tied.append(i)
+            elif best < 0 or level < best:
                 best = level
                 tied = [i]
-            elif level == best:
-                tied.append(i)
+        if not tied:
+            raise ArbitrationError("SSVC select requires at least one candidate")
         if len(tied) == 1:
             return tied[0]
-        return self.lrg.arbitrate(tied)
+        # Registered inputs are in range; only a repeat can be invalid.
+        if len(set(tied)) != len(tied):
+            raise ArbitrationError(f"duplicate requesters: {tied}")
+        return self.lrg.pick(tied)
 
     def commit(self, winner: int, now: int) -> None:
         """Apply grant-time updates for ``winner`` at cycle ``now``.
@@ -264,11 +291,18 @@ class SSVCCore:
         policy if the counter saturated.
         """
         flow = self._flow(winner)
-        self._sync(flow, now)
+        epoch = self._epoch(now)
+        if flow.epoch < epoch:
+            self._decay(flow, epoch)
         flow.value_num += flow.vtick_num
         flow.transmit_count += 1
         self.lrg.grant(winner)
-        self._manage_saturation(now)
+        # Only the winner's counter grew, so only it can have crossed
+        # saturation: the last management pass left every other counter
+        # below it (HALVE, RESET) or at most at it (SUBTRACT, where the
+        # pass only clamps). A bit-flip that reached it since forces a pass.
+        if flow.value_num >= self._saturation_num or self._flipped_to_saturation:
+            self._manage_saturation()
 
     # ------------------------------------------------------- fault injection
 
@@ -288,14 +322,16 @@ class SSVCCore:
         self._sync(flow, now)
         cycles = flow.value_num // self._scale
         flow.value_num += ((cycles ^ (1 << bit)) - cycles) * self._scale
-        if flow.value_num > self._saturation_num:
+        if flow.value_num >= self._saturation_num:
             flow.value_num = self._saturation_num
+            self._flipped_to_saturation = True
 
     # ----------------------------------------------------- counter management
 
-    def _manage_saturation(self, now: int) -> None:
+    def _manage_saturation(self) -> None:
         saturation_num = self._saturation_num
-        mode = self.qos.counter_mode
+        mode = self._mode
+        self._flipped_to_saturation = False
         # The hardware register saturates: it can never hold more than the
         # saturation value, in any mode, so overflow beyond the window is
         # forgotten before the management policy runs.

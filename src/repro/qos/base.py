@@ -13,12 +13,32 @@ from ..errors import ArbitrationError, ConfigError
 class OutputArbiter(abc.ABC):
     """Arbitration policy for a single output channel.
 
-    The interface is split into a *pure* selection phase and an explicit
-    commit phase. The simulator calls :meth:`select` with the head-of-line
+    The interface is split into a selection phase and an explicit commit
+    phase. The simulator calls :meth:`select` with the head-of-line
     requests of all inputs that are free to transmit; if it can honour the
     decision (the winning input is still free, the channel is idle) it calls
     :meth:`commit`, which is where state such as LRG order and auxVC
     counters advances. Tests may call :meth:`arbitrate` to do both at once.
+
+    The selection contract: :meth:`select` advances no grant state. It
+    may bring time-driven state up to ``now`` (SSVC's real-time counter
+    decay, the GSF and preemptive-VC frame rollover, CCSP's credit
+    accrual), which any reader at ``now`` would see anyway, so repeating
+    it at the same ``now`` without a commit returns the same winner. Four
+    policies do change state in :meth:`choose`, before any commit:
+
+    * :class:`~repro.qos.weighted_round_robin.WRRArbiter` forfeits an idle
+      slot owner's credits, moves its cursor and counts wasted slots;
+    * :class:`~repro.qos.deficit_round_robin.DWRRArbiter` charges the
+      quantum and moves its cursor;
+    * :class:`~repro.qos.tdm.TDMArbiter` counts wasted slots;
+    * :class:`~repro.qos.three_class.ThreeClassArbiter` records a GL
+      throttle in its policer for each demoted GL request (once per cycle
+      and input).
+
+    The kernels commit every non-``None`` winner in the cycle it was
+    chosen, so these never shift a schedule; a caller that selects
+    without committing must not rely on them being undone.
 
     A policy implements :meth:`choose` and :meth:`commit`; :meth:`select`
     owns the request prologue (no requests, no winner; duplicate ports are
@@ -46,9 +66,13 @@ class OutputArbiter(abc.ABC):
         #: The output's LRG order (the hardware keeps one per output);
         #: arbiters stacked on one output share it by passing it in.
         self.lrg = lrg if lrg is not None else LRGState(num_inputs)
+        if self.lrg.n != num_inputs:
+            raise ConfigError(
+                f"LRG state sized for {self.lrg.n} inputs, switch has {num_inputs}"
+            )
 
     def select(self, requests: Sequence[Request], now: int) -> Optional[Request]:
-        """Choose a winner among ``requests`` without mutating state.
+        """Choose a winner among ``requests`` without advancing grant state.
 
         Returns ``None`` when nobody requests, or when the policy declines
         to grant anyone this cycle (e.g. TDM with an idle slot owner) even
@@ -57,13 +81,20 @@ class OutputArbiter(abc.ABC):
 
         Raises:
             ArbitrationError: if two requests come from one input (an
-                input has one head of line).
+                input has one head of line), or a port is outside the
+                radix.
         """
         if not requests:
             return None
-        if len({r.input_port for r in requests}) != len(requests):
+        ports = {r.input_port for r in requests}
+        if len(ports) != len(requests):
             raise ArbitrationError(
                 f"duplicate requesting ports: {sorted(r.input_port for r in requests)}"
+            )
+        # Request already rejects negative ports.
+        if max(ports) >= self.num_inputs:
+            raise ArbitrationError(
+                f"requesting port {max(ports)} out of range [0, {self.num_inputs})"
             )
         return self.choose(requests, now)
 
@@ -103,8 +134,13 @@ class OutputArbiter(abc.ABC):
         return next(r for r in requests if r.input_port == port)
 
     def _lrg_pick(self, pool: Sequence[Request]) -> Request:
-        """The least recently granted request of ``pool``."""
-        return self._request_at(pool, self.lrg.arbitrate(r.input_port for r in pool))
+        """The least recently granted request of ``pool``.
+
+        ``pool`` is a subset of requests that passed :meth:`select`'s
+        prologue, so its ports are distinct and in range.
+        """
+        rank = self.lrg.ranks
+        return min(pool, key=lambda r: rank[r.input_port])
 
     def _lowest(
         self, requests: Sequence[Request], key: Callable[[Request], float]

@@ -50,8 +50,8 @@ class SSVCArbiter(OutputArbiter):
     # --------------------------------------------------------- select/commit
 
     def choose(self, requests: Sequence[Request], now: int) -> Request:
-        winner_port = self.core.select([r.input_port for r in requests], now)
-        return self._request_at(requests, winner_port)
+        ports = [r.input_port for r in requests]
+        return requests[ports.index(self.core.select(ports, now))]
 
     def commit(self, winner: Request, now: int) -> None:
         self.core.commit(winner.input_port, now)

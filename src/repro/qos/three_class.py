@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..config import GLPolicerConfig, QoSConfig
-from ..core.arbitration import Request, split_by_class
+from ..core.arbitration import Request
 from ..core.lrg import LRGState
 from ..errors import ArbitrationError
 from ..types import TrafficClass
@@ -78,22 +78,31 @@ class ThreeClassArbiter(OutputArbiter):
     # --------------------------------------------------------- select/commit
 
     def choose(self, requests: Sequence[Request], now: int) -> Optional[Request]:
-        groups = split_by_class(requests)
+        gl_requests = []
+        gb_requests = []
+        be_requests = []
+        gb, gl = TrafficClass.GB, TrafficClass.GL
+        for request in requests:
+            traffic_class = request.traffic_class
+            if traffic_class is gb:
+                gb_requests.append(request)
+            elif traffic_class is gl:
+                gl_requests.append(request)
+            else:
+                be_requests.append(request)
 
-        gl_requests = groups[TrafficClass.GL]
         if gl_requests and self.gl_policer.eligible(now):
             return self._lrg_pick(gl_requests)
         for demoted in gl_requests:
             self.gl_policer.note_throttled(now, demoted.input_port)
 
-        gb_requests = groups[TrafficClass.GB]
         if gb_requests:
             # A subset of validated requests: skip the GB arbiter's prologue.
             return self.gb_arbiter.choose(gb_requests, now)
 
         # BE plane also absorbs policed-out GL requests (demotion penalty);
         # with no GB request these two planes hold every request.
-        return self._lrg_pick(groups[TrafficClass.BE] + gl_requests)
+        return self._lrg_pick(be_requests + gl_requests)
 
     # ----------------------------------------------------------- fault hooks
 

@@ -14,14 +14,38 @@ Swizzle Switch" — this package is that simulator. It models:
   (:mod:`repro.switch.simulator`).
 """
 
-from .array_kernel import ArraySimulation
-from .buffers import FlitBuffer, InputPort
-from .crossbar import SwizzleSwitch
-from .events import GrantEvent, PacketDelivered
-from .flit import Flit, Packet
-from .flit_kernel import FlitLevelSimulation
-from .output_channel import OutputChannel
-from .simulator import Simulation, SimulationResult
+import importlib
+from typing import Any
+
+#: Where each public name lives. Importing a leaf such as
+#: ``repro.switch.flit`` runs this file first, so nothing is imported here:
+#: a name's module loads on first access (PEP 562), and a caller that needs
+#: only ``Packet`` does not load the array and flit-level kernels.
+_EXPORTS = {
+    ".array_kernel": ("ArraySimulation",),
+    ".buffers": ("FlitBuffer", "InputPort"),
+    ".crossbar": ("SwizzleSwitch",),
+    ".events": ("GrantEvent", "PacketDelivered"),
+    ".flit": ("Flit", "Packet"),
+    ".flit_kernel": ("FlitLevelSimulation",),
+    ".output_channel": ("OutputChannel",),
+    ".simulator": ("Simulation", "SimulationResult"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str) -> Any:
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> "list[str]":
+    return sorted(set(globals()) | set(_MODULE_OF))
+
 
 __all__ = [
     "ArraySimulation",

@@ -53,6 +53,14 @@ class Packet:
         grant_cycle: cycle its arbitration completed (None until granted).
         delivered_cycle: cycle its last flit left the output (None until
             delivered).
+        src: source input port (``flow.src``).
+        dst: destination output port (``flow.dst``).
+        traffic_class: the packet's traffic class (``flow.traffic_class``).
+
+    ``src``, ``dst`` and ``traffic_class`` are copied from ``flow`` at
+    construction: the kernels read them several times per grant, and a
+    plain attribute costs less than a property's call. They stay out of
+    ``repr`` and equality, which ``flow`` already covers.
     """
 
     flow: FlowId
@@ -62,29 +70,21 @@ class Packet:
     grant_cycle: Optional[int] = None
     delivered_cycle: Optional[int] = None
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    src: int = field(init=False, repr=False, compare=False)
+    dst: int = field(init=False, repr=False, compare=False)
+    traffic_class: TrafficClass = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.flits <= 0:
             raise SimulationError(f"packet must have >= 1 flit, got {self.flits}")
         if self.created_cycle < 0:
             raise SimulationError(f"created_cycle must be >= 0, got {self.created_cycle}")
+        flow = self.flow
+        self.src = flow.src
+        self.dst = flow.dst
+        self.traffic_class = flow.traffic_class
 
     # ------------------------------------------------------------ properties
-
-    @property
-    def src(self) -> int:
-        """Source input port."""
-        return self.flow.src
-
-    @property
-    def dst(self) -> int:
-        """Destination output port."""
-        return self.flow.dst
-
-    @property
-    def traffic_class(self) -> TrafficClass:
-        """The packet's traffic class."""
-        return self.flow.traffic_class
 
     @property
     def latency(self) -> int:

@@ -6,7 +6,6 @@ from repro.core.arbitration import (
     Grant,
     Request,
     highest_present_class,
-    split_by_class,
 )
 from repro.types import TrafficClass
 
@@ -36,22 +35,6 @@ class TestGrant:
 
 
 class TestGrouping:
-    def test_split_by_class_returns_all_keys(self):
-        groups = split_by_class([])
-        assert set(groups) == {TrafficClass.BE, TrafficClass.GB, TrafficClass.GL}
-
-    def test_split_by_class_partitions(self):
-        reqs = [
-            Request(0, TrafficClass.BE, 8),
-            Request(1, TrafficClass.GB, 8),
-            Request(2, TrafficClass.GL, 1),
-            Request(3, TrafficClass.GB, 4),
-        ]
-        groups = split_by_class(reqs)
-        assert [r.input_port for r in groups[TrafficClass.GB]] == [1, 3]
-        assert len(groups[TrafficClass.BE]) == 1
-        assert len(groups[TrafficClass.GL]) == 1
-
     def test_highest_present_class(self):
         reqs = [Request(0, TrafficClass.BE, 8), Request(1, TrafficClass.GB, 8)]
         assert highest_present_class(reqs) is TrafficClass.GB

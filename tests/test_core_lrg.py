@@ -156,3 +156,21 @@ def test_winner_beats_every_other_requester(n, data):
     for other in requesters:
         if other != winner:
             assert lrg.has_priority(winner, other)
+
+
+@given(
+    n=st.integers(1, 8),
+    data=st.data(),
+)
+def test_in_place_ranks_match_order_and_pick_matches_arbitrate(n, data):
+    """grant() updates ranks in place; pick() is arbitrate() without checks."""
+    lrg = LRGState(n, initial_order=data.draw(st.permutations(range(n))))
+    for g in data.draw(st.lists(st.integers(0, n - 1), max_size=40)):
+        lrg.grant(g)
+        order = lrg.order
+        assert list(lrg.ranks) == [order.index(i) for i in range(n)]
+        assert [lrg.rank(i) for i in range(n)] == list(lrg.ranks)
+    requesters = data.draw(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    )
+    assert lrg.pick(requesters) == lrg.arbitrate(requesters)

@@ -101,6 +101,21 @@ class TestSelect:
         with pytest.raises(ArbitrationError):
             make_core().select([], now=0)
 
+    def test_duplicate_tied_candidates_raise(self):
+        core = make_core()
+        core.register_flow(0, 0.5, 8)
+        core.register_flow(1, 0.5, 8)
+        with pytest.raises(ArbitrationError, match="duplicate"):
+            core.select([0, 1, 1], now=0)
+
+    def test_unregistered_candidate_raises(self):
+        core = make_core()
+        core.register_flow(0, 0.5, 8)
+        with pytest.raises(ArbitrationError, match="no GB reservation"):
+            core.select([0, 2], now=0)
+        with pytest.raises(ArbitrationError, match="no GB reservation"):
+            core.commit(2, now=0)
+
 
 class TestSubtractMode:
     def test_real_time_decay_pulls_level_down(self):

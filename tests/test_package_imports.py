@@ -1,4 +1,5 @@
-"""``import repro`` is lazy: a public name loads its module on first use.
+"""``import repro`` and ``import repro.switch`` are lazy: a public name
+loads its module on first use.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported the simulators.
@@ -49,6 +50,43 @@ def test_each_subpackage_imports_first(name):
     # hiding cycles (metrics -> switch -> metrics, traffic -> switch ->
     # obs -> serialization -> traffic) that broke any other order.
     _python(f"import repro.{name}")
+
+
+#: Modules of ``repro.switch``; importing any of them runs the package init.
+SWITCH_MODULES = sorted(
+    path.stem for path in (Path(SRC) / "repro" / "switch").glob("*.py")
+    if path.name != "__init__.py"
+)
+
+
+@pytest.mark.parametrize("name", SWITCH_MODULES)
+def test_each_switch_module_imports_first(name):
+    _python(f"import repro.switch.{name}")
+
+
+@pytest.mark.parametrize("leaf", ["repro.switch.flit", "repro.traffic.generators"])
+def test_switch_leaf_import_loads_no_kernel(leaf):
+    # The package init used to import all three kernels, so any leaf of
+    # repro.switch (generators need only Packet) loaded every simulator.
+    out = _python(
+        f"import sys, {leaf}; "
+        "print(sorted(m for m in ('repro.switch.array_kernel', "
+        "'repro.switch.flit_kernel', 'repro.switch.simulator', 'repro.resilience') "
+        "if m in sys.modules))"
+    )
+    assert out.strip() == "[]"
+
+
+def test_switch_public_names_resolve_lazily():
+    import repro.switch
+    from repro.switch.array_kernel import ArraySimulation
+    from repro.switch.flit import Packet
+
+    assert repro.switch.Packet is Packet
+    assert repro.switch.ArraySimulation is ArraySimulation
+    assert set(repro.switch.__all__) == set(repro.switch._MODULE_OF)
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        repro.switch.nope  # noqa: B018
 
 
 def test_star_import_binds_every_public_name():
