@@ -128,12 +128,17 @@ class SSVCCore:
         self._quantum_num = qos.quantum
         self._saturation_num = qos.saturation
         # QoSConfig is frozen: read its derived values once, not per grant.
+        # _quantum is in cycles (the real-time window); _quantum_num is the
+        # same span in subticks and grows with _scale.
         self._quantum = qos.quantum
         self._top_level = qos.levels - 1
         self._mode = qos.counter_mode
         self._decays = qos.counter_mode is CounterMode.SUBTRACT
         # Set when a bit-flip leaves a counter at saturation, so the next
-        # commit scans every flow instead of the winner alone.
+        # commit scans every flow instead of the winner alone. (A flip
+        # stays inside the register, so it reaches saturation only from a
+        # counter already clamped there; the flag keeps the winner-only
+        # check exact without relying on that.)
         self._flipped_to_saturation = False
         #: statistics exposed for tests and the experiment harness
         self.halve_events = 0

@@ -4,7 +4,8 @@ Per-output arbiters implement the two-phase
 :class:`~repro.qos.base.OutputArbiter` interface (``select`` followed by
 ``commit``, where grant state advances; the base class owns ``select``'s
 request prologue and each policy supplies ``choose``; its docstring names
-the four policies whose ``choose`` also changes state); iterative schedulers implement the switch-wide
+the four policies whose ``choose`` also changes state); iterative
+schedulers implement the switch-wide
 :class:`~repro.qos.iterative.IterativeArbiter` ``match`` interface over
 virtual output queues. The full catalogue:
 

@@ -41,8 +41,8 @@ class OutputArbiter(abc.ABC):
     without committing must not rely on them being undone.
 
     A policy implements :meth:`choose` and :meth:`commit`; :meth:`select`
-    owns the request prologue (no requests, no winner; duplicate ports are
-    an error). The helpers below hold the plumbing policies share: the
+    owns the request prologue (no requests, no winner; duplicate or
+    out-of-range ports are an error). The helpers below hold the plumbing policies share: the
     port and rate checks of ``register_flow`` adapters, the LRG pick, and
     the lowest-key-wins rule of the clock-based policies.
 
