@@ -91,8 +91,8 @@ class SSVCCore:
         lrg: the output's LRG state used for tie-breaking. SSVC replicates
             the LRG logic at each crosspoint in hardware; behaviorally a
             single shared state per output is equivalent. If ``None`` a
-            fresh state sized lazily at first registration is created.
-        num_inputs: switch radix (sizes the lazily created LRG state).
+            fresh state over ``num_inputs`` inputs is created.
+        num_inputs: switch radix.
 
     The core is *selection + explicit commit*: :meth:`select` changes no
     counter value and no LRG order that :meth:`snapshot` or
