@@ -9,7 +9,6 @@ are deliberately free of simulator internals so the arbiters in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..types import TrafficClass
 
@@ -65,11 +64,3 @@ class Grant:
         """Convenience accessor for the winning input index."""
         return self.request.input_port
 
-
-def highest_present_class(requests: "list[Request] | tuple[Request, ...]") -> Optional[TrafficClass]:
-    """The highest-priority class present among ``requests`` (or None)."""
-    best: Optional[TrafficClass] = None
-    for req in requests:
-        if best is None or req.traffic_class > best:
-            best = req.traffic_class
-    return best

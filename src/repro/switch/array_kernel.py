@@ -36,8 +36,7 @@ kernel, which remains the oracle.
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 import numpy as np
 
@@ -50,21 +49,22 @@ from ..obs.probe import Probe, resolve_hooks
 from ..qos.ssvc_arbiter import SSVCArbiter
 from ..qos.three_class import ThreeClassArbiter
 from ..types import CounterMode, FlowId, TrafficClass
-from .buffers import FlitBuffer
 from .crossbar import ArbiterFactory
 from .events import GrantEvent, PacketDelivered
-from .flit import Packet, fresh_packet_ids
+from .flit import fresh_packet_ids
 from .simulator import (
     Simulation,
     SimulationResult,
+    _arrival_stream,
     _checked_injector,
+    _landings,
     _saturating_refill,
+    _SourceBacklog,
     _top_up,
 )
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle
     from ..traffic.flows import Workload
-    from ..traffic.generators import FlowSource
 
 #: Coarse band of a crosspoint presenting nothing (mirrors vectorized.py).
 _NO_REQ = vec.NO_REQUEST
@@ -165,10 +165,8 @@ class ArraySimulation(Simulation):
         event_hook = hooks.event
         wakes = 0
         heap_pushes = 0
-        arrivals = 0
         arbitrations = 0
         gl_throttles = 0
-        overflow_scans = 0
         max_overflow_flows = 0
         max_overflow_depth = 0
 
@@ -363,21 +361,16 @@ class ArraySimulation(Simulation):
             refresh_entry(dst, i)
 
         # ------------------------------------------------- arrival plumbing
-        # Same source grouping and per-input overflow as the event kernel.
-        saturating: Dict[int, List[Tuple["FlowSource", FlitBuffer]]] = {}
-        arrival_heap: List[Tuple[int, int, "FlowSource"]] = []
-        for idx, source in enumerate(sources):
-            if source.saturating:
-                saturating.setdefault(source.flow.src, []).append(
-                    (source, inputs[source.flow.src].queue_for(source.flow))
-                )
-            else:
-                t0 = source.peek_time()
-                if t0 is not None:
-                    heapq.heappush(arrival_heap, (t0, idx, source))
+        # Same landing buffers, arrival stream and per-buffer overflow as
+        # the event kernel.
+        landing, saturating = _landings(sources, inputs)
+        arrival_times, arrival_sources = _arrival_stream(sources, horizon)
+        arrivals = len(arrival_sources)
+        next_arrival = arrival_times[0]
+        cursor = 0
 
-        overflow: List[Dict[FlowId, Deque[Packet]]] = [{} for _ in range(n)]
-        backlogged_flows = 0
+        overflow = _SourceBacklog()
+        backlogged = overflow.waiting
 
         wake_heap: List[int] = [0]
         pending_wakes = {0}
@@ -389,34 +382,9 @@ class ArraySimulation(Simulation):
                 pending_wakes.add(t)
                 heap_pushes += 1
 
-        for t0, _, _ in arrival_heap:
-            wake(int(t0))
-
         if injector is not None:
             for t in injector.wake_cycles():
                 wake(t)
-
-        def inject_arrival(packet: Packet, now: int) -> Optional[Deque[Packet]]:
-            """Admit one scheduled arrival, mirroring head state on success.
-
-            Returns the flow's overflow queue when the packet waits there.
-            """
-            nonlocal backlogged_flows
-            port = inputs[packet.src]
-            backlog = overflow[packet.src]
-            queued = backlog.get(packet.flow)
-            if queued is not None:
-                queued.append(packet)  # FIFO behind older packets
-                return queued
-            if port.try_inject(packet, now):
-                occ_nz[packet.src] = True
-                # A one-packet queue means this inject created the head.
-                if len(port.queue_for(packet)) == 1:
-                    note_new_head(packet.flow, packet.flits, packet.dst)
-                return None
-            queued = backlog[packet.flow] = deque((packet,))
-            backlogged_flows += 1
-            return queued
 
         on_created = stats.on_created
 
@@ -436,40 +404,15 @@ class ArraySimulation(Simulation):
 
         refill_saturating = _saturating_refill(saturating, top_up_input, packet_ids)
 
-        def drain_overflow(port_index: int, now: int) -> None:
-            nonlocal overflow_scans, backlogged_flows
-            backlog = overflow[port_index]
-            if not backlog:
-                return
-            overflow_scans += len(backlog)
-            port = inputs[port_index]
-            drained = []
-            for flow, queue in backlog.items():
-                packet = queue[0]
-                if not port.try_inject(packet, now):
-                    continue  # buffer still full — the common case
-                queue.popleft()
-                target = port.queue_for(packet)
-                became_head = len(target) == 1
-                while queue and port.try_inject(queue[0], now):
-                    queue.popleft()
-                occ_nz[flow.src] = True
-                if became_head:
-                    head = target.head()
-                    assert head is not None
-                    note_new_head(flow, head.flits, head.dst)
-                if not queue:
-                    drained.append(flow)
-            for flow in drained:
-                del backlog[flow]
-            backlogged_flows -= len(drained)
-
         # ------------------------------------------------------- main loop
-        while wake_heap:
-            now = heapq.heappop(wake_heap)
-            pending_wakes.discard(now)
-            if now >= horizon:
-                continue
+        while True:
+            if wake_heap and wake_heap[0] <= next_arrival:
+                now = heapq.heappop(wake_heap)
+                pending_wakes.discard(now)
+            elif next_arrival < horizon:
+                now = next_arrival
+            else:
+                break
             wakes += 1
 
             # 0a. Eager SUBTRACT-mode window decay: the reference core syncs
@@ -497,23 +440,24 @@ class ArraySimulation(Simulation):
                     if gl_count:
                         rowdirty.add(o)
 
-            # 1. Scheduled arrivals up to and including `now`.
-            while arrival_heap and arrival_heap[0][0] <= now:
-                _, idx, source = heapq.heappop(arrival_heap)
-                packet = source.pop_scheduled()
-                stats.on_created(packet)
-                queued = inject_arrival(packet, now)
-                arrivals += 1
-                if gauge_hook is not None and queued is not None:
-                    if backlogged_flows > max_overflow_flows:
-                        max_overflow_flows = backlogged_flows
+            # 1. Scheduled arrivals at `now`, mirroring each head they
+            #    create.
+            while next_arrival == now:
+                source, port, queue = landing[arrival_sources[cursor]]
+                packet = source.make_packet(now)
+                on_created(packet)
+                queued = overflow.offer(port, queue, packet, now)
+                if queued is None:
+                    occ_nz[port.port] = True
+                    if len(queue) == 1:  # this inject created the head
+                        note_new_head(packet.flow, packet.flits, packet.dst)
+                elif gauge_hook is not None:
+                    if overflow.flows > max_overflow_flows:
+                        max_overflow_flows = overflow.flows
                     if len(queued) > max_overflow_depth:
                         max_overflow_depth = len(queued)
-                next_time = source.peek_time()
-                if next_time is not None:
-                    heapq.heappush(arrival_heap, (next_time, idx, source))
-                    heap_pushes += 1
-                    wake(int(next_time))
+                cursor += 1
+                next_arrival = arrival_times[cursor]
 
             # 2. Top up saturating sources (overflow drains after grants
             #    only, as in the event kernel).
@@ -700,17 +644,16 @@ class ArraySimulation(Simulation):
                         f"arbiter granted a request that is no longer head-of-line "
                         f"at input {w}"
                     )
-                port.pop_packet(packet)
+                freed = port.pop_packet(packet)
 
                 # Mirror the pop: the granted queue's next head (if any)
                 # becomes visible; rows touched are refreshed after the
                 # post-grant refill below settles the final head state.
                 touched = [(o, w)]
+                nh = freed.head()
                 if winner_class is TrafficClass.GB:
-                    nh = port.gb_queues[o].head()
                     gb_head[o, w] = nh.flits if nh is not None else 0
                 elif winner_class is TrafficClass.GL:
-                    nh = port.gl_queue.head()
                     if nh is None:
                         gl_dst[w] = -1
                         gl_flits[w] = 0
@@ -720,7 +663,6 @@ class ArraySimulation(Simulation):
                         gl_flits[w] = nh.flits
                         touched.append((int(nh.dst), w))
                 else:
-                    nh = port.be_queue.head()
                     if nh is None:
                         be_dst[w] = -1
                         be_flits[w] = 0
@@ -809,7 +751,14 @@ class ArraySimulation(Simulation):
                             )
                         )
                 wake(delivered)
-                drain_overflow(w, now)
+                if freed in backlogged:
+                    was_empty = not freed
+                    if overflow.drain(port, freed, now):
+                        occ_nz[w] = True
+                        if was_empty:  # the drain created the head
+                            head = freed.head()
+                            assert head is not None
+                            note_new_head(head.flow, head.flits, head.dst)
                 top_up_input(w, now)
                 for o_t, i_t in touched:
                     refresh_entry(o_t, i_t)
@@ -824,7 +773,7 @@ class ArraySimulation(Simulation):
                 ("kernel.arbitrations", arbitrations),
                 ("kernel.grants", grants),
                 ("kernel.gl_throttles", gl_throttles),
-                ("kernel.overflow_flows_scanned", overflow_scans),
+                ("kernel.overflow_flows_scanned", overflow.scans),
             ):
                 if total:
                     count_hook(name, total)

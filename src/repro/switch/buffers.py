@@ -65,6 +65,18 @@ class FlitBuffer:
             return True
         return self._occupancy + packet.flits <= self.capacity_flits
 
+    def try_push(self, packet: Packet) -> bool:
+        """Append a packet if it fits entirely; return whether it did."""
+        occupancy = self._occupancy + packet.flits
+        capacity = self.capacity_flits
+        if capacity is not None and occupancy > capacity:
+            return False
+        self._queue.append(packet)
+        self._occupancy = occupancy
+        if occupancy > self.peak_occupancy:
+            self.peak_occupancy = occupancy
+        return True
+
     def push(self, packet: Packet) -> None:
         """Append a packet.
 
@@ -72,15 +84,11 @@ class FlitBuffer:
             BufferError_: if the packet does not fit (callers must check
                 :meth:`fits` — backpressure is explicit, never silent).
         """
-        if not self.fits(packet):
+        if not self.try_push(packet):
             raise BufferError_(
                 f"packet of {packet.flits} flits does not fit "
                 f"({self._occupancy}/{self.capacity_flits} flits occupied)"
             )
-        self._queue.append(packet)
-        self._occupancy += packet.flits
-        if self._occupancy > self.peak_occupancy:
-            self.peak_occupancy = self._occupancy
 
     def head(self) -> Optional[Packet]:
         """The packet at the head, or ``None`` when empty."""
@@ -229,11 +237,9 @@ class InputPort:
             raise SimulationError(
                 f"packet from input {packet.src} offered to port {self.port}"
             )
-        queue = self.queue_for(packet)
-        if not queue.fits(packet):
+        if not self.queue_for(packet).try_push(packet):
             return False
         packet.injected_cycle = now
-        queue.push(packet)
         flits = packet.flits
         dst = packet.dst
         self._total_occupancy += flits
@@ -334,16 +340,18 @@ class InputPort:
         flits = self.flits_to_output
         return {out: flits[out] for out in outputs if flits[out]}
 
-    def pop_packet(self, packet: Packet) -> None:
+    def pop_packet(self, packet: Packet) -> FlitBuffer:
         """Remove a granted packet, which must be at the head of its queue.
+
+        Returns the buffer it left: the only buffer at this input whose
+        free space grew.
 
         Raises:
             SimulationError: if the packet is not the head (arbitration and
                 buffering disagree — a bug, not a recoverable condition).
         """
         queue = self.queue_for(packet)
-        head = queue.head()
-        if head is not packet:
+        if queue.head() is not packet:
             raise SimulationError(
                 f"granted packet {packet.packet_id} is not at the head of its queue"
             )
@@ -355,6 +363,7 @@ class InputPort:
         self.flits_to_output[dst] -= flits
         self.demand[dst] -= 1
         self.stamp += 1
+        return queue
 
     @property
     def total_occupancy_flits(self) -> int:

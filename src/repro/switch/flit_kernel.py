@@ -17,7 +17,6 @@ intra-packet buffer occupancy. It is 10-50x slower and supports scheduled
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional
@@ -230,22 +229,15 @@ class FlitLevelSimulation:
                     id_source=packet_ids,
                 )
             )
-        # Pop sources in (time, source index) order — the fast kernel's
-        # arrival-heap order — so both kernels assign the same packet id to
-        # the same packet (ids key fault draws and trace diffs).
-        heap: List = []
-        for idx, source in enumerate(sources):
-            t0 = source.peek_time()
-            if t0 is not None:
-                heapq.heappush(heap, (t0, idx, source))
+        # Create packets in the event kernel's arrival-stream order, so both
+        # kernels assign the same packet id to the same packet (ids key
+        # fault draws and trace diffs).
+        from .simulator import _arrival_stream
+
         by_cycle: Dict[int, List[Packet]] = {}
-        while heap:
-            _, idx, source = heapq.heappop(heap)
-            packet = source.pop_scheduled()
-            by_cycle.setdefault(packet.created_cycle, []).append(packet)
-            next_time = source.peek_time()
-            if next_time is not None:
-                heapq.heappush(heap, (next_time, idx, source))
+        times, owners = _arrival_stream(sources, horizon)
+        for created, idx in zip(times, owners):
+            by_cycle.setdefault(created, []).append(sources[idx].make_packet(created))
         return by_cycle
 
     def run(self, horizon: int):

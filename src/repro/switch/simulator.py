@@ -139,8 +139,8 @@ class SimulationResult:
 
 
 #: Step 3b's reuse entry for one (output, input): ``((stamp, allow_gl),
-#: gl_denied, request)``.
-_ReuseEntry = Tuple[Tuple[int, bool], bool, Optional[Request]]
+#: gl_denied, request, head)``.
+_ReuseEntry = Tuple[Tuple[int, bool], bool, Optional[Request], Optional[Packet]]
 
 
 def _validate_packet_sizes(workload: "Workload", config: SwitchConfig) -> None:
@@ -205,6 +205,127 @@ def _checked_injector(
                 f"output {spec.output} has no auxVC counter to flip"
             )
     return injector
+
+
+def _arrival_stream(
+    sources: Sequence["FlowSource"], horizon: int
+) -> Tuple[memoryview, memoryview]:
+    """Merge every scheduled source's arrivals into one presorted stream.
+
+    Returns ``(times, owners)``: creation cycles and indices into
+    ``sources``, ordered by cycle and then by source index. That is the
+    order in which a heap of per-source cursors would pop them, so packet
+    ids, which are drawn in creation order, do not depend on how the
+    merge is done. ``times`` has one entry more than ``owners``,
+    ``horizon``, which ends the stream. One ``np.lexsort`` over the
+    concatenated schedules builds both; they are views of int64 arrays, so
+    indexing yields plain ints and the stream holds 16 bytes an arrival.
+    """
+    owners = [i for i, source in enumerate(sources) if len(source.schedule)]
+    schedules = [sources[i].schedule for i in owners]
+    schedules.append(np.array([horizon], dtype=np.int64))
+    owners.append(len(sources))  # the end entry sorts after any arrival
+    times = np.concatenate(schedules)
+    index = np.repeat(
+        np.asarray(owners, dtype=np.int64), [len(s) for s in schedules]
+    )
+    order = np.lexsort((index, times))
+    return memoryview(times[order]), memoryview(index[order][:-1])
+
+
+#: A source with the input port and the buffer its flow lands in.
+_Landing = Tuple["FlowSource", InputPort, FlitBuffer]
+
+
+def _landings(
+    sources: Sequence["FlowSource"], inputs: Sequence[InputPort]
+) -> Tuple[List[_Landing], Dict[int, List[Tuple["FlowSource", FlitBuffer]]]]:
+    """Each source's port and landing buffer, resolved once per run.
+
+    Also returns the saturating sources grouped by input, each with its
+    buffer, so top-up is O(active inputs).
+    """
+    landings: List[_Landing] = []
+    saturating: Dict[int, List[Tuple["FlowSource", FlitBuffer]]] = {}
+    for source in sources:
+        port = inputs[source.flow.src]
+        queue = port.queue_for(source.flow)
+        landings.append((source, port, queue))
+        if source.saturating:
+            saturating.setdefault(port.port, []).append((source, queue))
+    return landings, saturating
+
+
+class _SourceBacklog:
+    """Source-side overflow queues, kept per input buffer.
+
+    A packet that does not fit its class buffer waits in its flow's source
+    queue, and later packets of that flow queue behind it. Buffer space
+    frees only when a grant pops a packet out of one buffer, so a grant
+    retries only that buffer's flows (:meth:`drain`): every other buffer
+    has gained no space since its flows last failed to fit, so skipping
+    them cannot change an admission. Within a buffer, flows drain in the
+    order they (most recently) became backlogged.
+
+    Attributes:
+        waiting: backlogged flows per buffer; a buffer with no backlog has
+            no entry, so ``buffer in waiting`` is the whole cost of a
+            grant that frees a buffer nobody waits for.
+        flows: backlogged flows across all buffers.
+        scans: flows visited by :meth:`drain` (the
+            ``kernel.overflow_flows_scanned`` counter).
+    """
+
+    def __init__(self) -> None:
+        self.waiting: Dict[FlitBuffer, Dict[FlowId, Deque[Packet]]] = {}
+        self.flows = 0
+        self.scans = 0
+
+    def offer(
+        self, port: InputPort, buffer: FlitBuffer, packet: Packet, now: int
+    ) -> Optional[Deque[Packet]]:
+        """Admit an arriving ``packet`` into ``buffer``, or queue it.
+
+        ``buffer`` is the one the packet lands in at ``port``. Returns the
+        flow's source queue when the packet waits there, ``None`` when it
+        was admitted.
+        """
+        flows = self.waiting.get(buffer)
+        if flows is not None:
+            queued = flows.get(packet.flow)
+            if queued is not None:
+                queued.append(packet)  # FIFO behind older packets
+                return queued
+        if port.try_inject(packet, now):
+            return None
+        if flows is None:
+            flows = self.waiting[buffer] = {}
+        queued = flows[packet.flow] = deque((packet,))
+        self.flows += 1
+        return queued
+
+    def drain(self, port: InputPort, buffer: FlitBuffer, now: int) -> int:
+        """Admit what now fits into ``buffer``, which a grant just freed.
+
+        Flows whose queue empties are pruned, so a drain visits only flows
+        that still wait. Returns the number of packets admitted.
+        """
+        flows = self.waiting[buffer]
+        self.scans += len(flows)
+        admitted = 0
+        drained = []
+        for flow, queued in flows.items():
+            while queued and port.try_inject(queued[0], now):
+                queued.popleft()
+                admitted += 1
+            if not queued:
+                drained.append(flow)
+        for flow in drained:
+            del flows[flow]
+        if not flows:
+            del self.waiting[buffer]
+        self.flows -= len(drained)
+        return admitted
 
 
 def _top_up(
@@ -491,11 +612,9 @@ class Simulation:
         event_hook = hooks.event
         wakes = 0
         heap_pushes = 0
-        arrivals = 0
         arbitrations = 0
         declines = 0
         gl_throttles = 0
-        overflow_scans = 0
         max_overflow_flows = 0
         max_overflow_depth = 0
         voq_matches = 0
@@ -530,27 +649,19 @@ class Simulation:
         fault_drops = 0
         fault_dups = 0
 
-        # Saturating sources grouped by input, each with the buffer its
-        # flow lands in, so top-up is O(active inputs).
-        saturating: Dict[int, List[Tuple[FlowSource, FlitBuffer]]] = {}
-        # Scheduled arrivals as a heap of (next_time, tiebreak, source).
-        arrival_heap: List = []
-        for idx, source in enumerate(sources):
-            if source.saturating:
-                saturating.setdefault(source.flow.src, []).append(
-                    (source, inputs[source.flow.src].queue_for(source.flow))
-                )
-            else:
-                t0 = source.peek_time()
-                if t0 is not None:
-                    heapq.heappush(arrival_heap, (t0, idx, source))
+        landing, saturating = _landings(sources, inputs)
+        # Scheduled arrivals, presorted once; ``horizon`` ends the stream.
+        arrival_times, arrival_sources = _arrival_stream(sources, horizon)
+        arrivals = len(arrival_sources)
+        next_arrival = arrival_times[0]
+        cursor = 0
 
-        # Source-side overflow queues per input, each dict in the order its
-        # flows (most recently) became backlogged. Buffer space frees only
-        # in pop_packet, so only the input a grant just freed can admit a
-        # backlogged packet: that input alone is drained, after each grant.
-        overflow: List[Dict[FlowId, Deque[Packet]]] = [{} for _ in range(radix)]
-        backlogged_flows = 0
+        # Source-side overflow queues. A grant frees space in one buffer
+        # only, and only that buffer's backlog is retried, right after it.
+        overflow = _SourceBacklog()
+        backlogged = overflow.waiting
+        offer = overflow.offer
+        drain = overflow.drain
 
         # Packet-chaining state per output: (last winner, its delivery
         # cycle, packets chained so far). See SwitchConfig.packet_chaining.
@@ -568,10 +679,6 @@ class Simulation:
                 heapq.heappush(wake_heap, t)
                 pending_wakes.add(t)
                 heap_pushes += 1
-
-        # Every scheduled source's first arrival must be a wake time.
-        for t0, _, _ in arrival_heap:
-            wake(int(t0))
 
         if injector is not None:
             # Stall boundaries and bit-flip cycles must be wake times so
@@ -592,29 +699,11 @@ class Simulation:
         refill_saturating = _saturating_refill(saturating, top_up_input, packet_ids)
 
         # Request reuse per (output, input): ((stamp, allow_gl), gl_denied,
-        # request). An input's stamp moves on every mutation, so a matching
-        # key proves the head, the masked GL head and the occupancy the
-        # request reports are all unchanged since the entry was built.
+        # request, head). An input's stamp moves on every mutation, so a
+        # matching key proves the head, the masked GL head and the
+        # occupancy the request reports are all unchanged since the entry
+        # was built.
         reuse: List[List[Optional[_ReuseEntry]]] = [[None] * radix for _ in range(radix)]
-
-        def drain_overflow(port_index: int, now: int) -> None:
-            # Scans are O(flows with backlog at this input): flows whose
-            # queue empties are pruned, so drained flows cost nothing here.
-            nonlocal overflow_scans, backlogged_flows
-            backlog = overflow[port_index]
-            if not backlog:
-                return
-            overflow_scans += len(backlog)
-            port = inputs[port_index]
-            drained = []
-            for flow, queue in backlog.items():
-                while queue and port.try_inject(queue[0], now):
-                    queue.popleft()
-                if not queue:
-                    drained.append(flow)
-            for flow in drained:
-                del backlog[flow]
-            backlogged_flows -= len(drained)
 
         def book_grant(
             o: int, in_port: int, packet: Packet, contenders: int, now: int
@@ -629,7 +718,7 @@ class Simulation:
             """
             nonlocal grants, chained_grants, fault_drops, fault_dups
             port = inputs[in_port]
-            port.pop_packet(packet)
+            freed = port.pop_packet(packet)
             arb_cycles = arb_cycles_for[o]
             if packet_chaining:
                 if (
@@ -719,47 +808,43 @@ class Simulation:
                         )
                     )
             wake(delivered)
-            # Freed buffer space at this input (and only here): admit
-            # waiting/saturating packets now so their injection timestamps
-            # are exact.
-            drain_overflow(in_port, now)
+            # Freed space in this buffer (and only here): admit waiting
+            # and saturating packets now so their injection timestamps are
+            # exact.
+            if freed in backlogged:
+                drain(port, freed, now)
             top_up_input(in_port, now)
             return delivered
 
-        while wake_heap:
-            now = heapq.heappop(wake_heap)
-            pending_wakes.discard(now)
-            if now >= horizon:
-                continue
+        # Wake times are the wake heap's entries merged with the arrival
+        # stream; a cycle in both is one wake.
+        while True:
+            if wake_heap and wake_heap[0] <= next_arrival:
+                now = heapq.heappop(wake_heap)
+                pending_wakes.discard(now)
+            elif next_arrival < horizon:
+                now = next_arrival
+            else:
+                break
             wakes += 1
 
-            # 1. Scheduled arrivals up to and including `now`.
-            while arrival_heap and arrival_heap[0][0] <= now:
-                _, idx, source = heapq.heappop(arrival_heap)
-                packet = source.pop_scheduled()
-                stats.on_created(packet)
-                backlog = overflow[packet.src]
-                queued = backlog.get(packet.flow)
-                if queued is not None:
-                    queued.append(packet)  # FIFO behind older packets
-                elif not inputs[packet.src].try_inject(packet, now):
-                    queued = backlog[packet.flow] = deque((packet,))
-                    backlogged_flows += 1
-                arrivals += 1
+            # 1. Scheduled arrivals at `now`.
+            while next_arrival == now:
+                source, port, queue = landing[arrival_sources[cursor]]
+                packet = source.make_packet(now)
+                on_created(packet)
+                queued = offer(port, queue, packet, now)
                 if gauge_hook is not None and queued is not None:
-                    if backlogged_flows > max_overflow_flows:
-                        max_overflow_flows = backlogged_flows
+                    if overflow.flows > max_overflow_flows:
+                        max_overflow_flows = overflow.flows
                     if len(queued) > max_overflow_depth:
                         max_overflow_depth = len(queued)
-                next_time = source.peek_time()
-                if next_time is not None:
-                    heapq.heappush(arrival_heap, (next_time, idx, source))
-                    heap_pushes += 1
-                    wake(int(next_time))
+                cursor += 1
+                next_arrival = arrival_times[cursor]
 
             # 2. Top up saturating sources. Backlogged overflow needs no
-            #    retry here: no buffer space freed since its input's last
-            #    drain, which ran right after that input's last grant.
+            #    retry here: no space freed in its buffer since that
+            #    buffer's last drain, right after its last grant.
             if saturating:
                 refill_saturating(now)
 
@@ -900,8 +985,8 @@ class Simulation:
                                     else head.created_cycle
                                 ),
                             )
-                        entry = reuse_o[port.port] = (key, gl_denied, request)
-                    _, gl_denied, request = entry
+                        entry = reuse_o[port.port] = (key, gl_denied, request, head)
+                    _, gl_denied, request, _ = entry
                     if gl_denied:
                         gl_denied_inputs.append(port.port)
                     if request is not None:
@@ -924,8 +1009,11 @@ class Simulation:
                     wake(now + 1)  # non-work-conserving decline: retry
                     continue
                 arbiter.commit(winner, now)
-                port = inputs[winner.input_port]
-                packet = port.head_for_output(o, allow_gl=allow_gl)
+                # The winner's entry was built or matched at its input's
+                # current stamp above, so it holds the head the request
+                # describes; pop_packet checks that it still is the head.
+                entry = reuse_o[winner.input_port]
+                packet = entry[3] if entry is not None else None
                 if packet is None or packet.flits != winner.packet_flits:
                     raise SimulationError(
                         f"arbiter granted a request that is no longer head-of-line "
@@ -946,7 +1034,7 @@ class Simulation:
                 ("kernel.grants", grants),
                 ("kernel.chain_grants", chained_grants),
                 ("kernel.gl_throttles", gl_throttles),
-                ("kernel.overflow_flows_scanned", overflow_scans),
+                ("kernel.overflow_flows_scanned", overflow.scans),
             ):
                 if total:
                     count_hook(name, total)

@@ -200,13 +200,16 @@ class FlowSource:
         self._rng = rng
         self._ids = id_source
         self.created_count = 0
-        if process.saturating:
-            self._schedule: Optional[Iterator[int]] = None
-            self._next: Optional[int] = None
-        else:
-            times = process.arrival_times(horizon, packet_length, rng)
-            self._schedule = iter(times.tolist())
-            self._next = next(self._schedule, None)
+        #: sorted creation cycles in ``[0, horizon)``; empty when saturating.
+        #: The kernels merge every source's schedule into one stream and
+        #: create its packets with :meth:`make_packet`, so :meth:`peek_time`
+        #: does not follow their progress.
+        self.schedule: np.ndarray = (
+            np.empty(0, dtype=np.int64)
+            if process.saturating
+            else process.arrival_times(horizon, packet_length, rng)
+        )
+        self._cursor = 0
 
     @property
     def saturating(self) -> bool:
@@ -258,16 +261,17 @@ class FlowSource:
 
     def peek_time(self) -> Optional[int]:
         """Next scheduled creation cycle, or ``None`` (exhausted/saturating)."""
-        return self._next
+        if self._cursor < len(self.schedule):
+            return int(self.schedule[self._cursor])
+        return None
 
     def pop_scheduled(self) -> Packet:
         """Consume the next scheduled arrival and return its packet."""
-        if self._next is None:
+        created = self.peek_time()
+        if created is None:
             raise TrafficError(f"source for {self.flow} has no scheduled arrival")
-        packet = self.make_packet(int(self._next))
-        assert self._schedule is not None
-        self._next = next(self._schedule, None)
-        return packet
+        self._cursor += 1
+        return self.make_packet(created)
 
 
 def build_source(

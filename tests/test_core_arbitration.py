@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.core.arbitration import (
-    Grant,
-    Request,
-    highest_present_class,
-)
+from repro.core.arbitration import Grant, Request
 from repro.types import TrafficClass
 
 
@@ -33,19 +29,3 @@ class TestGrant:
     def test_gl_lane_flag_defaults_false(self):
         assert Grant(Request(0, TrafficClass.GB, 8), cycle=0).via_gl_lane is False
 
-
-class TestGrouping:
-    def test_highest_present_class(self):
-        reqs = [Request(0, TrafficClass.BE, 8), Request(1, TrafficClass.GB, 8)]
-        assert highest_present_class(reqs) is TrafficClass.GB
-
-    def test_highest_present_class_empty(self):
-        assert highest_present_class([]) is None
-
-    def test_highest_present_gl_dominates(self):
-        reqs = [
-            Request(0, TrafficClass.GL, 1),
-            Request(1, TrafficClass.GB, 8),
-            Request(2, TrafficClass.BE, 8),
-        ]
-        assert highest_present_class(reqs) is TrafficClass.GL

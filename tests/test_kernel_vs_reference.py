@@ -34,14 +34,18 @@ def small_config(radix=4):
     )
 
 
-def run_kernel(config, arrivals, factory, horizon):
-    """Run the production kernel on explicit arrivals; return grants."""
+def _trace_workload(config, arrivals):
+    """One trace-driven flow per (flow, flits), added in flow-name order.
+
+    :func:`naive_simulate` admits same-cycle arrivals in flow-name order
+    and the kernels in workload order, so the two orders agree.
+    """
     per_flow = {}
     for created, flow, flits in arrivals:
         per_flow.setdefault((flow, flits), []).append(created)
     workload = Workload(name="diff-test")
     gb_share = 0.9 / config.radix / 2  # feasible regardless of the draw
-    for (flow, flits), times in sorted(per_flow.items(), key=lambda kv: str(kv[0])):
+    for (flow, flits), times in sorted(per_flow.items(), key=lambda kv: str(kv[0][0])):
         workload.add(
             FlowSpec(
                 flow=flow,
@@ -52,8 +56,14 @@ def run_kernel(config, arrivals, factory, horizon):
                 ),
             )
         )
-    sim = Simulation(config, workload, arbiter_factory=factory,
-                     warmup_cycles=0, collect_events=True)
+    return workload
+
+
+def run_kernel(config, arrivals, factory, horizon, probe=None):
+    """Run the production kernel on explicit arrivals; return grants."""
+    sim = Simulation(config, _trace_workload(config, arrivals),
+                     arbiter_factory=factory, warmup_cycles=0,
+                     collect_events=True, probe=probe)
     result = sim.run(horizon)
     return [
         (e.cycle, e.output, e.input_port, e.packet_flits)
@@ -248,6 +258,47 @@ def test_occupancy_sensitive_schedules_match_flit_kernel(seed):
                                seed=seed, warmup_cycles=0,
                                collect_events=True).run(horizon)
     assert grants_of(fast) == grants_of(flit)
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10_000), radix=st.sampled_from([2, 4]))
+def test_mixed_class_backlog_schedules_match(seed, radix):
+    """BE and GB backlogged at one input: the per-buffer drain and the
+    merged arrival stream against a reference that retries every
+    backlogged flow every cycle, under the default three-class stack.
+
+    A cycle-0 burst at every input overfills both its BE queue and one of
+    its GB VOQs (one 8-flit packet fits an 8-flit buffer, the rest wait),
+    so every input holds a BE and a GB backlog at once, and several
+    sources arrive in the same cycle.
+    """
+    horizon = 400
+    config = dataclasses.replace(
+        small_config(radix), gb_buffer_flits=8, be_buffer_flits=8
+    )
+    burst = []
+    for src in range(radix):
+        for _ in range(3):
+            burst.append((0, FlowId(src, (src + 1) % radix, TrafficClass.BE), 8))
+            burst.append((0, FlowId(src, src, TrafficClass.GB), 8))
+    rng = np.random.default_rng(seed)
+    drawn = draw_arrivals(rng, radix, horizon, n_packets=15 * radix,
+                          classes=(TrafficClass.BE, TrafficClass.GB))
+    # One length per flow: a drawn packet of a burst flow takes its length.
+    flits_of = {flow: flits for _, flow, flits in burst}
+    arrivals = burst + [
+        (created, flow, flits_of.setdefault(flow, flits))
+        for created, flow, flits in drawn
+    ]
+
+    probe = CountingProbe()
+    kernel = run_kernel(config, arrivals, None, horizon, probe=probe)
+    twin = Simulation(config, _trace_workload(config, arrivals))
+    twin._program_switch()
+    reference = naive_simulate(config, arrivals, twin.switch.arbiters, horizon)
+    assert probe.maxima["kernel.overflow_flows"] >= 2 * radix
+    assert kernel == reference
 
 
 def _range_refill_workload(radix):

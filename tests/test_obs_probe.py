@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.config import GLPolicerConfig, QoSConfig, SwitchConfig
-from repro.faults import FaultPlan, input_stall
+from repro.faults import FaultPlan, crosspoint_dead, input_stall
 from repro.obs import CountingProbe, NDJSONTraceProbe, Probe, RunReport
 from repro.switch.simulator import Simulation
 from repro.traffic.flows import Workload, be_flow, gb_flow, gl_flow
@@ -133,6 +133,74 @@ class TestKernelCounters:
         # Input 1's first four grants each retry its one backlogged flow
         # and admit one packet; the fourth empties it.
         assert probe.value("kernel.overflow_flows_scanned") == 4
+
+    def test_grant_drains_only_the_buffer_it_freed(self):
+        """A grant frees space in one buffer only, so it retries only that
+        buffer's backlog. Input 0 backlogs a BE flow and a GB flow; its BE
+        crosspoint is dead, so every grant there is a GB grant, and none
+        may visit the BE flow waiting for the BE queue."""
+        horizon = 2_000
+        workload = Workload(name="per-buffer-drain")
+        # 8-flit packets into 16-flit buffers: two fit, two wait, per flow.
+        workload.add(
+            be_flow(0, 1, packet_length=8, process=TraceInjection([0] * 4))
+        )
+        workload.add(
+            gb_flow(0, 2, reserved_rate=0.3, packet_length=8,
+                    process=TraceInjection([0] * 4))
+        )
+        plan = FaultPlan(seed=0, faults=(crosspoint_dead(0, 1),))
+        probe = CountingProbe()
+        result = Simulation(config(), workload, seed=1, probe=probe,
+                            warmup_cycles=0, fault_plan=plan).run(horizon)
+        assert result.grants == 4  # the GB flow's packets only
+        assert probe.maxima["kernel.overflow_flows"] == 2  # both backlogged
+        # The first two GB grants each retry the GB flow and admit one
+        # packet; the second empties its backlog. The BE flow is never
+        # visited, although it waits at the granted input all run.
+        assert probe.value("kernel.overflow_flows_scanned") == 2
+
+    def test_matching_path_keeps_the_overflow_counters(self):
+        """Under a switch-wide matching scheduler the kernel builds a
+        per-wake request map; the source-side overflow store must survive
+        it. 8-flit packets into a 32-flit VOQ: four fit at cycle 0 and
+        one is granted; of three more at cycle 1 one fits and two wait,
+        and the run's overflow gauges and scan counter are reported."""
+        from repro.experiments.common import make_arbiter_factory, voq_config
+
+        workload = Workload(name="voq-overflow")
+        workload.add(
+            be_flow(0, 1, packet_length=8,
+                    process=TraceInjection([0] * 4 + [1] * 3))
+        )
+        probe = CountingProbe()
+        result = Simulation(voq_config(radix=4), workload,
+                            arbiter_factory=make_arbiter_factory("islip"),
+                            seed=1, probe=probe, warmup_cycles=0).run(500)
+        assert result.grants == 7
+        assert probe.maxima["kernel.overflow_flows"] == 1
+        assert probe.maxima["kernel.overflow_queue_depth"] == 2
+        # The next two grants each free room for one waiting packet.
+        assert probe.value("kernel.overflow_flows_scanned") == 2
+
+    def test_scheduled_arrivals_push_no_wake_heap_entries(self):
+        """Arrivals come from one presorted stream, not the wake heap: on
+        a trace-only workload every heap push is a delivery wake."""
+        workload = Workload(name="stream-arrivals")
+        workload.add(
+            be_flow(0, 1, packet_length=4, process=TraceInjection([0, 10, 20]))
+        )
+        workload.add(
+            be_flow(2, 3, packet_length=2, process=TraceInjection([3, 10, 31]))
+        )
+        probe = CountingProbe()
+        result = Simulation(config(), workload, seed=1, probe=probe,
+                            warmup_cycles=0).run(500)
+        assert result.grants == 6
+        assert probe.value("kernel.arrivals") == 6
+        # Six deliveries at distinct cycles (5, 15, 25; 6, 13, 34), no
+        # declines and no faults: six pushes, none for an arrival.
+        assert probe.value("kernel.heap_pushes") == 6
 
     def test_outputs_without_buffered_packets_are_never_arbitrated(self):
         """The per-output demand index skips outputs no input holds a
