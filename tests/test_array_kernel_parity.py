@@ -4,7 +4,9 @@ The array kernel's whole claim (docs/KERNELS.md) is that batching one
 cycle's arbitration into numpy row operations changes *nothing* observable:
 same grants, same event stream (to the repr), same probe counters, same
 QoS metrics — under uniform load, the Fig. 4 hotspot, GL policing, an
-active fault plan, range-length saturating sources, and at radix 128.
+active fault plan, range-length saturating sources, and at radix 128;
+and on the counter paths: the HALVE and RESET saturation branches, and
+counter bit-flips under all three counter modes.
 These tests pin that contract, plus its boundaries (the configurations
 the kernel refuses at construction) and its interaction with the sweep
 executor at ``--jobs 1/2/4``.
@@ -33,6 +35,9 @@ from repro.switch.array_kernel import ArraySimulation
 from repro.switch.simulator import Simulation
 from repro.traffic.flows import Workload, be_flow, gb_flow, gl_flow
 from repro.traffic.patterns import fig4_workload, uniform_random_workload
+from repro.types import CounterMode
+
+from tests.test_saturating_hashes import BITFLIP_PLAN
 
 HORIZON = 4_000
 
@@ -51,8 +56,29 @@ def _paper_config(radix: int = 8, **overrides: object) -> SwitchConfig:
     return SwitchConfig(**defaults)  # type: ignore[arg-type]
 
 
+def _counter_scenario(name: str):
+    """Uniform 0.7 or the Fig. 4 hotspot on the counter paths.
+
+    ``name`` is ``<uniform|hotspot>[-halve|-reset][-flips]``: the counter
+    mode (SUBTRACT when absent) and whether ``BITFLIP_PLAN`` is active.
+    """
+    parts = name.split("-")
+    flips = parts[-1] == "flips"
+    mode = parts[1] if len(parts) > 1 and parts[1] != "flips" else "subtract"
+    config = _paper_config(
+        qos=QoSConfig(sig_bits=4, frac_bits=8, counter_mode=CounterMode[mode.upper()])
+    )
+    if parts[0] == "uniform":
+        workload = uniform_random_workload(8, inject_rate=0.7, reserved_share=0.9)
+    else:
+        workload = fig4_workload(inject_rate=None)
+    return config, workload, BITFLIP_PLAN if flips else None
+
+
 def _scenario(name: str, horizon: int = HORIZON):
     """(config, workload, fault_plan) for one pinned parity scenario."""
+    if name in COUNTER_SCENARIOS:
+        return _counter_scenario(name)
     if name == "uniform":
         return (
             _paper_config(),
@@ -102,7 +128,16 @@ def _scenario(name: str, horizon: int = HORIZON):
     raise AssertionError(name)
 
 
-SCENARIOS = ("uniform", "hotspot", "gl-policed", "faulted", "range-topup", "r128")
+COUNTER_SCENARIOS = tuple(
+    f"{base}{mode}{flips}"
+    for base in ("uniform", "hotspot")
+    for flips in ("", "-flips")
+    for mode in ("", "-halve", "-reset")
+    if mode or flips
+)
+SCENARIOS = (
+    "uniform", "hotspot", "gl-policed", "faulted", "range-topup", "r128",
+) + COUNTER_SCENARIOS
 
 
 def _run(sim_cls, name: str, horizon: int):
@@ -156,6 +191,41 @@ class TestBitIdenticalParity:
                 "delivered_packets", "delivered_flits",
             ):
                 assert getattr(ours, attr) == getattr(oracle, attr), (flow, attr)
+
+
+def _counter_run(sim_cls, name: str):
+    """(event reprs, (halve events, reset events)) of one counter scenario."""
+    config, workload, plan = _scenario(name)
+    sim = sim_cls(config, workload, seed=1, fault_plan=plan, collect_events=True)
+    result = sim.run(HORIZON)
+    cores = [arbiter.gb_arbiter.core for arbiter in sim.switch.arbiters]
+    saturations = (
+        sum(core.halve_events for core in cores),
+        sum(core.reset_events for core in cores),
+    )
+    return [repr(event) for event in result.events], saturations
+
+
+class TestCounterPaths:
+    """The counter scenarios reach the code they are there to cover."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["uniform-halve", "uniform-reset", "hotspot-halve-flips", "hotspot-reset-flips"],
+    )
+    def test_saturation_branch_fires_alike_in_both_kernels(self, name):
+        _, event = _counter_run(Simulation, name)
+        _, array = _counter_run(ArraySimulation, name)
+        assert array == event
+        halves, resets = event
+        assert (halves > 0, resets > 0) == ("halve" in name, "reset" in name)
+
+    @pytest.mark.parametrize("name", ["uniform", "hotspot"])
+    @pytest.mark.parametrize("mode", ["", "-halve", "-reset"])
+    def test_bitflips_change_the_event_stream(self, name, mode):
+        plain, _ = _counter_run(Simulation, name + mode)
+        flipped, _ = _counter_run(Simulation, name + mode + "-flips")
+        assert flipped != plain
 
 
 class TestConstructionBoundaries:
