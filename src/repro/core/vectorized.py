@@ -2,20 +2,15 @@
 
 The array kernel (:mod:`repro.switch.array_kernel`) batches one cycle's
 arbitration across all outputs at once. This module holds the pure
-building blocks it composes, each the element-wise twin of a scalar
-routine elsewhere in :mod:`repro.core`:
+building blocks it shares, each the element-wise twin of a scalar routine
+elsewhere in :mod:`repro.core`; the kernel computes counter decay, the
+composite key and its argmin inline:
 
-* :func:`thermometer_levels` — :meth:`ThermometerCode.from_counter`
-  broadcast over an auxVC counter matrix;
-* :func:`epoch_decay` — the SUBTRACT-mode lazy window shift of
-  :meth:`SSVCCore._sync`, applied eagerly to a whole matrix;
-* :func:`lrg_commit` / :func:`lrg_select` — the self-updating
+* :func:`lrg_ranks` / :func:`lrg_commit` — the self-updating
   least-recently-granted order of :class:`LRGState` as a rank vector;
 * :func:`coarse_row` — the class-precedence of
   :meth:`InputPort.head_for_output` plus the GL/GB/BE plane priority of
   :class:`ThreeClassArbiter` collapsed into one integer band per input;
-* :func:`composite_key` / :func:`masked_argmin` — "smallest coarse band
-  wins, LRG breaks ties" as a single argmin over a fused integer key;
 * :func:`gl_eligibility_threshold` — the GL policer's float clock
   predicate folded into one integer cycle threshold, so the kernel's
   per-cycle eligibility test is an integer compare.
@@ -24,13 +19,13 @@ Everything here works on **integer dtypes only** — the grant path never
 compares floats (the one float input, the policer clock, is converted to
 an integer threshold once per transmission, outside the per-cycle loop).
 Property tests (``tests/test_vectorized_properties.py``) pin each helper
-element-wise against its scalar counterpart on randomized matrices.
+element-wise against its scalar counterpart on randomized inputs.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -55,49 +50,6 @@ NEVER_ELIGIBLE: int = 1 << 60
 ALWAYS_ELIGIBLE: int = 0
 
 
-def thermometer_levels(
-    value_num: IntArray, quantum_num: Union[int, IntArray], levels: int
-) -> IntArray:
-    """Coarse thermometer level per counter, vectorized.
-
-    Element-wise ``min(value_num // quantum_num, levels - 1)`` — the exact
-    quantization of :meth:`repro.core.thermometer.ThermometerCode.from_counter`
-    and :meth:`repro.core.ssvc.SSVCCore.level`, with both operands in the
-    core's integer subtick units. ``quantum_num`` may be a scalar or a
-    broadcastable array (a per-output column of subtick quanta).
-    """
-    result: IntArray = np.minimum(value_num // quantum_num, levels - 1)
-    return result
-
-
-def epoch_decay(
-    value_num: IntArray,
-    delta_epochs: int,
-    quantum_num: Union[int, IntArray],
-    levels: int,
-    out: Optional[IntArray] = None,
-) -> IntArray:
-    """SUBTRACT-mode window decay over ``delta_epochs`` quanta, vectorized.
-
-    Mirrors :meth:`SSVCCore._sync`: ``max(value - delta * quantum, 0)``.
-    The multiplier is clamped to ``levels`` — exact, because a saturating
-    register never exceeds ``levels * quantum`` subticks, so any larger
-    delta already floors every counter at zero — which keeps the product
-    inside int64 even after very long idle gaps (``delta`` can reach
-    ``horizon / quantum`` while ``quantum_num`` carries a 2**50-scale
-    subtick denominator).
-    """
-    if delta_epochs <= 0:
-        if out is not None and out is not value_num:
-            np.copyto(out, value_num)
-            return out
-        return value_num
-    decay = min(delta_epochs, levels) * np.asarray(quantum_num)
-    result: IntArray = np.subtract(value_num, decay, out=out)
-    np.maximum(result, 0, out=result)
-    return result
-
-
 def lrg_ranks(order: Sequence[int]) -> IntArray:
     """Rank vector (0 = highest priority) from an LRG priority order."""
     n = len(order)
@@ -105,20 +57,6 @@ def lrg_ranks(order: Sequence[int]) -> IntArray:
     for rank, inp in enumerate(order):
         ranks[inp] = rank
     return ranks
-
-
-def lrg_select(rank_row: IntArray, candidates: BoolArray) -> int:
-    """Least-recently-granted candidate, or -1 when none request.
-
-    Twin of :meth:`LRGState.arbitrate`: the requesting input with the
-    smallest rank wins. Ranks are a permutation, so the minimum is unique
-    # (argmin's lowest-index tie-break can never engage on a valid row).
-    """
-    if not bool(candidates.any()):
-        return -1
-    masked = np.where(candidates, rank_row, MASKED)
-    # tie-break: ranks are unique, so argmin has a single minimum.
-    return int(np.argmin(masked))
 
 
 def lrg_commit(rank_row: IntArray, winner: int) -> None:
@@ -169,51 +107,6 @@ def coarse_row(
     return demoted
 
 
-def composite_key(coarse: IntArray, rank: IntArray, radix: int) -> IntArray:
-    """Fuse coarse band and LRG rank into one comparable integer key.
-
-    ``key = coarse * radix + rank``: any band difference dominates
-    (``rank < radix``), and within a band the least-recently-granted input
-    wins — exactly the scalar stack's "best level, LRG ties" rule. Keys
-    within a row are unique because ranks are a permutation.
-    """
-    keys: IntArray = coarse * radix + rank
-    return keys
-
-
-def masked_argmin(keys: IntArray, mask: BoolArray) -> int:
-    """Winner of one output's composite-key row, or -1 when none request.
-
-    ``mask`` marks inputs allowed to compete (not busy, non-empty, not
-    stalled/dead). A no-request entry carries ``NO_REQUEST * radix + rank``
-    (see :func:`composite_key`), so any key at or above
-    ``NO_REQUEST * radix`` means nothing competed.
-    """
-    masked = np.where(mask, keys, MASKED)
-    # tie-break: composite keys are unique within a row (rank is a
-    # permutation), so argmin's lowest-index rule never engages.
-    winner = int(np.argmin(masked))
-    if int(masked[winner]) >= NO_REQUEST * keys.shape[-1]:
-        return -1
-    return winner
-
-
-def ssvc_select(level_row: IntArray, rank_row: IntArray, candidates: BoolArray) -> int:
-    """SSVC winner among GB candidates, or -1 when none request.
-
-    Twin of :meth:`SSVCCore.select`: the smallest coarse level wins
-    outright; ties within a level fall to the least-recently-granted input.
-    ``level_row`` holds each candidate's coarse thermometer level.
-    """
-    if not bool(candidates.any()):
-        return -1
-    n = rank_row.shape[0]
-    keys = np.where(candidates, level_row * n + rank_row, MASKED)
-    # tie-break: level*n+rank is unique per input (ranks are a
-    # permutation), so argmin's lowest-index rule never engages.
-    return int(np.argmin(keys))
-
-
 def gl_eligibility_threshold(
     usage_clock: float,
     burst_window: Optional[float],
@@ -247,15 +140,3 @@ def gl_eligibility_threshold(
     while max(usage_clock - t, 0.0) > burst_window:
         t += 1
     return t
-
-
-def gl_eligibility_thresholds(
-    clocks: Sequence[float],
-    burst_window: Optional[float],
-    reserved_rate: float,
-) -> List[int]:
-    """Per-output thresholds for a vector of policer clocks."""
-    return [
-        gl_eligibility_threshold(clock, burst_window, reserved_rate)
-        for clock in clocks
-    ]

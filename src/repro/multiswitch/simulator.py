@@ -37,6 +37,7 @@ from ..faults import FaultInjector, FaultKind, FaultPlan, resolve_injector
 from ..metrics.counters import StatsCollector
 from ..obs.probe import Probe, resolve_hooks
 from ..switch.flit import Packet, fresh_packet_ids
+from ..switch.simulator import _arrival_stream
 from ..traffic.generators import BernoulliInjection
 from ..types import FlowId, TrafficClass
 from .topology import ClosTopology
@@ -286,23 +287,23 @@ class MultiStageSimulation:
                 gs, min(rate, 1.0), packet_flits[(gd, local_dst, gs)]
             )
 
-    def _build_arrivals(self, horizon: int):
-        """Per-flow Bernoulli arrival schedules, one spawned seed per flow."""
-        heap: List[Tuple[int, int]] = []  # (time, flow index)
-        schedules: List[Deque[int]] = []
+    def _build_arrivals(self, horizon: int) -> List[np.ndarray]:
+        """Per-flow Bernoulli arrival schedules, one spawned seed per flow.
+
+        A saturating flow's schedule is empty: top-up feeds it.
+        """
+        schedules = []
         seeds = np.random.SeedSequence(self.seed).spawn(len(self.flows))
-        for idx, (flow, child) in enumerate(zip(self.flows, seeds)):
+        for flow, child in zip(self.flows, seeds):
             if flow.inject_rate is None:
-                schedules.append(deque())  # saturating: handled by top-up
+                schedules.append(np.empty(0, dtype=np.int64))
                 continue
-            times = BernoulliInjection(flow.inject_rate).arrival_times(
-                horizon, flow.packet_flits, np.random.default_rng(child)
+            schedules.append(
+                BernoulliInjection(flow.inject_rate).arrival_times(
+                    horizon, flow.packet_flits, np.random.default_rng(child)
+                )
             )
-            schedule = deque(int(t) for t in times)
-            schedules.append(schedule)
-            if schedule:
-                heapq.heappush(heap, (schedule[0], idx))
-        return heap, schedules
+        return schedules
 
     # ------------------------------------------------------------------- run
 
@@ -325,7 +326,12 @@ class MultiStageSimulation:
         ]
         egress_out_busy = [[0] * topo.hosts_per_group for _ in range(topo.groups)]
 
-        arrival_heap, schedules = self._build_arrivals(horizon)
+        # Scheduled arrivals, presorted once; ``horizon`` ends the stream.
+        arrival_times, arrival_flows = _arrival_stream(
+            self._build_arrivals(horizon), horizon
+        )
+        next_arrival = arrival_times[0]
+        cursor = 0
         # Saturating flows grouped by the VOQ they feed, so flows sharing a
         # queue interleave their packets instead of the first one in flow
         # order monopolizing the buffer.
@@ -382,8 +388,6 @@ class MultiStageSimulation:
                 pending.add(t)
                 heap_pushes += 1
 
-        for t0, _ in arrival_heap:
-            wake(t0)
         if injector is not None:
             # Stall boundaries and bit-flip cycles must be wake times, as
             # in the event kernel.
@@ -433,27 +437,29 @@ class MultiStageSimulation:
                         sat_cursor[key] = (pos + 1) % len(indices)
                         progress = True
 
-        while wake_heap:
-            now = heapq.heappop(wake_heap)
-            pending.discard(now)
-            if now >= horizon:
-                continue
+        # Wake times are the wake heap's entries merged with the arrival
+        # stream; a cycle in both is one wake.
+        while True:
+            if wake_heap and wake_heap[0] <= next_arrival:
+                now = heapq.heappop(wake_heap)
+                pending.discard(now)
+            elif next_arrival < horizon:
+                now = next_arrival
+            else:
+                break
             wakes += 1
 
             # 1. Scheduled host arrivals.
-            while arrival_heap and arrival_heap[0][0] <= now:
-                _, idx = heapq.heappop(arrival_heap)
-                flow = self.flows[idx]
-                schedules[idx].popleft()
+            while next_arrival == now:
+                flow = self.flows[arrival_flows[cursor]]
                 packet = make_packet(flow, now)
                 stats.on_created(packet)
                 port = host_ports[topo.group_of(flow.src)][topo.local_index(flow.src)]
                 uplink = topo.uplink_for(flow.dst)
                 if not port.try_inject(packet, uplink, now):
                     port.source_queue.append(packet)
-                if schedules[idx]:
-                    heapq.heappush(arrival_heap, (schedules[idx][0], idx))
-                    wake(schedules[idx][0])
+                cursor += 1
+                next_arrival = arrival_times[cursor]
 
             # 2. Link deliveries reaching egress FIFOs.
             while link_heap and link_heap[0][0] <= now:

@@ -235,7 +235,9 @@ class FlitLevelSimulation:
         from .simulator import _arrival_stream
 
         by_cycle: Dict[int, List[Packet]] = {}
-        times, owners = _arrival_stream(sources, horizon)
+        times, owners = _arrival_stream(
+            [source.schedule for source in sources], horizon
+        )
         for created, idx in zip(times, owners):
             by_cycle.setdefault(created, []).append(sources[idx].make_packet(created))
         return by_cycle

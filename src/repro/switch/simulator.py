@@ -10,15 +10,18 @@ source side of the network interface), (2) tops up saturating sources, and
 the schedule a per-cycle loop would, at a fraction of the cost, because
 nothing observable changes between wake times.
 
-Arbitration runs in one of two modes. With per-output arbiters (the
+Arbitration runs in one of three modes. With per-output arbiters (the
 paper's switch) every idle output consults its own
 :class:`~repro.qos.base.OutputArbiter` in a rotating order. With an
 iterative matching scheduler (:class:`~repro.qos.iterative.
 IterativeArbiter` — iSLIP, QPS-r, SW-QPS; requires ``config.voq``) the
 kernel instead builds the VOQ backlog of every free input once per wake
-time and applies the scheduler's switch-wide matching. Both paths share
-one grant-bookkeeping closure so timing, fault accounting, and
-observability cannot drift between them.
+time and applies the scheduler's switch-wide matching. A subclass may
+instead supply a :class:`BatchedStep` that decides every idle output at
+once (the array kernel, :mod:`repro.switch.array_kernel`). :meth:`Simulation.run`
+is the one run loop for all three, and they share one grant-bookkeeping
+closure, so timing, fault accounting, and observability cannot drift
+between them.
 
 Timing model (see DESIGN.md): a grant at cycle ``t`` for an ``L``-flit
 packet occupies the output channel and the winning input until
@@ -40,6 +43,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Protocol,
     Sequence,
     Tuple,
 )
@@ -51,7 +55,7 @@ from ..core.arbitration import Request
 from ..errors import ConfigError, SimulationError
 from ..faults import FaultInjector, FaultKind, FaultPlan, resolve_injector
 from ..metrics.counters import StatsCollector
-from ..obs.probe import Probe, resolve_hooks
+from ..obs.probe import EventHook, Probe, resolve_hooks
 from ..qos.iterative import IterativeArbiter
 from ..types import FlowId, TrafficClass
 
@@ -85,7 +89,7 @@ class SimulationResult:
             a pending GL head (empty for arbiters without a
             ``gl_policer``). Two distinct GL inputs denied in the same
             cycle count as two events.
-        kernel: which engine produced this result (``event``/``flit``).
+        kernel: which engine produced this result (``event``/``array``/``flit``).
     """
 
     config: SwitchConfig
@@ -141,6 +145,32 @@ class SimulationResult:
 #: Step 3b's reuse entry for one (output, input): ``((stamp, allow_gl),
 #: gl_denied, request, head)``.
 _ReuseEntry = Tuple[Tuple[int, bool], bool, Optional[Request], Optional[Packet]]
+
+#: The run loop's grant bookkeeping: ``book_grant(output, input, packet,
+#: contenders, now)`` pops ``packet``, transmits it and returns its
+#: delivery cycle.
+BookGrant = Callable[[int, int, Packet, int, int], int]
+
+
+class BatchedStep(Protocol):
+    """One run's batched arbitration, in place of steps 3a and 3b.
+
+    :meth:`Simulation.run` calls :meth:`flip` for each counter bit-flip
+    due at a wake (step 2b) and then :meth:`arbitrate` once per wake; the
+    step passes every winner to the loop's ``book_grant``. The counters
+    are flushed to the probe after the horizon like the loop's own.
+    """
+
+    arbitrations: int
+    gl_throttles: int
+    stall_masks: int
+    dead_masks: int
+
+    def flip(self, output: int, input_port: int, bit: int, now: int) -> None:
+        """Flip one bit of one auxVC counter."""
+
+    def arbitrate(self, now: int) -> None:
+        """Arbitrate every idle output at wake ``now``."""
 
 
 def _validate_packet_sizes(workload: "Workload", config: SwitchConfig) -> None:
@@ -208,26 +238,28 @@ def _checked_injector(
 
 
 def _arrival_stream(
-    sources: Sequence["FlowSource"], horizon: int
+    schedules: Sequence[np.ndarray], horizon: int
 ) -> Tuple[memoryview, memoryview]:
-    """Merge every scheduled source's arrivals into one presorted stream.
+    """Merge per-source arrival schedules into one presorted stream.
 
-    Returns ``(times, owners)``: creation cycles and indices into
-    ``sources``, ordered by cycle and then by source index. That is the
-    order in which a heap of per-source cursors would pop them, so packet
-    ids, which are drawn in creation order, do not depend on how the
-    merge is done. ``times`` has one entry more than ``owners``,
-    ``horizon``, which ends the stream. One ``np.lexsort`` over the
-    concatenated schedules builds both; they are views of int64 arrays, so
-    indexing yields plain ints and the stream holds 16 bytes an arrival.
+    ``schedules`` holds each source's sorted int64 creation cycles (empty
+    for a saturating source). Returns ``(times, owners)``: creation cycles
+    and indices into ``schedules``, ordered by cycle and then by source
+    index. That is the order in which a heap of per-source cursors would
+    pop them, so packet ids, which are drawn in creation order, do not
+    depend on how the merge is done. ``times`` has one entry more than
+    ``owners``, ``horizon``, which ends the stream. One ``np.lexsort`` over
+    the concatenated schedules builds both; they are views of int64
+    arrays, so indexing yields plain ints and the stream holds 16 bytes an
+    arrival.
     """
-    owners = [i for i, source in enumerate(sources) if len(source.schedule)]
-    schedules = [sources[i].schedule for i in owners]
-    schedules.append(np.array([horizon], dtype=np.int64))
-    owners.append(len(sources))  # the end entry sorts after any arrival
-    times = np.concatenate(schedules)
+    owners = [i for i, schedule in enumerate(schedules) if len(schedule)]
+    parts = [schedules[i] for i in owners]
+    parts.append(np.array([horizon], dtype=np.int64))
+    owners.append(len(schedules))  # the end entry sorts after any arrival
+    times = np.concatenate(parts)
     index = np.repeat(
-        np.asarray(owners, dtype=np.int64), [len(s) for s in schedules]
+        np.asarray(owners, dtype=np.int64), [len(part) for part in parts]
     )
     order = np.lexsort((index, times))
     return memoryview(times[order]), memoryview(index[order][:-1])
@@ -438,6 +470,9 @@ class Simulation:
             :func:`_checked_injector`).
     """
 
+    #: Engine name reported in :attr:`SimulationResult.kernel`.
+    kernel = "event"
+
     def __init__(
         self,
         config: SwitchConfig,
@@ -573,6 +608,15 @@ class Simulation:
             )
         return sources
 
+    def _batched_step(
+        self,
+        book_grant: BookGrant,
+        injector: Optional[FaultInjector],
+        event_hook: Optional[EventHook],
+    ) -> Optional[BatchedStep]:
+        """This run's batched arbitration step; the event kernel has none."""
+        return None
+
     # ------------------------------------------------------------------- run
 
     def run(self, horizon: int) -> SimulationResult:
@@ -651,7 +695,9 @@ class Simulation:
 
         landing, saturating = _landings(sources, inputs)
         # Scheduled arrivals, presorted once; ``horizon`` ends the stream.
-        arrival_times, arrival_sources = _arrival_stream(sources, horizon)
+        arrival_times, arrival_sources = _arrival_stream(
+            [source.schedule for source in sources], horizon
+        )
         arrivals = len(arrival_sources)
         next_arrival = arrival_times[0]
         cursor = 0
@@ -710,11 +756,12 @@ class Simulation:
         ) -> int:
             """Pop the granted packet and run the shared delivery bookkeeping.
 
-            Both arbitration paths — per-output arbiters and switch-wide
-            iterative matching — funnel through here, so transmission
-            timing, packet chaining, drop/dup fault accounting, statistics,
-            trace/collected events, and the freed-buffer refill can never
-            drift between them. Returns the delivery cycle.
+            Every arbitration path — per-output arbiters, switch-wide
+            iterative matching and a batched step — funnels through here,
+            so transmission timing, packet chaining, drop/dup fault
+            accounting, statistics, trace/collected events, and the
+            freed-buffer refill can never drift between them. Returns the
+            delivery cycle.
             """
             nonlocal grants, chained_grants, fault_drops, fault_dups
             port = inputs[in_port]
@@ -816,6 +863,8 @@ class Simulation:
             top_up_input(in_port, now)
             return delivered
 
+        step = self._batched_step(book_grant, injector, event_hook)
+
         # Wake times are the wake heap's entries merged with the arrival
         # stream; a cycle in both is one wake.
         while True:
@@ -852,9 +901,12 @@ class Simulation:
             #     mirroring the flit kernel's per-cycle ordering.
             if faults_flips:
                 for spec in injector.counter_flips_at(now):
-                    arbiters[spec.output].inject_counter_bitflip(
-                        spec.input_port, spec.bit, now
-                    )
+                    if step is None:
+                        arbiters[spec.output].inject_counter_bitflip(
+                            spec.input_port, spec.bit, now
+                        )
+                    else:
+                        step.flip(spec.output, spec.input_port, spec.bit, now)
                     fault_flips_applied += 1
                     if event_hook is not None:
                         event_hook(
@@ -865,6 +917,11 @@ class Simulation:
                             input=spec.input_port,
                             bit=spec.bit,
                         )
+
+            # 3. A batched step arbitrates every idle output at once.
+            if step is not None:
+                step.arbitrate(now)
+                continue
 
             # 3a. Switch-wide iterative matching: one match() call covers
             #     every idle output this cycle.
@@ -1021,6 +1078,11 @@ class Simulation:
                     )
                 book_grant(o, winner.input_port, packet, len(requests), now)
 
+        if step is not None:
+            arbitrations = step.arbitrations
+            gl_throttles = step.gl_throttles
+            fault_stall_masks = step.stall_masks
+            fault_dead_masks = step.dead_masks
         # Flush locally-accumulated aggregates to the probe once. Counters
         # that never fired stay absent, matching the old inline behaviour.
         count_hook = hooks.count
@@ -1085,4 +1147,5 @@ class Simulation:
             grants=grants,
             events=events,
             gl_throttle_events=gl_throttle_events,
+            kernel=self.kernel,
         )

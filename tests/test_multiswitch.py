@@ -1,5 +1,6 @@
 """Tests for the two-stage composition substrate (Section 4.4 extension)."""
 
+import numpy as np
 import pytest
 
 from repro.config import QoSConfig
@@ -7,6 +8,7 @@ from repro.errors import ConfigError, SimulationError, TrafficError
 from repro.multiswitch.simulator import ComposedFlow, MultiStageSimulation
 from repro.multiswitch.storage import composed_storage_overhead
 from repro.multiswitch.topology import ClosTopology
+from repro.obs.probe import CountingProbe
 
 
 class TestTopology:
@@ -131,6 +133,33 @@ class TestSimulatorBasics:
         sim = MultiStageSimulation(self.TOPO, [flow(0, 2)])
         with pytest.raises(SimulationError):
             sim.run(0)
+
+
+class TestArrivalStream:
+    def test_scheduled_arrivals_push_no_wake_heap_entries(self):
+        """Host arrivals come from one presorted stream, not the wake heap.
+
+        8-flit packets never fit the 4-flit egress FIFOs, so nothing is
+        granted: every wake is cycle 0 or an arrival cycle, and nothing is
+        pushed onto the wake heap at all.
+        """
+        topo = ClosTopology(groups=2, hosts_per_group=2, link_latency=2)
+        flows = [
+            ComposedFlow(0, 2, rate=0.4, packet_flits=8, inject_rate=0.3),
+            ComposedFlow(1, 3, rate=0.4, packet_flits=8, inject_rate=0.2),
+            ComposedFlow(2, 0, rate=0.4, packet_flits=8, inject_rate=0.3),
+        ]
+        probe = CountingProbe()
+        sim = MultiStageSimulation(
+            topo, flows, downlink_capacity_flits=4, seed=4, probe=probe
+        )
+        result = sim.run(2_000)
+        schedules = sim._build_arrivals(2_000)
+        arrival_cycles = set(np.concatenate(schedules).tolist())
+        assert result.grants_ingress == 0
+        assert sum(len(s) for s in schedules) > 100
+        assert "multiswitch.heap_pushes" not in probe.counters
+        assert probe.counters["multiswitch.wakes"] == len(arrival_cycles | {0})
 
 
 class TestCompositionEffects:

@@ -2,10 +2,10 @@
 
 Each helper in :mod:`repro.core.vectorized` claims to be the element-wise
 twin of a scalar routine in :mod:`repro.core` / :mod:`repro.qos`. The
-array-kernel parity suite checks the composed whole; these properties pin
-each primitive individually on randomized inputs (radix 2..16, all three
-traffic classes), so a divergence is caught at the helper that introduced
-it rather than as an opaque event-stream mismatch.
+array-kernel parity suite checks the composed whole, including the decay,
+key and argmin the kernel computes inline; these properties pin each
+shared helper on randomized inputs (radix 2..16, all three traffic
+classes).
 """
 
 from __future__ import annotations
@@ -17,52 +17,12 @@ from hypothesis import strategies as st
 from repro.config import GLPolicerConfig
 from repro.core import vectorized as vec
 from repro.core.lrg import LRGState
-from repro.core.thermometer import ThermometerCode
 from repro.qos.gl_policer import GLPolicer
 
 RADIX = st.integers(min_value=2, max_value=16)
 LEVELS = st.integers(min_value=2, max_value=8)
 
 common = settings(deadline=None, max_examples=75)
-
-
-@st.composite
-def counter_matrix(draw):
-    """(value_num matrix, quantum_num, levels) in integer subtick units."""
-    rows = draw(RADIX)
-    cols = draw(RADIX)
-    levels = draw(LEVELS)
-    quantum = draw(st.integers(min_value=1, max_value=1 << 20))
-    values = draw(
-        st.lists(
-            st.integers(min_value=0, max_value=(levels + 3) * (1 << 20)),
-            min_size=rows * cols,
-            max_size=rows * cols,
-        )
-    )
-    matrix = np.asarray(values, dtype=np.int64).reshape(rows, cols)
-    return matrix, quantum, levels
-
-
-@common
-@given(counter_matrix())
-def test_thermometer_levels_matches_from_counter(data):
-    matrix, quantum, levels = data
-    got = vec.thermometer_levels(matrix, quantum, levels)
-    assert got.dtype == np.int64
-    for value, level in zip(matrix.ravel(), got.ravel()):
-        scalar = ThermometerCode.from_counter(int(value), quantum, levels)
-        assert int(level) == scalar.level
-
-
-@common
-@given(counter_matrix(), st.integers(min_value=0, max_value=1 << 24))
-def test_epoch_decay_matches_scalar_subtract(data, delta):
-    matrix, quantum, levels = data
-    got = vec.epoch_decay(matrix.copy(), delta, quantum, levels)
-    for value, decayed in zip(matrix.ravel(), got.ravel()):
-        expected = max(int(value) - min(delta, levels) * quantum, 0)
-        assert int(decayed) == expected
 
 
 # ------------------------------------------------------------------- LRG
@@ -92,72 +52,15 @@ def test_lrg_select_and_commit_track_lrgstate(data):
     state = LRGState(n, initial_order=order)
     ranks = vec.lrg_ranks(order)
     for mask in steps:
-        candidates = np.asarray(mask, dtype=bool)
-        winner = vec.lrg_select(ranks, candidates)
         requesters = [i for i, bit in enumerate(mask) if bit]
+        # The smallest rank among the requesters is the LRG winner, as the
+        # array kernel's argmin over a composite-key row finds it.
+        winner = min(requesters, key=lambda i: int(ranks[i]))
         assert winner == state.arbitrate(requesters)
         state.grant(winner)
         vec.lrg_commit(ranks, winner)
         # The rank vector stays the permutation LRGState holds as a list.
         assert list(ranks) == [state.rank(i) for i in range(n)]
-
-
-@common
-@given(RADIX)
-def test_lrg_select_returns_sentinel_with_no_candidates(n):
-    ranks = vec.lrg_ranks(list(range(n)))
-    assert vec.lrg_select(ranks, np.zeros(n, dtype=bool)) == -1
-
-
-# ------------------------------------------------------------------ SSVC
-
-
-@st.composite
-def ssvc_row(draw):
-    """(levels, per-input coarse level, LRG order, candidate mask)."""
-    n = draw(RADIX)
-    levels = draw(LEVELS)
-    level_row = draw(
-        st.lists(
-            st.integers(min_value=0, max_value=levels - 1), min_size=n, max_size=n
-        )
-    )
-    order = draw(st.permutations(list(range(n))))
-    mask = draw(
-        st.lists(st.booleans(), min_size=n, max_size=n).filter(lambda b: any(b))
-    )
-    return levels, level_row, order, mask
-
-
-@common
-@given(ssvc_row())
-def test_ssvc_select_matches_min_level_then_lrg(data):
-    levels, level_row, order, mask = data
-    winner = vec.ssvc_select(
-        np.asarray(level_row, dtype=np.int64),
-        vec.lrg_ranks(order),
-        np.asarray(mask, dtype=bool),
-    )
-    # Scalar reference: SSVCCore.select's rule spelled out — smallest
-    # coarse level wins, ties fall to the least recently granted input.
-    candidates = [i for i, bit in enumerate(mask) if bit]
-    best = min(level_row[i] for i in candidates)
-    tied = [i for i in candidates if level_row[i] == best]
-    expected = tied[0] if len(tied) == 1 else LRGState(
-        len(mask), initial_order=order
-    ).arbitrate(tied)
-    assert winner == expected
-
-
-@common
-@given(RADIX, LEVELS)
-def test_ssvc_select_returns_sentinel_with_no_candidates(n, levels):
-    winner = vec.ssvc_select(
-        np.zeros(n, dtype=np.int64),
-        vec.lrg_ranks(list(range(n))),
-        np.zeros(n, dtype=bool),
-    )
-    assert winner == -1
 
 
 # ---------------------------------------------------- three-class precedence
@@ -188,15 +91,13 @@ def class_row(draw):
         )
     )
     allow_gl = draw(st.booleans())
-    order = draw(st.permutations(list(range(n))))
-    mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return n, levels, gl, gb, be, level_row, allow_gl, order, mask
+    return n, levels, gl, gb, be, level_row, allow_gl
 
 
 @common
 @given(class_row())
 def test_coarse_row_matches_scalar_precedence(data):
-    n, levels, gl, gb, be, level_row, allow_gl, _, _ = data
+    n, levels, gl, gb, be, level_row, allow_gl = data
     got = vec.coarse_row(
         np.asarray(gl, dtype=bool),
         np.asarray(gb, dtype=bool),
@@ -208,33 +109,6 @@ def test_coarse_row_matches_scalar_precedence(data):
     for i in range(n):
         expected = _scalar_coarse(gl[i], gb[i], be[i], level_row[i], allow_gl, levels)
         assert int(got[i]) == expected, (i, gl[i], gb[i], be[i], allow_gl)
-
-
-@common
-@given(class_row())
-def test_masked_argmin_picks_best_band_then_lrg(data):
-    n, levels, gl, gb, be, level_row, allow_gl, order, mask = data
-    coarse = vec.coarse_row(
-        np.asarray(gl, dtype=bool),
-        np.asarray(gb, dtype=bool),
-        np.asarray(be, dtype=bool),
-        np.asarray(level_row, dtype=np.int64),
-        allow_gl,
-        levels,
-    )
-    ranks = vec.lrg_ranks(order)
-    keys = vec.composite_key(coarse, ranks, n)
-    winner = vec.masked_argmin(keys, np.asarray(mask, dtype=bool))
-    # Scalar reference: among unmasked real requesters, the smallest
-    # (band, LRG rank) pair wins; -1 when nothing competes.
-    competing = [
-        i for i in range(n) if mask[i] and int(coarse[i]) < vec.NO_REQUEST
-    ]
-    if not competing:
-        assert winner == -1
-    else:
-        expected = min(competing, key=lambda i: (int(coarse[i]), int(ranks[i])))
-        assert winner == expected
 
 
 # ------------------------------------------------------------- GL policer
@@ -296,18 +170,3 @@ def test_gl_threshold_sentinels_match_policer_edge_modes(now):
     threshold = vec.gl_eligibility_threshold(unpoliced.usage_clock, None, 0.25)
     assert threshold == vec.ALWAYS_ELIGIBLE
     assert unpoliced.eligible(now)
-
-
-@common
-@given(policer_history())
-def test_gl_thresholds_vector_matches_scalar(data):
-    rate, window, transmits = data
-    clocks = []
-    clock = 0.0
-    for gap, flits in transmits:
-        clock = max(clock, float(gap)) + flits / rate
-        clocks.append(clock)
-    got = vec.gl_eligibility_thresholds(clocks, window, rate)
-    assert got == [
-        vec.gl_eligibility_threshold(c, window, rate) for c in clocks
-    ]
