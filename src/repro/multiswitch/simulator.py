@@ -292,7 +292,7 @@ class MultiStageSimulation:
 
         A saturating flow's schedule is empty: top-up feeds it.
         """
-        schedules = []
+        schedules: List[np.ndarray] = []
         seeds = np.random.SeedSequence(self.seed).spawn(len(self.flows))
         for flow, child in zip(self.flows, seeds):
             if flow.inject_rate is None:

@@ -18,10 +18,10 @@ IterativeArbiter` — iSLIP, QPS-r, SW-QPS; requires ``config.voq``) the
 kernel instead builds the VOQ backlog of every free input once per wake
 time and applies the scheduler's switch-wide matching. A subclass may
 instead supply a :class:`BatchedStep` that decides every idle output at
-once (the array kernel, :mod:`repro.switch.array_kernel`). :meth:`Simulation.run`
-is the one run loop for all three, and they share one grant-bookkeeping
-closure, so timing, fault accounting, and observability cannot drift
-between them.
+once (the array kernel, :mod:`repro.switch.array_kernel`).
+:meth:`Simulation.run` is the one run loop for all three, and they share
+one grant-bookkeeping closure, so timing, fault accounting, and
+observability cannot drift between them.
 
 Timing model (see DESIGN.md): a grant at cycle ``t`` for an ``L``-flit
 packet occupies the output channel and the winning input until
