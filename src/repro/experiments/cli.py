@@ -176,8 +176,9 @@ def main(argv: "list[str] | None" = None) -> int:
         "--kernel",
         choices=list(KERNELS),
         default="event",
-        help="simulation backend for 'custom' (default: event; all three "
-        "produce bit-identical results, see docs/KERNELS.md)",
+        help="simulation backend for 'custom' (default: event; event and "
+        "array produce bit-identical results, flit matches them only while "
+        "backpressure never binds, see docs/KERNELS.md)",
     )
     parser.add_argument(
         "--report",

@@ -36,9 +36,10 @@ from ..errors import ConfigError, SimulationError, TrafficError
 from ..faults import FaultInjector, FaultKind, FaultPlan, resolve_injector
 from ..metrics.counters import StatsCollector
 from ..obs.probe import Probe, resolve_hooks
+from ..switch.buffers import FlitBuffer
 from ..switch.flit import Packet, fresh_packet_ids
-from ..switch.simulator import _arrival_stream
-from ..traffic.generators import BernoulliInjection
+from ..switch.simulator import _arrival_stream, _SourceBacklog
+from ..traffic.generators import BernoulliInjection, FlowSource, SaturatingInjection
 from ..types import FlowId, TrafficClass
 from .topology import ClosTopology
 
@@ -139,27 +140,24 @@ class MultiStageResult:
 
 
 class _HostPort:
-    """Ingress-side host port: one VOQ per uplink, plus a source queue."""
+    """Ingress-side host port: one VOQ per uplink (destination group).
 
-    def __init__(self, num_uplinks: int, voq_capacity: int) -> None:
-        self.voqs: List[Deque[Packet]] = [deque() for _ in range(num_uplinks)]
-        self.voq_flits = [0] * num_uplinks
-        self.voq_capacity = voq_capacity
-        self.source_queue: Deque[Packet] = deque()
+    A packet that does not fit its VOQ waits in the run's
+    :class:`~repro.switch.simulator._SourceBacklog`, keyed by that VOQ, as
+    in the single switch.
+    """
+
+    def __init__(self, topology: ClosTopology, voq_capacity: int) -> None:
+        self.voqs = [FlitBuffer(voq_capacity) for _ in range(topology.groups)]
+        self._uplink_for = topology.uplink_for
         self.busy_until = 0
 
-    def try_inject(self, packet: Packet, uplink: int, now: int) -> bool:
-        if self.voq_flits[uplink] + packet.flits > self.voq_capacity:
+    def try_inject(self, packet: Packet, now: int) -> bool:
+        """Admit ``packet`` into its VOQ if it fits; stamp its injection."""
+        if not self.voqs[self._uplink_for(packet.dst)].try_push(packet):
             return False
         packet.injected_cycle = now
-        self.voqs[uplink].append(packet)
-        self.voq_flits[uplink] += packet.flits
         return True
-
-    def pop(self, uplink: int) -> Packet:
-        packet = self.voqs[uplink].popleft()
-        self.voq_flits[uplink] -= packet.flits
-        return packet
 
 
 class _DownlinkPort:
@@ -257,7 +255,10 @@ class MultiStageSimulation:
         ]
         ingress_agg: Dict[Tuple[int, int, int], float] = {}
         egress_agg: Dict[Tuple[int, int, int], float] = {}
-        packet_flits: Dict[Tuple[int, int, int], int] = {}
+        # Kept per stage: an ingress key (gs, gd, local_src) and an egress
+        # key (gd, local_dst, gs) can be the same triple.
+        ingress_flits: Dict[Tuple[int, int, int], int] = {}
+        egress_flits: Dict[Tuple[int, int, int], int] = {}
         for flow in self.flows:
             gs, gd = topo.group_of(flow.src), topo.group_of(flow.dst)
             local_src = topo.local_index(flow.src)
@@ -266,8 +267,8 @@ class MultiStageSimulation:
             key_eg = (gd, local_dst, gs)
             ingress_agg[key_in] = ingress_agg.get(key_in, 0.0) + flow.rate
             egress_agg[key_eg] = egress_agg.get(key_eg, 0.0) + flow.rate
-            packet_flits[key_in] = flow.packet_flits
-            packet_flits[key_eg] = flow.packet_flits
+            ingress_flits[key_in] = flow.packet_flits
+            egress_flits[key_eg] = flow.packet_flits
         for (gs, gd, local_src), rate in ingress_agg.items():
             if rate > 1.0 + 1e-9:
                 raise TrafficError(
@@ -275,7 +276,7 @@ class MultiStageSimulation:
                     f"{gd} oversubscribed ({rate:.3f})"
                 )
             self.ingress_cores[gs][gd].register_flow(
-                local_src, min(rate, 1.0), packet_flits[(gs, gd, local_src)]
+                local_src, min(rate, 1.0), ingress_flits[(gs, gd, local_src)]
             )
         for (gd, local_dst, gs), rate in egress_agg.items():
             if rate > 1.0 + 1e-9:
@@ -284,26 +285,33 @@ class MultiStageSimulation:
                     f"group {gd} oversubscribed ({rate:.3f})"
                 )
             self.egress_cores[gd][local_dst].register_flow(
-                gs, min(rate, 1.0), packet_flits[(gd, local_dst, gs)]
+                gs, min(rate, 1.0), egress_flits[(gd, local_dst, gs)]
             )
 
-    def _build_arrivals(self, horizon: int) -> List[np.ndarray]:
-        """Per-flow Bernoulli arrival schedules, one spawned seed per flow.
+    def build_sources(self, horizon: int) -> List[FlowSource]:
+        """One packet source per flow, in flow order, as :meth:`run` builds them.
 
-        A saturating flow's schedule is empty: top-up feeds it.
+        Each flow draws from its own spawned seed, and all of them share
+        one fresh packet-id stream (replayable traces); a saturating
+        flow's schedule is empty, since top-up feeds it.
         """
-        schedules: List[np.ndarray] = []
         seeds = np.random.SeedSequence(self.seed).spawn(len(self.flows))
-        for flow, child in zip(self.flows, seeds):
-            if flow.inject_rate is None:
-                schedules.append(np.empty(0, dtype=np.int64))
-                continue
-            schedules.append(
-                BernoulliInjection(flow.inject_rate).arrival_times(
-                    horizon, flow.packet_flits, np.random.default_rng(child)
-                )
+        packet_ids = fresh_packet_ids()
+        return [
+            FlowSource(
+                flow=flow.flow_id,
+                process=(
+                    SaturatingInjection()
+                    if flow.inject_rate is None
+                    else BernoulliInjection(flow.inject_rate)
+                ),
+                packet_length=flow.packet_flits,
+                horizon=horizon,
+                rng=np.random.default_rng(child),
+                id_source=packet_ids,
             )
-        return schedules
+            for flow, child in zip(self.flows, seeds)
+        ]
 
     # ------------------------------------------------------------------- run
 
@@ -315,10 +323,7 @@ class MultiStageSimulation:
         topo = self.topology
         stats = StatsCollector(warmup_cycles=warmup)
 
-        host_ports = [
-            [_HostPort(topo.groups, self.voq_capacity) for _ in range(topo.hosts_per_group)]
-            for _ in range(topo.groups)
-        ]
+        hosts = [_HostPort(topo, self.voq_capacity) for _ in range(topo.num_hosts)]
         uplink_busy = [[0] * topo.groups for _ in range(topo.groups)]
         downlinks = [
             [_DownlinkPort(self.downlink_capacity) for _ in range(topo.groups)]
@@ -326,28 +331,30 @@ class MultiStageSimulation:
         ]
         egress_out_busy = [[0] * topo.hosts_per_group for _ in range(topo.groups)]
 
+        sources = self.build_sources(horizon)
+        # Each source's host port and the VOQ its flow lands in, and the
+        # saturating sources with their packet lengths, grouped by that VOQ
+        # in flow order, with the VOQ's round-robin cursor.
+        landing: List[Tuple[FlowSource, _HostPort, FlitBuffer]] = []
+        saturating: Dict[FlitBuffer, Tuple[_HostPort, List[Tuple[FlowSource, int]]]] = {}
+        for flow, source in zip(self.flows, sources):
+            port = hosts[flow.src]
+            voq = port.voqs[topo.uplink_for(flow.dst)]
+            landing.append((source, port, voq))
+            if source.saturating:
+                saturating.setdefault(voq, (port, []))[1].append(
+                    (source, flow.packet_flits)
+                )
+        sat_cursor = dict.fromkeys(saturating, 0)
         # Scheduled arrivals, presorted once; ``horizon`` ends the stream.
-        arrival_times, arrival_flows = _arrival_stream(
-            self._build_arrivals(horizon), horizon
+        arrival_times, arrival_sources = _arrival_stream(
+            [source.schedule for source in sources], horizon
         )
         next_arrival = arrival_times[0]
         cursor = 0
-        # Saturating flows grouped by the VOQ they feed, so flows sharing a
-        # queue interleave their packets instead of the first one in flow
-        # order monopolizing the buffer.
-        saturating_by_voq: Dict[Tuple[int, int, int], List[int]] = {}
-        for i, f in enumerate(self.flows):
-            if f.inject_rate is None:
-                key = (
-                    topo.group_of(f.src),
-                    topo.local_index(f.src),
-                    topo.uplink_for(f.dst),
-                )
-                saturating_by_voq.setdefault(key, []).append(i)
-        # Round-robin cursor so queue-sharing saturating flows interleave
-        # fairly across refills (one packet slot per refill would otherwise
-        # always go to the first flow in list order).
-        sat_cursor = {key: 0 for key in saturating_by_voq}
+        # A packet that does not fit its VOQ waits in its flow's source
+        # queue; only a grant frees VOQ space, and only that VOQ is retried.
+        overflow = _SourceBacklog()
         link_heap: List[Tuple[int, int, Packet, int, int]] = []  # (t, seq, pkt, gd, gs)
         link_seq = 0
 
@@ -394,48 +401,27 @@ class MultiStageSimulation:
             for t in injector.wake_cycles():
                 wake(t)
 
-        packet_ids = fresh_packet_ids()  # per-run ids: replayable traces
+        def top_up(voq: FlitBuffer, now: int) -> None:
+            """Fill a saturating VOQ, its flows taking turns.
 
-        def make_packet(flow: ComposedFlow, created: int) -> Packet:
-            return Packet(
-                flow=flow.flow_id,
-                flits=flow.packet_flits,
-                created_cycle=created,
-                packet_id=next(packet_ids),
-            )
-
-        def refill(now: int) -> None:
-            """Admit waiting packets, then saturating traffic, into VOQs.
-
-            Source-queued packets (scheduled flows that found their VOQ
-            full) drain *before* saturating flows top up, so a saturating
-            aggressor sharing a VOQ cannot permanently lock a scheduled
-            flow out of the switch.
+            Flows are tried in rotation from the cursor, which moves past
+            each flow served, so flows sharing the VOQ interleave their
+            packets; the fill stops once no flow's next packet fits.
             """
-            for group in host_ports:
-                for port in group:
-                    while port.source_queue:
-                        head = port.source_queue[0]
-                        if not port.try_inject(head, topo.uplink_for(head.dst), now):
-                            break
-                        port.source_queue.popleft()
-            for key, indices in saturating_by_voq.items():
-                gs, local, uplink = key
-                port = host_ports[gs][local]
-                progress = True
-                while progress:
-                    progress = False
-                    start = sat_cursor[key]
-                    for step in range(len(indices)):
-                        pos = (start + step) % len(indices)
-                        flow = self.flows[indices[pos]]
-                        if port.voq_flits[uplink] + flow.packet_flits > port.voq_capacity:
-                            continue
-                        packet = make_packet(flow, now)
-                        stats.on_created(packet)
-                        port.try_inject(packet, uplink, now)
-                        sat_cursor[key] = (pos + 1) % len(indices)
-                        progress = True
+            port, members = saturating[voq]
+            pos = sat_cursor[voq]
+            misses = 0
+            while misses < len(members):
+                source, flits = members[pos]
+                pos = (pos + 1) % len(members)
+                if voq.occupancy_flits + flits > self.voq_capacity:
+                    misses += 1
+                    continue
+                packet = source.make_packet(now)
+                stats.on_created(packet)
+                port.try_inject(packet, now)
+                sat_cursor[voq] = pos
+                misses = 0
 
         # Wake times are the wake heap's entries merged with the arrival
         # stream; a cycle in both is one wake.
@@ -449,15 +435,12 @@ class MultiStageSimulation:
                 break
             wakes += 1
 
-            # 1. Scheduled host arrivals.
+            # 1. Scheduled host arrivals, behind their flow's backlog.
             while next_arrival == now:
-                flow = self.flows[arrival_flows[cursor]]
-                packet = make_packet(flow, now)
+                source, port, voq = landing[arrival_sources[cursor]]
+                packet = source.make_packet(now)
                 stats.on_created(packet)
-                port = host_ports[topo.group_of(flow.src)][topo.local_index(flow.src)]
-                uplink = topo.uplink_for(flow.dst)
-                if not port.try_inject(packet, uplink, now):
-                    port.source_queue.append(packet)
+                overflow.offer(port, voq, packet, now)
                 cursor += 1
                 next_arrival = arrival_times[cursor]
 
@@ -485,8 +468,12 @@ class MultiStageSimulation:
                     continue
                 downlinks[gd][gs].deliver(packet)
 
-            # 3. Admit waiting and saturating traffic into the VOQs.
-            refill(now)
+            # 3. The first wake fills every saturating VOQ. After it, VOQ
+            #    space frees only at an ingress grant, which refills the
+            #    VOQ it popped.
+            if wakes == 1:
+                for voq in saturating:
+                    top_up(voq, now)
 
             # 3b. Counter bit-flips hit the ingress aggregate's auxVC
             #     counter before any arbitration this cycle.
@@ -516,12 +503,12 @@ class MultiStageSimulation:
                         continue
                     core = self.ingress_cores[gs][gd]
                     candidates = []
-                    heads = {}
                     for local in range(topo.hosts_per_group):
-                        port = host_ports[gs][local]
-                        if port.busy_until > now or not port.voqs[gd]:
-                            continue
                         host = gs * topo.hosts_per_group + local
+                        port = hosts[host]
+                        head = port.voqs[gd].head()
+                        if port.busy_until > now or head is None:
+                            continue
                         if faults_stall and injector.stalled(host, now):
                             # A stalled host raises no ingress requests.
                             fault_stall_masks += 1
@@ -531,23 +518,29 @@ class MultiStageSimulation:
                             # VOQ head blocks until the fault clears.
                             fault_dead_masks += 1
                             continue
-                        head = port.voqs[gd][0]
                         if not core.is_registered(local):
                             continue
                         # Credit check: space in the egress shared FIFO.
                         if downlinks[gd][gs].occupancy + head.flits > downlinks[gd][gs].capacity:
                             continue
                         candidates.append(local)
-                        heads[local] = head
                     if not candidates:
                         continue
                     ingress_arbitrations += 1
                     winner = core.select(candidates, now)
                     core.commit(winner, now)
-                    packet = host_ports[gs][winner].pop(gd)
+                    port = hosts[gs * topo.hosts_per_group + winner]
+                    voq = port.voqs[gd]
+                    packet = voq.pop()
+                    # Only the popped VOQ gained space: its backlog goes
+                    # first, then its saturating flows top it up.
+                    if voq in overflow.waiting:
+                        overflow.drain(port, voq, now)
+                    if voq in saturating:
+                        top_up(voq, now)
                     delivered = now + 1 + packet.flits  # 1-cycle arbitration
                     uplink_busy[gs][gd] = delivered
-                    host_ports[gs][winner].busy_until = delivered
+                    port.busy_until = delivered
                     downlinks[gd][gs].reserve(packet.flits)
                     link_seq += 1
                     arrive = delivered + topo.link_latency
@@ -630,7 +623,6 @@ class MultiStageSimulation:
                     # Freed FIFO space may unblock an ingress grant; the
                     # credit update is visible from the next cycle.
                     wake(now + 1)
-            refill(now)
 
         count_hook = hooks.count
         if count_hook is not None:

@@ -288,6 +288,16 @@ def _landings(
     return landings, saturating
 
 
+class _Admits(Protocol):
+    """A port that admits a packet into the buffer it lands in, or refuses.
+
+    :class:`InputPort` is one; so is the composition's host port, whose
+    buffers are its per-uplink VOQs.
+    """
+
+    def try_inject(self, packet: Packet, now: int) -> bool: ...
+
+
 class _SourceBacklog:
     """Source-side overflow queues, kept per input buffer.
 
@@ -314,7 +324,7 @@ class _SourceBacklog:
         self.scans = 0
 
     def offer(
-        self, port: InputPort, buffer: FlitBuffer, packet: Packet, now: int
+        self, port: _Admits, buffer: FlitBuffer, packet: Packet, now: int
     ) -> Optional[Deque[Packet]]:
         """Admit an arriving ``packet`` into ``buffer``, or queue it.
 
@@ -336,7 +346,7 @@ class _SourceBacklog:
         self.flows += 1
         return queued
 
-    def drain(self, port: InputPort, buffer: FlitBuffer, now: int) -> int:
+    def drain(self, port: _Admits, buffer: FlitBuffer, now: int) -> int:
         """Admit what now fits into ``buffer``, which a grant just freed.
 
         Flows whose queue empties are pruned, so a drain visits only flows

@@ -9,6 +9,7 @@ from repro.multiswitch.simulator import ComposedFlow, MultiStageSimulation
 from repro.multiswitch.storage import composed_storage_overhead
 from repro.multiswitch.topology import ClosTopology
 from repro.obs.probe import CountingProbe
+from tests.reference_multiswitch import GrantRecorder
 
 
 class TestTopology:
@@ -154,12 +155,43 @@ class TestArrivalStream:
             topo, flows, downlink_capacity_flits=4, seed=4, probe=probe
         )
         result = sim.run(2_000)
-        schedules = sim._build_arrivals(2_000)
+        schedules = [source.schedule for source in sim.build_sources(2_000)]
         arrival_cycles = set(np.concatenate(schedules).tolist())
         assert result.grants_ingress == 0
         assert sum(len(s) for s in schedules) > 100
         assert "multiswitch.heap_pushes" not in probe.counters
         assert probe.counters["multiswitch.wakes"] == len(arrival_cycles | {0})
+
+
+class TestDeliveryOrder:
+    @pytest.mark.parametrize("link_latency", [1, 2, 3])
+    def test_each_flow_delivers_its_packets_in_creation_order(self, link_latency):
+        """An arrival never overtakes an older packet of its flow.
+
+        Host 1 feeds two groups through 8-flit VOQs, so both back up. A
+        host-wide source FIFO in front of the VOQs once let a fresh arrival
+        enter a VOQ while an older packet of its flow still waited, and
+        this run delivered one packet ahead of an older one of its flow.
+        """
+        topo = ClosTopology(groups=2, hosts_per_group=2, link_latency=link_latency)
+        flows = [
+            ComposedFlow(1, 0, rate=0.3, packet_flits=4, inject_rate=0.3),
+            ComposedFlow(1, 3, rate=0.3, packet_flits=4, inject_rate=0.3),
+        ]
+        probe = GrantRecorder()
+        MultiStageSimulation(
+            topo,
+            flows,
+            voq_capacity_flits=8,
+            downlink_capacity_flits=8,
+            seed=38,
+            probe=probe,
+        ).run(3_000)
+        deliveries = probe.deliveries(topo)
+        assert set(deliveries) == {(1, 0), (1, 3)}
+        for ids in deliveries.values():
+            assert len(ids) > 100
+            assert ids == sorted(ids)
 
 
 class TestCompositionEffects:

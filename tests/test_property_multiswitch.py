@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.multiswitch.simulator import ComposedFlow, MultiStageSimulation
 from repro.multiswitch.topology import ClosTopology
+from tests.reference_multiswitch import GrantRecorder
 
 SIM_SETTINGS = settings(
     max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -36,7 +37,13 @@ def test_composition_conservation_and_sanity(groups, hosts, link_latency, seed, 
         )
     if not flows:
         return
-    result = MultiStageSimulation(topo, flows, seed=seed).run(8_000, warmup_cycles=0)
+    probe = GrantRecorder()
+    result = MultiStageSimulation(topo, flows, seed=seed, probe=probe).run(
+        8_000, warmup_cycles=0
+    )
+    # Each flow's packet ids arrive in increasing order.
+    for ids in probe.deliveries(topo).values():
+        assert ids == sorted(ids)
     min_latency = (1 + 4) + link_latency + (1 + 4)
     for flow in flows:
         stats = result.stats.flow_stats(flow.flow_id)
