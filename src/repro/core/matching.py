@@ -7,11 +7,15 @@ are built from three deterministic ingredients:
   a conflict-free set of (input, output) pairs plus diagnostics;
 * :func:`round_robin_pick` — the rotating-priority selection both iSLIP
   phases use (grant pointers at outputs, accept pointers at inputs);
+  :func:`round_robin_next` is the same pick, unchecked, over a bit mask;
 * :func:`keyed_draw` / :func:`sample_proportional` — queue-proportional
   sampling driven by a keyed blake2b hash instead of RNG state, so a
   draw depends only on ``(seed, cycle, round, port)`` and is therefore
   bit-identical across kernels, process fan-out, and resumed sweeps
-  (the same stateless-draw idiom as :mod:`repro.faults.injector`).
+  (the same stateless-draw idiom as :mod:`repro.faults.injector`). The
+  matchers hash each ``(seed, cycle, round)`` prefix once
+  (:func:`draw_prefix`) and finish every port's draw from a copy
+  (:func:`prefixed_draw`, :func:`pick_proportional`).
 
 Everything here is integer arithmetic — no floats enter any grant
 decision, matching the repo-wide integer-exact arbitration contract
@@ -66,8 +70,7 @@ def round_robin_pick(candidates: Sequence[int], pointer: int) -> int:
     the one just granted (pointer = winner + 1) has lowest.
 
     Args:
-        candidates: strictly increasing port indices (the callers build
-            them from sorted dict iteration).
+        candidates: strictly increasing port indices.
         pointer: current round-robin pointer position.
 
     Raises:
@@ -83,56 +86,97 @@ def round_robin_pick(candidates: Sequence[int], pointer: int) -> int:
                 f"candidates must be strictly increasing, got {list(candidates)}"
             )
         previous = port
-    for port in candidates:
-        if port >= pointer:
-            return port
-    return candidates[0]
+    return round_robin_next(sum(1 << port for port in candidates), pointer)
+
+
+def round_robin_next(mask: int, pointer: int) -> int:
+    """:func:`round_robin_pick` over a set given as a bit mask.
+
+    Bit ``p`` of ``mask`` is set when port ``p`` is a candidate; the mask
+    must be non-zero. The matchers keep their request sets as masks, so a
+    pick is a shift and a lowest-set-bit test instead of a list scan.
+    """
+    above = mask >> pointer
+    if above:
+        return pointer + (above & -above).bit_length() - 1
+    return (mask & -mask).bit_length() - 1
+
+
+def draw_prefix(*prefix: int) -> "hashlib.blake2b":
+    """The blake2b state after hashing ``prefix`` as :func:`keyed_draw` does.
+
+    A matcher draws once per port for each (seed, cycle, round); hashing
+    the shared leading parts once and finishing each draw with
+    :func:`prefixed_draw` on a copy feeds blake2b the same bytes as
+    ``keyed_draw(*prefix, port)``.
+    """
+    material = "".join(f"{part}," for part in prefix).encode("ascii")
+    return hashlib.blake2b(material, digest_size=8)
+
+
+def prefixed_draw(prefix: "hashlib.blake2b", last: int) -> int:
+    """``keyed_draw(*parts, last)`` where ``prefix = draw_prefix(*parts)``."""
+    hasher = prefix.copy()
+    hasher.update(str(last).encode("ascii"))
+    return int.from_bytes(hasher.digest(), "big")
 
 
 def keyed_draw(*key: int) -> int:
     """A 64-bit non-negative integer determined entirely by ``key``.
 
-    blake2b over the key tuple, same construction as the fault injector's
-    stateless draws: no RNG object, no call-order dependence — the draw
-    for ``(seed, cycle, round, port)`` is the same whoever asks first.
+    blake2b over the ``","``-joined decimal key, same construction as the
+    fault injector's stateless draws: no RNG object, no call-order
+    dependence — the draw for ``(seed, cycle, round, port)`` is the same
+    whoever asks first.
     """
-    material = ",".join(str(part) for part in key).encode("ascii")
-    digest = hashlib.blake2b(material, digest_size=8).digest()
-    return int.from_bytes(digest, "big")
+    *prefix, last = key
+    return prefixed_draw(draw_prefix(*prefix), last)
 
 
-def sample_proportional(weights: Mapping[int, int], *key: int) -> int:
-    """Pick a key of ``weights`` with probability proportional to weight.
+def pick_proportional(weights: Mapping[int, int], draw: int) -> int:
+    """The key of ``weights`` that ``draw`` lands on, weight-proportionally.
 
     The queue-proportional sampling step of QPS-r / SW-QPS: an input
     samples one output with probability ``voq_len / total_backlog``. The
-    draw is :func:`keyed_draw` reduced modulo the total weight, then
-    located by walking the keys in increasing order — all integers, so
-    the decision replays exactly.
+    draw is reduced modulo the total weight, then located by walking the
+    keys in increasing order — all integers, so the decision replays
+    exactly.
 
     Args:
         weights: positive integer weight per candidate (a VOQ backlog in
-            flits); iteration is over ``sorted(weights)`` so dict
-            insertion order cannot leak into the decision.
+            flits), keys in increasing order — the order the simulator
+            builds request rows in — so dict insertion order cannot leak
+            into the decision.
+        draw: a non-negative integer, normally a keyed draw.
 
     Raises:
-        ArbitrationError: if ``weights`` is empty or any weight is
-            non-positive (empty VOQs must be filtered before sampling).
+        ArbitrationError: if ``weights`` is empty, a weight is
+            non-positive (empty VOQs must be filtered before sampling) or
+            the keys are not increasing.
     """
     if not weights:
         raise ArbitrationError("sample_proportional over no candidates")
     total = 0
-    for candidate in weights:
-        weight = weights[candidate]
+    previous = -1
+    for candidate, weight in weights.items():
         if weight <= 0:
             raise ArbitrationError(
                 f"non-positive weight {weight} for candidate {candidate}"
             )
+        if candidate <= previous:
+            raise ArbitrationError(
+                f"candidates must be increasing, got {list(weights)}"
+            )
+        previous = candidate
         total += weight
-    point = keyed_draw(*key) % total
-    cumulative = 0
-    for candidate in sorted(weights):
-        cumulative += weights[candidate]
-        if point < cumulative:
+    point = draw % total
+    for candidate, weight in weights.items():
+        point -= weight
+        if point < 0:
             return candidate
     raise ArbitrationError("sample walk exhausted weights")  # pragma: no cover
+
+
+def sample_proportional(weights: Mapping[int, int], *key: int) -> int:
+    """:func:`pick_proportional` with the draw ``keyed_draw(*key)``."""
+    return pick_proportional(weights, keyed_draw(*key))

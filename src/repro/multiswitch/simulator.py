@@ -234,6 +234,7 @@ class MultiStageSimulation:
         self.seed = seed
         self.probe = probe
         self.fault_plan = fault_plan
+        self._ran = False
         self._build_qos_state()
 
     # ----------------------------------------------------------------- setup
@@ -316,9 +317,22 @@ class MultiStageSimulation:
     # ------------------------------------------------------------------- run
 
     def run(self, horizon: int, warmup_cycles: Optional[int] = None) -> MultiStageResult:
-        """Simulate ``horizon`` cycles end-to-end."""
+        """Simulate ``horizon`` cycles end-to-end.
+
+        Raises:
+            SimulationError: on a bad horizon, or when this simulation
+                already ran: its SSVC cores hold that run's counters and
+                LRG state, so build a new one for another run.
+        """
         if horizon <= 0:
             raise SimulationError(f"horizon must be positive, got {horizon}")
+        if self._ran:
+            raise SimulationError(
+                "this simulation already ran; its SSVC cores hold that "
+                "run's counters and LRG state, so build a new "
+                "MultiStageSimulation for another run"
+            )
+        self._ran = True
         warmup = warmup_cycles if warmup_cycles is not None else horizon // 10
         topo = self.topology
         stats = StatsCollector(warmup_cycles=warmup)
@@ -460,7 +474,7 @@ class MultiStageSimulation:
                         event_hook(
                             "fault",
                             now,
-                            kind="packet-drop",
+                            fault_kind="packet-drop",
                             group=gd,
                             source_group=gs,
                             packet_id=packet.packet_id,
@@ -490,7 +504,7 @@ class MultiStageSimulation:
                         event_hook(
                             "fault",
                             now,
-                            kind="counter-bitflip",
+                            fault_kind="counter-bitflip",
                             host=spec.input_port,
                             uplink=spec.output,
                             bit=spec.bit,
@@ -602,7 +616,7 @@ class MultiStageSimulation:
                             event_hook(
                                 "fault",
                                 now,
-                                kind="packet-dup",
+                                fault_kind="packet-dup",
                                 group=gd,
                                 output=out,
                                 packet_id=packet.packet_id,

@@ -24,9 +24,9 @@ near-maximal matchings.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..core.matching import Matching, round_robin_pick
+from ..core.matching import Matching, round_robin_next
 from ..errors import ArbitrationError
 from .iterative import IterativeArbiter
 
@@ -56,43 +56,33 @@ class ISLIPArbiter(IterativeArbiter):
 
     # ---------------------------------------------------------------- phases
 
-    def _grant_phase(
-        self,
-        backlog: Mapping[int, Mapping[int, int]],
-        free_outputs: Sequence[int],
-        matched_inputs: Set[int],
-        matched_outputs: Set[int],
-    ) -> Tuple[Dict[int, List[int]], int]:
-        """Request + grant: offers per input, and the request count.
+    def _grant_phase(self, requesters: Mapping[int, int]) -> Tuple[List[int], int]:
+        """Grant: the outputs offered to each input, and the request count.
 
-        Pure with respect to shared state: reads the pointers and the
-        caller's backlog, mutates neither (RL013 contract — pointers move
-        only on accepted grants, in :meth:`_accept_phase`).
+        ``requesters`` maps each unmatched output to the bit mask of its
+        unmatched requesting inputs; the offers come back indexed by
+        input, each a bit mask of outputs (0: no offer). Pure with
+        respect to shared state: reads the pointers and ``requesters``,
+        mutates neither (RL013 contract — pointers move only on accepted
+        grants, in :meth:`_accept_phase`).
         """
-        offers: Dict[int, List[int]] = {}
+        offers = [0] * self.num_inputs
         requests_seen = 0
-        for output in free_outputs:
-            if output in matched_outputs:
-                continue
-            requesters = [
-                port
-                for port in sorted(backlog)
-                if port not in matched_inputs and output in backlog[port]
-            ]
-            if not requesters:
-                continue
-            requests_seen += len(requesters)
-            granted = round_robin_pick(requesters, self._grant_pointers[output])
-            offers.setdefault(granted, []).append(output)
+        pointers = self._grant_pointers
+        for output, ports in requesters.items():
+            requests_seen += ports.bit_count()
+            offers[round_robin_next(ports, pointers[output])] |= 1 << output
         return offers, requests_seen
 
     def _accept_phase(
-        self, offers: Dict[int, List[int]], first_iteration: bool
+        self, offers: List[int], first_iteration: bool
     ) -> List[Tuple[int, int]]:
         """Accept one grant per input; advance pointers on iteration 1."""
         accepted: List[Tuple[int, int]] = []
-        for port in sorted(offers):
-            output = round_robin_pick(sorted(offers[port]), self._accept_pointers[port])
+        for port, outputs in enumerate(offers):
+            if not outputs:
+                continue
+            output = round_robin_next(outputs, self._accept_pointers[port])
             accepted.append((port, output))
             if first_iteration:
                 # The slip: pointers move past the match only when the
@@ -110,21 +100,35 @@ class ISLIPArbiter(IterativeArbiter):
         free_outputs: Sequence[int],
         now: int,
     ) -> Matching:
+        # Request: each free output's requesting inputs as a bit mask,
+        # built once per match; later iterations only clear the inputs
+        # and drop the outputs the previous ones matched.
+        requesters = dict.fromkeys(free_outputs, 0)
+        for port, row in backlog.items():
+            bit = 1 << port
+            for output in row:
+                if output in requesters:
+                    requesters[output] |= bit
+        requesters = {output: ports for output, ports in requesters.items() if ports}
         pairs: List[Tuple[int, int]] = []
-        matched_inputs: Set[int] = set()
-        matched_outputs: Set[int] = set()
         proposals = 0
         rounds = 0
         for iteration in range(self.iterations):
-            offers, requests_seen = self._grant_phase(
-                backlog, free_outputs, matched_inputs, matched_outputs
-            )
-            if not offers:
+            if not requesters:
                 break
+            offers, requests_seen = self._grant_phase(requesters)
             rounds += 1
             proposals += requests_seen
-            for port, output in self._accept_phase(offers, iteration == 0):
-                pairs.append((port, output))
-                matched_inputs.add(port)
+            accepted = self._accept_phase(offers, iteration == 0)
+            pairs.extend(accepted)
+            unmatched = -1
+            matched_outputs: Set[int] = set()
+            for port, output in accepted:
+                unmatched &= ~(1 << port)
                 matched_outputs.add(output)
+            requesters = {
+                output: ports & unmatched
+                for output, ports in requesters.items()
+                if output not in matched_outputs and ports & unmatched
+            }
         return Matching(tuple(pairs), iterations=max(rounds, 1), proposals=proposals)

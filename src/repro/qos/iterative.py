@@ -80,10 +80,12 @@ class IterativeArbiter(OutputArbiter):
         """Compute one conflict-free matching for cycle ``now``.
 
         Args:
-            backlog: for each *free* input (sorted iteration is the
-                implementation's responsibility), the flits queued per
-                free output — only non-empty VOQs appear. The mapping is
-                owned by the simulator and must not be mutated.
+            backlog: for each *free* input with a request, the flits
+                queued per free output — only non-empty VOQs appear.
+                The simulator adds inputs in increasing order and builds
+                each row in increasing output order, so samplers walk
+                rows as given. The mapping is owned by the simulator and
+                must not be mutated.
             free_outputs: outputs whose channels are idle this cycle, in
                 increasing order.
             now: current cycle.

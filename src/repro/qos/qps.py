@@ -16,16 +16,17 @@ sustains high throughput; ``r = 2`` (the default here, the paper's
 recommended configuration) re-runs the exchange among still-unmatched
 ports to fill most of the remaining holes.
 
-Sampling draws go through :func:`repro.core.matching.sample_proportional`
-keyed on ``(seed, cycle, round, input)`` — no RNG object, so matchings
-replay bit-identically at any sweep job count.
+Sampling draws are keyed blake2b hashes of ``(seed, cycle, round, input)``
+(:func:`repro.core.matching.keyed_draw`; the ``(seed, cycle, round)``
+prefix is hashed once per round) — no RNG object, so matchings replay
+bit-identically at any sweep job count.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-from ..core.matching import Matching, sample_proportional
+from ..core.matching import Matching, draw_prefix, pick_proportional, prefixed_draw
 from ..errors import ArbitrationError
 from .iterative import IterativeArbiter
 
@@ -50,49 +51,28 @@ class QPSRArbiter(IterativeArbiter):
 
     def _propose_phase(
         self,
-        backlog: Mapping[int, Mapping[int, int]],
-        matched_inputs: Set[int],
-        matched_outputs: Set[int],
+        rows: Sequence[Tuple[int, Mapping[int, int]]],
         now: int,
         round_index: int,
-    ) -> Tuple[Dict[int, List[Tuple[int, int]]], int]:
-        """Queue-proportional proposals: output -> [(weight, input)].
+    ) -> Dict[int, Tuple[int, int]]:
+        """Queue-proportional proposals, reduced to each output's best.
 
-        Pure with respect to shared state (RL013): the caller's backlog
-        is read, never mutated, and no pointer/window state exists to
-        advance here.
+        ``rows`` holds every unmatched input's VOQ weights over unmatched
+        outputs, inputs and outputs in increasing order. Returns output ->
+        (weight, input) of its heaviest proposer, ties to the lowest input
+        (the first one seen). Pure with respect to shared state (RL013):
+        the rows are read, never mutated, and no pointer/window state
+        exists to advance here.
         """
-        proposals: Dict[int, List[Tuple[int, int]]] = {}
-        count = 0
-        for port in sorted(backlog):
-            if port in matched_inputs:
-                continue
-            available = {
-                output: flits
-                for output, flits in backlog[port].items()
-                if output not in matched_outputs
-            }
-            if not available:
-                continue
-            target = sample_proportional(
-                available, self._seed, now, round_index, port
-            )
-            proposals.setdefault(target, []).append((available[target], port))
-            count += 1
-        return proposals, count
-
-    @staticmethod
-    def _accept_phase(
-        proposals: Dict[int, List[Tuple[int, int]]]
-    ) -> List[Tuple[int, int]]:
-        """Longest-VOQ-first acceptance, ties to the lowest input index."""
-        accepted: List[Tuple[int, int]] = []
-        for output in sorted(proposals):
-            weight, port = max(
-                proposals[output], key=lambda entry: (entry[0], -entry[1])
-            )
-            accepted.append((port, output))
-        return accepted
+        best: Dict[int, Tuple[int, int]] = {}
+        prefix = draw_prefix(self._seed, now, round_index)
+        for port, weights in rows:
+            target = pick_proportional(weights, prefixed_draw(prefix, port))
+            weight = weights[target]
+            held = best.get(target)
+            if held is None or weight > held[0]:
+                best[target] = (weight, port)
+        return best
 
     # ------------------------------------------------------------------ match
 
@@ -103,22 +83,34 @@ class QPSRArbiter(IterativeArbiter):
         now: int,
     ) -> Matching:
         pairs: List[Tuple[int, int]] = []
-        matched_inputs: Set[int] = set()
-        matched_outputs: Set[int] = set()
+        rows: List[Tuple[int, Mapping[int, int]]] = [
+            (port, backlog[port]) for port in sorted(backlog) if backlog[port]
+        ]
         proposals_seen = 0
         rounds_run = 0
         for round_index in range(self.rounds):
-            proposals, count = self._propose_phase(
-                backlog, matched_inputs, matched_outputs, now, round_index
-            )
-            if not proposals:
+            if not rows:
                 break
+            best = self._propose_phase(rows, now, round_index)
             rounds_run += 1
-            proposals_seen += count
-            for port, output in self._accept_phase(proposals):
-                pairs.append((port, output))
-                matched_inputs.add(port)
-                matched_outputs.add(output)
+            proposals_seen += len(rows)
+            # Accept: each output takes its heaviest proposer.
+            accepted = [(best[output][1], output) for output in sorted(best)]
+            pairs.extend(accepted)
+            # The next round re-proposes only among still-unmatched ports.
+            matched_inputs = {port for port, _ in accepted}
+            matched_outputs = {output for _, output in accepted}
+            remaining: List[Tuple[int, Mapping[int, int]]] = []
+            for port, weights in rows:
+                if port not in matched_inputs:
+                    available = {
+                        output: flits
+                        for output, flits in weights.items()
+                        if output not in matched_outputs
+                    }
+                    if available:
+                        remaining.append((port, available))
+            rows = remaining
         return Matching(
             tuple(pairs), iterations=max(rounds_run, 1), proposals=proposals_seen
         )

@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..core.matching import Matching, sample_proportional
+from ..core.matching import Matching, draw_prefix, pick_proportional, prefixed_draw
 from ..errors import ArbitrationError
 from .iterative import IterativeArbiter
 
@@ -93,38 +93,39 @@ class SWQPSArbiter(IterativeArbiter):
 
     def _propose_phase(
         self,
-        backlog: Mapping[int, Mapping[int, int]],
+        rows: Sequence[Tuple[int, Mapping[int, int]]],
         now: int,
         cached: Mapping[int, Set[int]],
-    ) -> Tuple[List[Tuple[int, int]], int]:
+    ) -> List[Tuple[int, int]]:
         """One QPS proposal per free input: [(input, sampled output)].
 
-        A sample that duplicates a pair the window already holds for this
-        input would be pure waste, so it is re-rolled once against the
-        not-yet-cached VOQs (a second keyed draw — still O(1) per port).
-        Proposals are ordered heaviest-VOQ first (ties to the lowest
-        input), so window acceptance — like QPS's own accept phase —
-        resolves same-output contention in favour of the longest queue.
+        ``rows`` holds each free input's VOQ weights, inputs and outputs
+        in increasing order. A sample that duplicates a pair the window
+        already holds for this input would be pure waste, so it is
+        re-rolled once against the not-yet-cached VOQs (a second keyed
+        draw — still O(1) per port). Proposals are ordered heaviest-VOQ
+        first (ties to the lowest input), so window acceptance — like
+        QPS's own accept phase — resolves same-output contention in
+        favour of the longest queue.
 
         Pure with respect to shared state (RL013): samples from the
-        caller's backlog and reads the cached-pair index without mutating
+        caller's rows and reads the cached-pair index without mutating
         either — placement happens in :meth:`_accept_into_window`.
         """
         weighted: List[Tuple[int, int, int]] = []
-        for port in sorted(backlog):
-            weights = backlog[port]
-            if not weights:
-                continue
-            target = sample_proportional(weights, self._seed, now, 0, port)
+        prefix = draw_prefix(self._seed, now, 0)
+        reroll = draw_prefix(self._seed, now, 1)
+        for port, weights in rows:
+            target = pick_proportional(weights, prefixed_draw(prefix, port))
             held = cached.get(port, ())
             if target in held:
                 fresh = {o: w for o, w in weights.items() if o not in held}
                 if not fresh:
                     continue  # every requested output is already cached
-                target = sample_proportional(fresh, self._seed, now, 1, port)
-            weighted.append((weights[target], port, target))
-        weighted.sort(key=lambda entry: (-entry[0], entry[1]))
-        return [(port, target) for _, port, target in weighted], len(weighted)
+                target = pick_proportional(fresh, prefixed_draw(reroll, port))
+            weighted.append((-weights[target], port, target))
+        weighted.sort()
+        return [(port, target) for _, port, target in weighted]
 
     def _accept_into_window(self, proposals: List[Tuple[int, int]]) -> None:
         """First-fit accept: earliest slot where both ports are free."""
@@ -149,16 +150,17 @@ class SWQPSArbiter(IterativeArbiter):
         # would already have slid out of the window.
         elapsed = min(self.window, max(1, now - self._last_call))
         count = 0
+        rows = [(port, backlog[port]) for port in sorted(backlog) if backlog[port]]
         cached: Dict[int, Set[int]] = {}
         for slot in self._slots:
             for held_port, held_output in slot.by_input.items():
                 cached.setdefault(held_port, set()).add(held_output)
         for cycle in range(now - elapsed + 1, now + 1):
-            proposals, round_count = self._propose_phase(backlog, cycle, cached)
+            proposals = self._propose_phase(rows, cycle, cached)
             self._accept_into_window(proposals)
             for port, output in proposals:
                 cached.setdefault(port, set()).add(output)
-            count += round_count
+            count += len(proposals)
         self._last_call = now
         # Departure, adapted to a packet switch: the paper's cell switch
         # frees every port each slot, so the popped head is always
@@ -172,7 +174,7 @@ class SWQPSArbiter(IterativeArbiter):
         usable_outputs = set(free_outputs)
         candidates: List[Tuple[int, int, int, int]] = []
         for age, slot in enumerate(self._slots):
-            for port, output in sorted(slot.by_input.items()):
+            for port, output in slot.by_input.items():
                 if output in usable_outputs and output in backlog.get(port, {}):
                     candidates.append(
                         (-backlog[port][output], age, port, output)
@@ -192,7 +194,7 @@ class SWQPSArbiter(IterativeArbiter):
         head = self._slots.popleft()
         self._slots.append(_WindowSlot())
         tail = self._slots[-1]
-        for port, output in sorted(head.by_input.items()):
+        for port, output in head.by_input.items():
             # Ungranted head leftovers: a pair whose VOQ drained while it
             # waited is dead (the cost of deciding `window` calls early);
             # a pair whose port is mid-transmission is still wanted, so it

@@ -344,7 +344,7 @@ class FlitLevelSimulation:
                         event_hook(
                             "fault",
                             now,
-                            kind="counter-bitflip",
+                            fault_kind="counter-bitflip",
                             output=spec.output,
                             input=spec.input_port,
                             bit=spec.bit,
@@ -444,7 +444,7 @@ class FlitLevelSimulation:
                         event_hook(
                             "fault",
                             now,
-                            kind="packet-drop",
+                            fault_kind="packet-drop",
                             output=o,
                             input=winner.input_port,
                             packet_id=packet.packet_id,
@@ -460,7 +460,7 @@ class FlitLevelSimulation:
                             event_hook(
                                 "fault",
                                 now,
-                                kind="packet-dup",
+                                fault_kind="packet-dup",
                                 output=o,
                                 input=winner.input_port,
                                 packet_id=packet.packet_id,

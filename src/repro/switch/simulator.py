@@ -35,6 +35,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -806,7 +807,7 @@ class Simulation:
                     event_hook(
                         "fault",
                         now,
-                        kind="packet-drop",
+                        fault_kind="packet-drop",
                         output=o,
                         input=in_port,
                         packet_id=packet.packet_id,
@@ -822,7 +823,7 @@ class Simulation:
                         event_hook(
                             "fault",
                             now,
-                            kind="packet-dup",
+                            fault_kind="packet-dup",
                             output=o,
                             input=in_port,
                             packet_id=packet.packet_id,
@@ -922,7 +923,7 @@ class Simulation:
                         event_hook(
                             "fault",
                             now,
-                            kind="counter-bitflip",
+                            fault_kind="counter-bitflip",
                             output=spec.output,
                             input=spec.input_port,
                             bit=spec.bit,
@@ -934,12 +935,16 @@ class Simulation:
                 continue
 
             # 3a. Switch-wide iterative matching: one match() call covers
-            #     every idle output this cycle.
+            #     every idle output this cycle. One pass over the inputs
+            #     builds each free input's request row (ascending outputs)
+            #     and counts each output's requesters, the contenders its
+            #     grant reports.
             if scheduler is not None:
-                free_outputs = [o for o in range(radix) if outputs[o].is_idle(now)]
+                free_outputs = [o for o in range(radix) if outputs[o].busy_until <= now]
                 if not free_outputs:
                     continue
                 backlog: Dict[int, Dict[int, int]] = {}
+                requesters = [0] * radix
                 for port in inputs:
                     if port.busy_until > now or port.total_occupancy_flits == 0:
                         continue
@@ -948,22 +953,25 @@ class Simulation:
                         # this cycle; its whole backlog is masked.
                         fault_stall_masks += 1
                         continue
-                    per_port = port.voq_backlog(free_outputs)
+                    row = port.voq_backlog(free_outputs)
                     if faults_dead:
-                        for dead_o in list(per_port):
+                        for dead_o in list(row):
                             if injector.crosspoint_dead(port.port, dead_o):
                                 # A dead crosspoint cannot raise its request
                                 # line; that VOQ sits blocked in place.
-                                del per_port[dead_o]
+                                del row[dead_o]
                                 fault_dead_masks += 1
-                    if per_port:
-                        backlog[port.port] = per_port
+                    if row:
+                        backlog[port.port] = row
+                        for o in row:
+                            requesters[o] += 1
                 if not backlog:
                     continue
                 arbitrations += 1
                 matching = scheduler.match(backlog, free_outputs, now)
+                pairs = matching.pairs
                 voq_matches += 1
-                voq_pairs += len(matching.pairs)
+                voq_pairs += len(pairs)
                 voq_iterations += matching.iterations
                 voq_proposals += matching.proposals
                 if event_hook is not None:
@@ -973,25 +981,25 @@ class Simulation:
                         scheduler=scheduler.name,
                         requests=len(backlog),
                         free_outputs=len(free_outputs),
-                        pairs=len(matching.pairs),
+                        pairs=len(pairs),
                         iterations=matching.iterations,
                         proposals=matching.proposals,
                     )
-                if not matching.pairs:
+                if not pairs:
                     declines += 1
-                for in_port, o in sorted(matching.pairs, key=lambda pair: pair[1]):
+                for in_port, o in sorted(pairs, key=itemgetter(1)):
                     packet = inputs[in_port].head_for_output(o, allow_gl=True)
                     if packet is None:
                         raise SimulationError(
                             f"{scheduler.name} matched input {in_port} to "
                             f"output {o} but that VOQ is empty"
                         )
-                    contenders = sum(1 for b in backlog.values() if o in b)
-                    book_grant(o, in_port, packet, contenders, now)
-                if len({pair[0] for pair in matching.pairs}) < len(backlog):
+                    book_grant(o, in_port, packet, requesters[o], now)
+                if len(pairs) < len(backlog):
                     # Some requesting input went unmatched (bounded
                     # iterations, a sampling collision, or a stale window
                     # slot): retry next cycle like a declining arbiter.
+                    # A Matching names each input at most once.
                     wake(now + 1)
                 continue
 

@@ -59,9 +59,7 @@ class GrantRecorder(Probe):
         self.ingress: List[IngressGrant] = []
         self.egress: List[EgressGrant] = []
 
-    def event(self, *args: Any, **fields: Any) -> None:
-        # Positional only: fault events carry a ``kind`` field of their own.
-        kind, cycle = args
+    def event(self, kind: str, cycle: int, **fields: Any) -> None:
         if kind == "ingress_grant":
             self.ingress.append(
                 (cycle, fields["group"], fields["uplink"], fields["host"], fields["packet_id"])

@@ -135,6 +135,22 @@ class TestSimulatorBasics:
         with pytest.raises(SimulationError):
             sim.run(0)
 
+    def test_second_run_is_refused(self):
+        # The SSVC cores are built once, in __init__: a second run would
+        # start from the first run's counters and LRG state, and flow
+        # 0->2 got 0.4000 against a fresh run's 0.3985.
+        flows = [
+            ComposedFlow(0, 2, rate=0.4, inject_rate=None),
+            ComposedFlow(0, 3, rate=0.4, inject_rate=None),
+            ComposedFlow(1, 2, rate=0.1, inject_rate=None),
+        ]
+        sim = MultiStageSimulation(self.TOPO, flows, seed=2)
+        first = sim.run(3_000)
+        with pytest.raises(SimulationError, match="already ran"):
+            sim.run(3_000)
+        fresh = MultiStageSimulation(self.TOPO, flows, seed=2).run(3_000)
+        assert first.accepted_rate(0, 2) == fresh.accepted_rate(0, 2)
+
 
 class TestArrivalStream:
     def test_scheduled_arrivals_push_no_wake_heap_entries(self):

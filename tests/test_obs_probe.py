@@ -1,12 +1,20 @@
 """Observability subsystem: probes, NDJSON traces, run reports, and the
 kernel counter contracts they expose."""
 
+import io
 import json
 
 import pytest
 
 from repro.config import GLPolicerConfig, QoSConfig, SwitchConfig
-from repro.faults import FaultPlan, crosspoint_dead, input_stall
+from repro.faults import (
+    FaultPlan,
+    counter_bitflip,
+    crosspoint_dead,
+    input_stall,
+    packet_drop,
+    packet_dup,
+)
 from repro.obs import CountingProbe, NDJSONTraceProbe, Probe, RunReport
 from repro.switch.simulator import Simulation
 from repro.traffic.flows import Workload, be_flow, gb_flow, gl_flow
@@ -318,3 +326,66 @@ class TestMultiswitchProbe:
         assert probe.value("multiswitch.ingress_grants") == result.grants_ingress
         assert probe.value("multiswitch.egress_grants") == result.grants_egress
         assert probe.value("multiswitch.wakes") > 0
+
+
+class TestFaultTraceEvents:
+    """Every kernel traces drop, dup and bit-flip faults as ``fault`` events.
+
+    The fault kind travels as ``fault_kind``: a ``kind`` field would
+    collide with ``Probe.event(kind, cycle, **fields)`` and raise.
+    """
+
+    PLANS = {
+        "packet-drop": ("faults.packet_drops", packet_drop(0.5)),
+        "packet-dup": ("faults.packet_dups", packet_dup(0.5)),
+        "counter-bitflip": ("faults.counter_bitflips", counter_bitflip(1, 0, 3, 100)),
+    }
+
+    @staticmethod
+    def _fault_records(stream):
+        records = [json.loads(line) for line in stream.getvalue().splitlines()]
+        return [r for r in records if r["kind"] == "fault"]
+
+    @pytest.mark.parametrize("fault", sorted(PLANS))
+    @pytest.mark.parametrize("kernel", ["event", "array", "flit"])
+    def test_single_switch_kernels(self, kernel, fault):
+        from repro.config import FIG4_CONFIG
+        from repro.experiments.common import make_simulation
+        from repro.traffic.patterns import fig4_workload
+
+        counter, spec = self.PLANS[fault]
+        stream = io.StringIO()
+        probe = NDJSONTraceProbe(stream)
+        make_simulation(
+            kernel,
+            FIG4_CONFIG,
+            fig4_workload(inject_rate=0.2),
+            seed=1,
+            probe=probe,
+            fault_plan=FaultPlan(seed=2, faults=(spec,)),
+        ).run(1_000)
+        records = self._fault_records(stream)
+        assert records and {r["fault_kind"] for r in records} == {fault}
+        assert len(records) == probe.value(counter)
+
+    @pytest.mark.parametrize("fault", sorted(PLANS))
+    def test_composition(self, fault):
+        from repro.multiswitch.simulator import ComposedFlow, MultiStageSimulation
+        from repro.multiswitch.topology import ClosTopology
+
+        counter, spec = self.PLANS[fault]
+        if fault == "counter-bitflip":
+            # Host 1's flow leaves through uplink 1, the aggregate it flips.
+            spec = counter_bitflip(1, 1, 3, 100)
+        topo = ClosTopology(groups=2, hosts_per_group=2)
+        flows = [ComposedFlow(src=s, dst=(s + 2) % 4, rate=0.3, inject_rate=None)
+                 for s in range(4)]
+        stream = io.StringIO()
+        probe = NDJSONTraceProbe(stream)
+        MultiStageSimulation(
+            topo, flows, seed=1, probe=probe,
+            fault_plan=FaultPlan(seed=2, faults=(spec,)),
+        ).run(1_000)
+        records = self._fault_records(stream)
+        assert records and {r["fault_kind"] for r in records} == {fault}
+        assert len(records) == probe.value(counter)

@@ -19,6 +19,11 @@ only: the array kernel refuses non-SSVC stacks. Iterative presets run on
 ``voq_config()``. Several presets (arrival-stamped VC, PVC, CCSP, GSF) run
 in no paper artifact, so these hashes are what holds their schedules.
 
+The iterative presets also pin their kernel and ``voq.*`` counters
+(wakes, heap pushes, declines, matches, matched pairs, iterations and
+proposals), so a changed retry wake or proposal count fails even when no
+grant event moves.
+
 The ``bitflip`` axis runs the same workload with auxVC bit-flips on output
 0 under the HALVE, RESET and three-class stacks. The flips lift two
 counters to high levels, which moves output 0's HALVE and RESET events to
@@ -36,6 +41,7 @@ import pytest
 from repro.config import FIG4_CONFIG
 from repro.experiments.common import ARBITER_PRESETS, make_simulation, voq_config
 from repro.faults import FaultPlan, counter_bitflip, packet_drop, packet_dup
+from repro.obs import CountingProbe
 from repro.traffic.flows import Workload, be_flow, gb_flow
 from repro.traffic.patterns import fig4_workload
 
@@ -115,17 +121,21 @@ PRESET_HORIZON = 6_000
 ITERATIVE_PRESETS = ("islip", "qps-r", "sw-qps")
 
 
-def _preset_hash(preset: str) -> str:
+def _preset_simulation(preset: str, probe=None):
     config = voq_config() if preset in ITERATIVE_PRESETS else FIG4_CONFIG
-    sim = make_simulation(
+    return make_simulation(
         "event",
         config,
         _preset_workload(),
         arbiter_factory=ARBITER_PRESETS[preset],
         seed=5,
         collect_events=True,
+        probe=probe,
     )
-    return _events_hash(sim.run(PRESET_HORIZON).events)
+
+
+def _preset_hash(preset: str) -> str:
+    return _events_hash(_preset_simulation(preset).run(PRESET_HORIZON).events)
 
 
 PINNED_PRESETS = {
@@ -159,6 +169,36 @@ def test_every_preset_is_pinned():
 @pytest.mark.parametrize("arbiter", sorted(ARBITER_PRESETS))
 def test_preset_event_stream_hash_is_pinned(arbiter):
     assert _preset_hash(arbiter) == PINNED_PRESETS[arbiter]
+
+
+#: Kernel and matching counters of the iterative preset runs above. A
+#: change to step 3a's retry wakes or to a matcher's proposal count moves
+#: these even when no grant event moves.
+PINNED_PRESET_COUNTERS = {
+    "islip": {
+        "kernel.wakes": 3642, "kernel.heap_pushes": 2946, "kernel.declines": 0,
+        "voq.matches": 1639, "voq.matched_pairs": 1872, "voq.iterations": 1639,
+        "voq.proposals": 4805,
+    },
+    "qps-r": {
+        "kernel.wakes": 5155, "kernel.heap_pushes": 4897, "kernel.declines": 0,
+        "voq.matches": 2449, "voq.matched_pairs": 3024, "voq.iterations": 2449,
+        "voq.proposals": 7547,
+    },
+    "sw-qps": {
+        "kernel.wakes": 4081, "kernel.heap_pushes": 3493, "kernel.declines": 0,
+        "voq.matches": 1747, "voq.matched_pairs": 1905, "voq.iterations": 1747,
+        "voq.proposals": 1909,
+    },
+}
+
+
+@pytest.mark.parametrize("preset", ITERATIVE_PRESETS)
+def test_iterative_preset_counters_are_pinned(preset):
+    probe = CountingProbe()
+    _preset_simulation(preset, probe).run(PRESET_HORIZON)
+    pinned = PINNED_PRESET_COUNTERS[preset]
+    assert {name: probe.value(name) for name in pinned} == pinned
 
 
 #: Flip the top register bit of input 1's counter, then stack four flips on
