@@ -36,8 +36,7 @@ Package map:
   also the ``repro-exp`` CLI.
 """
 
-import importlib
-from typing import Any
+from ._lazy import lazy_exports
 
 #: Where each public name lives. ``import repro`` loads none of these:
 #: a name's module is imported on first access (PEP 562), so a tool that
@@ -99,20 +98,7 @@ _EXPORTS = {
     ),
     ".types": ("CounterMode", "FlowId", "TrafficClass"),
 }
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-
-
-def __getattr__(name: str) -> Any:
-    module = _MODULE_OF.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module, __name__), name)
-    globals()[name] = value  # later lookups skip this hook
-    return value
-
-
-def __dir__() -> "list[str]":
-    return sorted(set(globals()) | set(_MODULE_OF))
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 
 __version__ = "1.0.0"

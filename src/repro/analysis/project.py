@@ -6,8 +6,9 @@
 
   - a module table keyed by dotted name, with per-module import bindings
     (absolute targets resolved through relative imports and
-    ``__init__`` re-exports, ``if TYPE_CHECKING`` imports marked
-    type-only) and ``# reprolint:`` suppression comments,
+    ``__init__`` re-exports, eager or through a lazy facade's literal
+    ``_EXPORTS`` table, ``if TYPE_CHECKING`` imports marked type-only)
+    and ``# reprolint:`` suppression comments,
   - a symbol table of top-level functions, classes and their methods,
     and module-level assignments classified by mutability,
   - an approximate call graph: call sites are resolved through import
@@ -25,8 +26,9 @@
   the one run behind ``repro-lint``.
 
 Everything here is *approximate by design* — resolution returns ``None``
-rather than guessing when a name goes through a dynamic ``__getattr__``,
-a ``getattr()`` fallback, or an import the project does not contain.
+rather than guessing when a name goes through a dynamic ``__getattr__``
+(one backed by a literal ``_EXPORTS`` table excepted), a ``getattr()``
+fallback, or an import the project does not contain.
 Rules must treat unresolved edges as "unknown", never as violations.
 The loader is hardened against import cycles (resolution carries a
 visited set) and never executes project code.
@@ -271,7 +273,8 @@ class ModuleInfo:
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     #: module-level name -> MUTABLE_KIND / RESOURCE_KIND
     risky_globals: Dict[str, str] = field(default_factory=dict)
-    #: re-exported name -> absolute dotted target (``__init__`` facades)
+    #: re-exported name -> absolute dotted target (``__init__`` facades:
+    #: top-level ``from .sub import Name`` or a literal ``_EXPORTS`` table)
     exports: Dict[str, str] = field(default_factory=dict)
     #: the module defines a dynamic ``__getattr__`` fallback, so unknown
     #: attribute lookups must resolve to "unknown", not "missing".
@@ -339,22 +342,59 @@ class _ModuleBuilder(ast.NodeVisitor):
         return Path(self.info.path).name == "__init__.py"
 
     def _import_base(self, node: ast.ImportFrom) -> Optional[str]:
-        if node.level == 0:
-            return node.module or ""
+        return self._absolute(node.level, node.module)
+
+    def _absolute(self, level: int, module: Optional[str]) -> Optional[str]:
+        """``module`` imported at relative ``level`` from this module."""
+        if level == 0:
+            return module or ""
         # Relative import: resolve against this module's package. For a
         # package __init__, the module's own name IS the package.
         parts = self.info.name.split(".")
         if not self._is_package:
             parts = parts[:-1]
         # level=1 means "this package"; each extra level pops one parent.
-        for _ in range(node.level - 1):
+        for _ in range(level - 1):
             if not parts:
                 return None  # beyond the project root; unresolvable
             parts = parts[:-1]
         prefix = ".".join(parts)
-        if node.module:
-            return f"{prefix}.{node.module}" if prefix else node.module
+        if module:
+            return f"{prefix}.{module}" if prefix else module
         return prefix
+
+    def _read_export_table(self, node: ast.Assign) -> None:
+        """Record a lazy facade's literal ``_EXPORTS`` table as re-exports.
+
+        The table maps a module, relative to the package, to the names
+        it defines (``{".probe": ("CountingProbe", "Probe")}``), and the
+        package's PEP 562 ``__getattr__`` imports a name's module on first
+        access. Read statically, ``from package import Probe`` then
+        resolves to ``package.probe.Probe`` as an eager
+        ``from .probe import Probe`` would.
+        """
+        if not (
+            self._is_package
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id == "_EXPORTS"
+            and isinstance(node.value, ast.Dict)
+        ):
+            return
+        for key, value in zip(node.value.keys, node.value.values):
+            if not (
+                isinstance(key, ast.Constant)
+                and isinstance(key.value, str)
+                and isinstance(value, (ast.Tuple, ast.List))
+            ):
+                continue
+            relative = key.value.lstrip(".")
+            base = self._absolute(len(key.value) - len(relative), relative)
+            if base is None:
+                continue
+            for element in value.elts:
+                if isinstance(element, ast.Constant) and isinstance(element.value, str):
+                    self.info.exports[element.value] = f"{base}.{element.value}"
 
     def _bind(self, alias: str, target: str, line: int) -> None:
         self.info.imports[alias] = ImportBinding(
@@ -446,6 +486,8 @@ class _ModuleBuilder(ast.NodeVisitor):
 
     def visit_Assign(self, node: ast.Assign) -> None:
         if self._func_depth == 0 and not self._class_stack:
+            if not self._type_only_depth:
+                self._read_export_table(node)
             kind = _classify_module_binding(node.value)
             if kind is not None:
                 for target in node.targets:

@@ -18,14 +18,21 @@ model (``repro.circuit``):
   value type used by the iterative VOQ schedulers.
 """
 
-from .arbitration import Grant, Request
-from .bandwidth import BandwidthAllocator, Reservation
-from .gl_bound import burst_budgets, gl_latency_bound
-from .lrg import LRGState
-from .matching import Matching, keyed_draw, round_robin_pick, sample_proportional
-from .ssvc import SSVCCore
-from .thermometer import ThermometerCode
-from .virtual_clock import VirtualClockCounter, compute_vtick
+from .._lazy import lazy_exports
+
+#: Where each public name lives (loaded on first access, see
+#: :mod:`repro._lazy`): an arbiter loads the algorithms it runs.
+_EXPORTS = {
+    ".arbitration": ("Grant", "Request"),
+    ".bandwidth": ("BandwidthAllocator", "Reservation"),
+    ".gl_bound": ("burst_budgets", "gl_latency_bound"),
+    ".lrg": ("LRGState",),
+    ".matching": ("Matching", "keyed_draw", "round_robin_pick", "sample_proportional"),
+    ".ssvc": ("SSVCCore",),
+    ".thermometer": ("ThermometerCode",),
+    ".virtual_clock": ("VirtualClockCounter", "compute_vtick"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 __all__ = [
     "BandwidthAllocator",

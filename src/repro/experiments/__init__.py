@@ -19,6 +19,15 @@
 Run any of them via ``repro-exp <name>`` (see :mod:`repro.experiments.cli`).
 """
 
-from .common import ARBITER_PRESETS, make_arbiter_factory, run_simulation
+from .._lazy import lazy_exports
+
+#: Where each public name lives (loaded on first access, see
+#: :mod:`repro._lazy`): ``repro-exp table1`` imports its own module, not
+#: every artifact and the simulator behind them.
+_EXPORTS = {
+    ".common": ("run_simulation",),
+    ".presets": ("ARBITER_PRESETS", "make_arbiter_factory"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 __all__ = ["ARBITER_PRESETS", "make_arbiter_factory", "run_simulation"]

@@ -21,7 +21,8 @@ from typing import Dict, List, Sequence
 from ..metrics.report import format_table
 from ..traffic.flows import FlowSpec, Workload, gb_flow
 from ..types import FlowId, TrafficClass
-from .common import CEILING, Claim, Report, gb_only_config, near, run_simulation
+from .claims import Claim, Report, near
+from .common import CEILING, gb_only_config, run_simulation
 
 #: Policies compared in the idle-reservation scenario.
 IDLE_SCENARIO_POLICIES = ("ssvc", "virtual-clock", "wfq", "dwrr", "wrr-strict", "tdm")

@@ -17,9 +17,10 @@ from typing import List, Optional, Tuple
 
 from ..circuit.verification import VerificationReport, verify_exhaustive, verify_random
 from ..metrics.report import format_table
-from ..parallel import SweepExecutor, SweepPoint
-from ..resilience import ResilienceOptions
-from .common import Claim, Report, judge
+from ..parallel.envelope import SweepPoint
+from ..parallel.executor import SweepExecutor
+from ..resilience.options import ResilienceOptions
+from .claims import Claim, Report, judge
 
 def sweep_specs(fast: bool) -> List[Tuple[str, int, int, int, int]]:
     """The sweeps one run performs: (kind, radix, levels, trials, seed)."""

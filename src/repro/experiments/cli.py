@@ -26,48 +26,33 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable, Dict, Optional
+from importlib import import_module
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
-from ..catalog import RunCatalog
 from ..errors import ConfigError, SweepInterrupted
-from ..resilience import (
-    FailurePolicy,
-    ResilienceOptions,
-    RetryPolicy,
-    RunJournal,
-)
-from . import (
-    baseline_comparison,
-    circuit_verification,
-    composition,
-    faults_resilience,
-    fig4_bandwidth,
-    fig5_latency_fairness,
-    gl_burst,
-    gl_latency_bound,
-    rate_adherence,
-    scalability,
-    table1_storage,
-    table2_frequency,
-    tournament,
-)
-from .common import ARBITER_PRESETS, KERNELS, Report
+from .presets import ARBITER_PRESETS, KERNELS
 
-#: Experiment name -> its ``main(fast) -> Report`` function.
-EXPERIMENTS: Dict[str, Callable[..., Report]] = {
-    "fig4": fig4_bandwidth.main,
-    "fig5": fig5_latency_fairness.main,
-    "table1": table1_storage.main,
-    "table2": table2_frequency.main,
-    "rate-adherence": rate_adherence.main,
-    "gl-bound": gl_latency_bound.main,
-    "gl-burst": gl_burst.main,
-    "scalability": scalability.main,
-    "circuit": circuit_verification.main,
-    "baselines": baseline_comparison.main,
-    "composition": composition.main,
-    "faults": faults_resilience.main,
-    "tournament": tournament.main,
+if TYPE_CHECKING:
+    from ..resilience.options import ResilienceOptions
+    from .claims import Report
+
+#: Experiment name -> the module whose ``main(fast) -> Report`` runs it.
+#: A module is imported only when its experiment runs, so ``repro-exp
+#: table1`` loads neither numpy nor a simulation kernel.
+EXPERIMENTS: Dict[str, str] = {
+    "fig4": "fig4_bandwidth",
+    "fig5": "fig5_latency_fairness",
+    "table1": "table1_storage",
+    "table2": "table2_frequency",
+    "rate-adherence": "rate_adherence",
+    "gl-bound": "gl_latency_bound",
+    "gl-burst": "gl_burst",
+    "scalability": "scalability",
+    "circuit": "circuit_verification",
+    "baselines": "baseline_comparison",
+    "composition": "composition",
+    "faults": "faults_resilience",
+    "tournament": "tournament",
 }
 
 #: Experiments whose ``main`` additionally accepts ``jobs=`` (sweeps that
@@ -76,6 +61,15 @@ PARALLEL_EXPERIMENTS = frozenset(
     {"fig4", "fig5", "rate-adherence", "scalability", "circuit",
      "composition", "faults", "tournament"}
 )
+
+#: ``--on-failure`` values, :class:`~repro.resilience.policy.FailurePolicy`'s
+#: (spelled out so a run without resilience flags never loads the package).
+ON_FAILURE = ("fail-fast", "salvage")
+
+
+def experiment_main(name: str) -> Callable[..., "Report"]:
+    """The ``main`` of experiment ``name``, importing its module."""
+    return import_module(f".{EXPERIMENTS[name]}", __package__).main
 
 
 def _run_custom(
@@ -93,7 +87,6 @@ def _run_custom(
     from ..obs.trace import NDJSONTraceProbe
     from ..serialization import load_experiment
     from .common import run_simulation
-    from typing import Optional
 
     config, workload = load_experiment(config_path)
     probe: Optional[Probe] = None
@@ -215,8 +208,8 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     resilience_group.add_argument(
         "--on-failure",
-        choices=[policy.value for policy in FailurePolicy],
-        default=FailurePolicy.FAIL_FAST.value,
+        choices=ON_FAILURE,
+        default=ON_FAILURE[0],
         help="what an exhausted retry budget means: 'fail-fast' aborts the "
         "sweep (default, historical behavior); 'salvage' records the "
         "failure and returns partial results with explicit holes",
@@ -254,7 +247,7 @@ def main(argv: "list[str] | None" = None) -> int:
                      "a journal and a catalog each need their own")
     resilience_requested = bool(
         args.retries or args.point_timeout is not None or args.journal
-        or args.resume or args.on_failure != FailurePolicy.FAIL_FAST.value
+        or args.resume or args.on_failure != ON_FAILURE[0]
         or args.catalog
     )
     if resilience_requested and args.experiment == "custom":
@@ -287,6 +280,12 @@ def main(argv: "list[str] | None" = None) -> int:
 
     resilience: Optional[ResilienceOptions] = None
     if resilience_requested:
+        # The stores load only when a sweep asks for them.
+        from ..catalog import RunCatalog
+        from ..resilience.options import ResilienceOptions
+        from ..resilience.policy import FailurePolicy, RetryPolicy
+        from ..resilience.store import RunJournal
+
         try:
             journal: Optional[RunJournal] = None
             if args.resume:
@@ -312,12 +311,11 @@ def main(argv: "list[str] | None" = None) -> int:
     interrupted = False
     try:
         for name in names:
+            run = experiment_main(name)
             if name in PARALLEL_EXPERIMENTS:
-                report = EXPERIMENTS[name](
-                    args.fast, jobs=args.jobs, resilience=resilience
-                )
+                report = run(args.fast, jobs=args.jobs, resilience=resilience)
             else:
-                report = EXPERIMENTS[name](args.fast)
+                report = run(args.fast)
             failed += [f"{name}: {c.claim}" for c in report.failed]
             sections.append(f"=== {name} ===\n{report.format()}\n")
             print(sections[-1])

@@ -32,11 +32,13 @@ from ..metrics.report import format_table
 from ..multiswitch.simulator import ComposedFlow, MultiStageSimulation
 from ..multiswitch.storage import composed_storage_overhead
 from ..multiswitch.topology import ClosTopology
-from ..parallel import SweepExecutor, SweepPoint
-from ..resilience import ResilienceOptions
+from ..parallel.envelope import SweepPoint
+from ..parallel.executor import SweepExecutor
+from ..resilience.options import ResilienceOptions
 from ..traffic.flows import Workload, gb_flow
 from ..types import FlowId, TrafficClass
-from .common import Claim, Report, run_simulation
+from .claims import Claim, Report
+from .common import run_simulation
 
 #: Default shape: 4 groups x 4 hosts = 16 nodes either way.
 DEFAULT_TOPOLOGY = ClosTopology(groups=4, hosts_per_group=4, link_latency=2)

@@ -44,12 +44,14 @@ from ..faults import (
     packet_dup,
 )
 from ..metrics.report import format_table
-from ..parallel import SweepExecutor, SweepPoint
-from ..resilience import ResilienceOptions
+from ..parallel.envelope import SweepPoint
+from ..parallel.executor import SweepExecutor
+from ..resilience.options import ResilienceOptions
 from ..traffic.flows import Workload, gb_flow, gl_flow
 from ..traffic.generators import BernoulliInjection
 from ..types import FlowId, TrafficClass
-from .common import Claim, Report, judge, run_simulation
+from .claims import Claim, Report, judge
+from .common import run_simulation
 
 #: Relative GB shortfall a *non-voided* scenario may still show. Looser
 #: than Section 4.3's 2 % because the congested two-output workload runs

@@ -23,13 +23,13 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..metrics.report import format_table
-from ..parallel import SweepExecutor, SweepPoint
-from ..resilience import ResilienceOptions
+from ..parallel.envelope import SweepPoint
+from ..parallel.executor import SweepExecutor
+from ..resilience.options import ResilienceOptions
 from ..traffic.patterns import FIG4_RESERVED_RATES
 from ..types import FlowId, TrafficClass
-from .common import (
-    CEILING, Claim, Report, Verdict, gb_only_config, judge, near, run_simulation,
-)
+from .claims import Claim, Report, Verdict, judge, near
+from .common import CEILING, gb_only_config, run_simulation
 
 #: Injection rates (flits/input/cycle) swept along Fig. 4's x-axis.
 DEFAULT_SWEEP = (0.02, 0.05, 0.08, 0.10, 0.15, 0.20, 0.30, 0.40, 0.60, 0.80, 1.0)

@@ -25,12 +25,14 @@ import numpy as np
 
 from ..errors import SimulationError
 from ..metrics.report import format_table
-from ..parallel import SweepExecutor, SweepPoint
-from ..resilience import ResilienceOptions
+from ..parallel.envelope import SweepPoint
+from ..parallel.executor import SweepExecutor
+from ..resilience.options import ResilienceOptions
 from ..traffic.flows import Workload, gb_flow
 from ..traffic.generators import BernoulliInjection, BurstyInjection
 from ..types import FlowId, TrafficClass
-from .common import Claim, Report, Verdict, gb_only_config, judge, near, run_simulation
+from .claims import Claim, Report, Verdict, judge, near
+from .common import gb_only_config, run_simulation
 
 #: The four Fig. 5 curves, as arbiter presets.
 FIG5_SCHEMES = ("virtual-clock", "ssvc-subtract", "ssvc-halve", "ssvc-reset")

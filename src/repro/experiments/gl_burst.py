@@ -20,7 +20,8 @@ from ..metrics.report import format_table
 from ..traffic.flows import Workload, gb_flow, gl_flow
 from ..traffic.generators import TraceInjection
 from ..types import FlowId, TrafficClass
-from .common import Claim, Report, run_simulation
+from .claims import Claim, Report
+from .common import run_simulation
 
 
 @dataclass

@@ -26,7 +26,8 @@ from ..metrics.report import format_table
 from ..traffic.flows import Workload, gb_flow, gl_flow
 from ..traffic.generators import BernoulliInjection
 from ..types import FlowId, TrafficClass
-from .common import Claim, Report, run_simulation
+from .claims import Claim, Report
+from .common import run_simulation
 
 #: GL input counts Eq. 1 is checked at (the bound grows with N_GL).
 GL_POPULATIONS = (1, 3, 6)

@@ -18,11 +18,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..metrics.report import format_table
-from ..parallel import SweepExecutor, SweepPoint
-from ..resilience import ResilienceOptions
+from ..parallel.envelope import SweepPoint
+from ..parallel.executor import SweepExecutor
+from ..resilience.options import ResilienceOptions
 from ..traffic.patterns import single_output_workload
 from ..types import CounterMode, FlowId, TrafficClass
-from .common import Claim, Report, gb_only_config, judge, run_simulation
+from .claims import Claim, Report, judge
+from .common import gb_only_config, run_simulation
 
 #: Relative shortfall tolerance from the paper (Section 4.3).
 RATE_TOLERANCE = 0.02

@@ -15,8 +15,10 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from ..errors import ConfigError
-from ..parallel import SweepExecutor, SweepPoint
-from ..resilience import ResilienceOptions, worker_name
+from ..parallel.envelope import SweepPoint
+from ..parallel.executor import SweepExecutor
+from ..resilience.keys import worker_name
+from ..resilience.options import ResilienceOptions
 
 #: An experiment run: seed in, named scalar metrics out.
 MetricFn = Callable[[int], Mapping[str, float]]

@@ -22,13 +22,15 @@ import numpy as np
 from ..errors import SimulationError
 from ..hw.lanes import lane_feasibility_table
 from ..metrics.report import format_table
-from ..parallel import SweepExecutor, SweepPoint
-from ..resilience import ResilienceOptions
+from ..parallel.envelope import SweepPoint
+from ..parallel.executor import SweepExecutor
+from ..resilience.options import ResilienceOptions
 from ..traffic.flows import Workload, gb_flow
 from ..traffic.generators import BernoulliInjection
 from ..traffic.patterns import single_output_workload
 from ..types import FlowId, TrafficClass
-from .common import Claim, Report, gb_only_config, judge, run_simulation
+from .claims import Claim, Report, judge
+from .common import gb_only_config, run_simulation
 
 #: Allocation mix reused across the sig-bit sweep.
 SWEEP_ALLOCATIONS = (0.40, 0.20, 0.10, 0.08, 0.05, 0.02)

@@ -16,7 +16,7 @@ from typing import List, Tuple
 from ..config import SwitchConfig, TABLE1_CONFIG
 from ..hw.storage import StorageBreakdown, storage_breakdown
 from ..metrics.report import format_table
-from .common import Claim, Report
+from .claims import Claim, Report
 
 #: Paper's Table 1 anchor values in KB, for the EXPERIMENTS.md comparison.
 PAPER_BUFFERING_KB = 1056.0

@@ -15,7 +15,7 @@ from typing import List, Tuple
 
 from ..hw.timing import TimingModel, frequency_table
 from ..metrics.report import format_table
-from .common import Claim, Report, near
+from .claims import Claim, Report, near
 
 #: Paper anchors (Section 4.5 / Section 1).
 PAPER_WORST_SLOWDOWN_PCT = 8.4

@@ -34,9 +34,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..errors import ConfigError
 from ..faults import FaultPlan, crosspoint_dead, input_stall, packet_drop
 from ..metrics.report import format_table
-from ..parallel import SweepExecutor, SweepPoint, result_hash
-from ..resilience import ResilienceOptions
-from .common import Claim, Report, judge, run_simulation, voq_config
+from ..parallel.envelope import SweepPoint, result_hash
+from ..parallel.executor import SweepExecutor
+from ..resilience.options import ResilienceOptions
+from .claims import Claim, Report, judge
+from .common import run_simulation, voq_config
 
 #: Arbitration policies raced against each other. ``ssvc`` runs the
 #: paper's per-output scheme on a classic partially-queued port; the

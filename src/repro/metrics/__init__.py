@@ -9,10 +9,18 @@
   formatted like the paper's tables.
 """
 
-from .counters import FlowStats, StatsCollector
-from .latency import LatencyStats
-from .report import format_table
-from .throughput import ThroughputWindow
+from .._lazy import lazy_exports
+
+#: Where each public name lives (loaded on first access, see
+#: :mod:`repro._lazy`): the closed-form tables format with
+#: :mod:`repro.metrics.report` without loading numpy for the statistics.
+_EXPORTS = {
+    ".counters": ("FlowStats", "StatsCollector"),
+    ".latency": ("LatencyStats",),
+    ".report": ("format_table",),
+    ".throughput": ("ThroughputWindow",),
+}
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 __all__ = [
     "FlowStats",

@@ -15,9 +15,17 @@ statistics into one JSON document (schema in ``docs/OBSERVABILITY.md``) so
 every run can leave a machine-readable artifact behind.
 """
 
-from .probe import CountingProbe, Probe
-from .report import RunReport
-from .trace import NDJSONTraceProbe
+from .._lazy import lazy_exports
+
+#: Where each public name lives (loaded on first access, see
+#: :mod:`repro._lazy`): the kernels import only :mod:`repro.obs.probe`,
+#: so a run never loads the report writer or the trace file sink.
+_EXPORTS = {
+    ".probe": ("CountingProbe", "Probe"),
+    ".report": ("RunReport",),
+    ".trace": ("NDJSONTraceProbe",),
+}
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 __all__ = [
     "CountingProbe",

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
-from ..resilience import atomic_write_text
+from ..resilience.atomic import atomic_write_text
 from .probe import CountingProbe
 
 if TYPE_CHECKING:  # keep kernel imports out of the runtime graph

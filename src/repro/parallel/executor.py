@@ -52,15 +52,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..catalog import RunCatalog
 from ..errors import ConfigError, SimulationError, SweepInterrupted
-from ..resilience import (
-    FailurePolicy,
-    PointFailure,
-    ResilienceOptions,
-    SweepOutcome,
-    point_key,
-    sweep_id,
-    worker_name,
-)
+from ..resilience.keys import point_key, sweep_id, worker_name
+from ..resilience.options import ResilienceOptions
+from ..resilience.outcome import PointFailure, SweepOutcome
+from ..resilience.policy import FailurePolicy
 from .envelope import PointResult, SweepPoint
 
 #: A worker function: takes one envelope, returns a picklable payload.

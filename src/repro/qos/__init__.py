@@ -50,25 +50,33 @@ Iterative VOQ matching schedulers (docs/SCHEDULERS.md; require
   matchings refined across cycles, popped oldest-first.
 """
 
-from .arrival_stamped_vc import ArrivalStampedVCArbiter
-from .base import OutputArbiter
-from .ccsp import CCSPArbiter
-from .deficit_round_robin import DWRRArbiter
-from .fair_queuing import WFQArbiter
-from .fixed_priority import FixedPriorityArbiter
-from .gl_policer import GLPolicer
-from .gsf import GSFArbiter
-from .islip import ISLIPArbiter
-from .iterative import IterativeArbiter, shared_iterative_factory
-from .lrg_arbiter import LRGArbiter
-from .preemptive_vc import PreemptiveVCArbiter
-from .qps import QPSRArbiter
-from .ssvc_arbiter import SSVCArbiter
-from .sw_qps import SWQPSArbiter
-from .tdm import TDMArbiter
-from .three_class import ThreeClassArbiter
-from .virtual_clock_arbiter import VirtualClockArbiter
-from .weighted_round_robin import WRRArbiter
+from .._lazy import lazy_exports
+
+#: Where each public name lives (loaded on first access, see
+#: :mod:`repro._lazy`): a switch loads the arbiters its presets build, and
+#: :mod:`repro.qos.iterative` brings the three VOQ matchers with it.
+_EXPORTS = {
+    ".arrival_stamped_vc": ("ArrivalStampedVCArbiter",),
+    ".base": ("OutputArbiter",),
+    ".ccsp": ("CCSPArbiter",),
+    ".deficit_round_robin": ("DWRRArbiter",),
+    ".fair_queuing": ("WFQArbiter",),
+    ".fixed_priority": ("FixedPriorityArbiter",),
+    ".gl_policer": ("GLPolicer",),
+    ".gsf": ("GSFArbiter",),
+    ".islip": ("ISLIPArbiter",),
+    ".iterative": ("IterativeArbiter", "shared_iterative_factory"),
+    ".lrg_arbiter": ("LRGArbiter",),
+    ".preemptive_vc": ("PreemptiveVCArbiter",),
+    ".qps": ("QPSRArbiter",),
+    ".ssvc_arbiter": ("SSVCArbiter",),
+    ".sw_qps": ("SWQPSArbiter",),
+    ".tdm": ("TDMArbiter",),
+    ".three_class": ("ThreeClassArbiter",),
+    ".virtual_clock_arbiter": ("VirtualClockArbiter",),
+    ".weighted_round_robin": ("WRRArbiter",),
+}
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 __all__ = [
     "ArrivalStampedVCArbiter",

@@ -139,3 +139,10 @@ def shared_iterative_factory(maker: IterativeMaker) -> Callable[..., IterativeAr
         return state["scheduler"]
 
     return factory
+
+
+# The matchers subclass IterativeArbiter, so they load once it exists.
+# Loading them with it means whoever holds the base class sees every
+# matcher in ``IterativeArbiter.__subclasses__()`` (perfbench times each
+# one's ``match`` that way) without importing the three modules itself.
+from . import islip, qps, sw_qps  # noqa: E402,F401

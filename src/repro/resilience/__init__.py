@@ -28,12 +28,20 @@ the dependency edge stays one-directional.
 and maintains store files, journals and catalogs alike.
 """
 
-from .atomic import atomic_write_text
-from .keys import point_envelope, point_key, restorable_repr, sweep_id, worker_name
-from .options import ResilienceOptions
-from .outcome import PointFailure, SweepOutcome
-from .policy import FailurePolicy, RetryPolicy, backoff_delay
-from .store import RunJournal, journal_hashes
+from .._lazy import lazy_exports
+
+#: Where each public name lives (loaded on first access, see
+#: :mod:`repro._lazy`): a trace file's atomic rename or the CLI's
+#: ``--on-failure`` choices do not load the stores.
+_EXPORTS = {
+    ".atomic": ("atomic_write_text",),
+    ".keys": ("point_envelope", "point_key", "restorable_repr", "sweep_id", "worker_name"),
+    ".options": ("ResilienceOptions",),
+    ".outcome": ("PointFailure", "SweepOutcome"),
+    ".policy": ("FailurePolicy", "RetryPolicy", "backoff_delay"),
+    ".store": ("RunJournal", "journal_hashes"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 __all__ = [
     "FailurePolicy",

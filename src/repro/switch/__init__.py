@@ -14,8 +14,7 @@ Swizzle Switch" — this package is that simulator. It models:
   (:mod:`repro.switch.simulator`).
 """
 
-import importlib
-from typing import Any
+from .._lazy import lazy_exports
 
 #: Where each public name lives. Importing a leaf such as
 #: ``repro.switch.flit`` runs this file first, so nothing is imported here:
@@ -31,20 +30,7 @@ _EXPORTS = {
     ".output_channel": ("OutputChannel",),
     ".simulator": ("Simulation", "SimulationResult"),
 }
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-
-
-def __getattr__(name: str) -> Any:
-    module = _MODULE_OF.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module, __name__), name)
-    globals()[name] = value  # later lookups skip this hook
-    return value
-
-
-def __dir__() -> "list[str]":
-    return sorted(set(globals()) | set(_MODULE_OF))
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 
 __all__ = [

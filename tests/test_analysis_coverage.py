@@ -60,6 +60,8 @@ LEDGER = {
     ("project_bad/badpkg/workers.py", "caching_worker"): {"RP202"},
     ("project_bad/badpkg/workers.py", "logging_worker"): {"RP202"},
     ("project_bad/badpkg/workers.py", "tally"): {"RP202"},
+    ("project_bad/lazypkg/fanout.py", "record"): {"RP202"},
+    ("project_bad/lazypkg/fanout.py", "unseeded_point"): {"RL001"},
 }
 
 

@@ -99,6 +99,45 @@ def test_init_reexport_resolves_to_origin(good_project):
     assert resolved.qualname == "goodpkg.rng:make_rng"
 
 
+def test_lazy_export_table_resolves_to_origin(good_project):
+    # A PEP 562 facade imports nothing; its literal _EXPORTS table is what
+    # says where ``from lazypkg import SweepExecutor`` comes from.
+    init = good_project.modules["lazypkg"]
+    assert init.exports == {
+        "SweepExecutor": "lazypkg.pool.SweepExecutor",
+        "make_rng": "lazypkg.seeds.make_rng",
+    }
+    fanout = good_project.modules["lazypkg.fanout"]
+    resolved = good_project.resolve(fanout, "SweepExecutor")
+    assert resolved is not None
+    assert resolved.qualname == "lazypkg.pool:SweepExecutor"
+    run_lazy = good_project.function("lazypkg.fanout:run_lazy")
+    assert set(good_project.infer_local_types(run_lazy).values()) == {
+        "lazypkg.pool:SweepExecutor"
+    }
+
+
+def test_real_lazy_facades_are_read_as_their_runtime_tables(src_project):
+    import importlib
+
+    lazy = [
+        name for name, module in src_project.modules.items()
+        if module.path.endswith("__init__.py")
+        and hasattr(importlib.import_module(name), "_EXPORTS")
+    ]
+    assert {"repro", "repro.parallel", "repro.qos", "repro.obs", "repro.core"} <= set(lazy)
+    for name in lazy:
+        table = importlib.import_module(name)._EXPORTS
+        expected = {
+            public: f"{name}{module}.{public}"
+            for module, names in table.items() for public in names
+        }
+        assert expected.items() <= src_project.modules[name].exports.items(), name
+    resolved = src_project.resolve(src_project.modules["repro.parallel"], "SweepExecutor")
+    assert resolved is not None
+    assert resolved.qualname == "repro.parallel.executor:SweepExecutor"
+
+
 def test_type_checking_imports_are_type_only(good_project):
     typed = good_project.modules["goodpkg.typed"]
     binding = typed.imports["WorkerAdapter"]

@@ -236,7 +236,7 @@ class TestConstructionBoundaries:
             ArraySimulation(config, workload, seed=1)
 
     def test_non_three_class_arbiter_is_refused(self):
-        from repro.experiments.common import ARBITER_PRESETS
+        from repro.experiments.presets import ARBITER_PRESETS
 
         config, workload, _ = _scenario("hotspot")
         with pytest.raises(ConfigError, match="output 0.*'lrg'"):

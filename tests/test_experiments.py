@@ -16,7 +16,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.experiments.cli import main
-from repro.experiments.common import ARBITER_PRESETS, make_arbiter_factory
+from repro.experiments.presets import ARBITER_PRESETS, make_arbiter_factory
 from repro.experiments.fig4_bandwidth import run_fig4
 from repro.experiments.fig5_latency_fairness import run_fig5
 from repro.experiments.gl_latency_bound import run_gl_bound

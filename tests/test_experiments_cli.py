@@ -85,7 +85,7 @@ class TestCLI:
         """Satellite fix (ISSUE 9): ``--arbiter`` choices are generated
         from ARBITER_PRESETS, so a new preset can never be registered
         without becoming reachable from the CLI (and vice versa)."""
-        from repro.experiments.common import ARBITER_PRESETS, KERNELS
+        from repro.experiments.presets import ARBITER_PRESETS, KERNELS
 
         with pytest.raises(SystemExit):
             main(["custom", "--arbiter", "no-such-preset", "--config", "x"])
@@ -103,12 +103,16 @@ class TestCLI:
         for kernel in KERNELS:
             assert f"'{kernel}'" in err
 
+    def test_on_failure_choices_are_the_failure_policies(self):
+        from repro.experiments.cli import ON_FAILURE
+        from repro.resilience.policy import FailurePolicy
+
+        assert ON_FAILURE == tuple(policy.value for policy in FailurePolicy)
+        assert FailurePolicy(ON_FAILURE[0]) is FailurePolicy.FAIL_FAST
+
     def test_unknown_preset_raises_config_error_with_sorted_list(self):
         from repro.errors import ConfigError
-        from repro.experiments.common import (
-            ARBITER_PRESETS,
-            make_arbiter_factory,
-        )
+        from repro.experiments.presets import ARBITER_PRESETS, make_arbiter_factory
 
         with pytest.raises(ConfigError) as excinfo:
             make_arbiter_factory("nope")

@@ -1,10 +1,10 @@
-"""``import repro`` and ``import repro.switch`` are lazy: a public name
-loads its module on first use.
+"""Package facades are lazy: a public name loads its module on first use.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported the simulators.
 """
 
+import importlib
 import os
 import subprocess
 import sys
@@ -84,7 +84,7 @@ def test_switch_public_names_resolve_lazily():
 
     assert repro.switch.Packet is Packet
     assert repro.switch.ArraySimulation is ArraySimulation
-    assert set(repro.switch.__all__) == set(repro.switch._MODULE_OF)
+    assert set(repro.switch.__all__) == _table_names(repro.switch)
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         repro.switch.nope  # noqa: B018
 
@@ -101,10 +101,62 @@ def test_public_names_resolve_to_their_modules():
     from repro.switch.simulator import Simulation
 
     assert repro.Simulation is Simulation
-    assert set(repro.__all__) == set(repro._MODULE_OF)
+    assert set(repro.__all__) == _table_names(repro)
     assert set(repro.__all__) <= set(dir(repro))
 
 
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         repro.nope  # noqa: B018
+
+
+#: Every package whose ``__init__`` is a lazy export table.
+LAZY_PACKAGES = [
+    "repro", "repro.core", "repro.experiments", "repro.metrics", "repro.obs",
+    "repro.parallel", "repro.qos", "repro.resilience", "repro.switch",
+]
+
+
+def _table_names(package):
+    return {name for names in package._EXPORTS.values() for name in names}
+
+
+@pytest.mark.parametrize("name", LAZY_PACKAGES)
+def test_each_table_entry_resolves_to_its_defining_module(name):
+    package = importlib.import_module(name)
+    assert set(package.__all__) == _table_names(package)
+    assert set(package.__all__) <= set(dir(package))
+    for module, names in package._EXPORTS.items():
+        defining = importlib.import_module(module, name)
+        for public in names:
+            assert getattr(package, public) is getattr(defining, public), public
+
+
+@pytest.mark.parametrize("name", LAZY_PACKAGES)
+def test_lazy_package_import_loads_none_of_its_modules(name):
+    out = _python(
+        f"import sys, {name} as p; "
+        "print(sorted(m for m in p._EXPORTS "
+        "if p.__name__ + m in sys.modules))"
+    )
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", ["repro.obs", "repro.qos", "repro.parallel"])
+def test_star_import_of_a_lazy_package(name):
+    out = _python(
+        f"from {name} import *; import {name} as p; "
+        "print(sorted(n for n in p.__all__ if n not in globals()))"
+    )
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", ["islip", "qps", "sw_qps"])
+def test_each_matcher_module_imports_first(name):
+    # repro.qos.iterative imports the matchers at its end, so importing a
+    # matcher first runs that cycle from the other side.
+    out = _python(
+        f"import repro.qos.{name}; from repro.qos.iterative import IterativeArbiter; "
+        "print(sorted(c.__name__ for c in IterativeArbiter.__subclasses__()))"
+    )
+    assert out.strip() == "['ISLIPArbiter', 'QPSRArbiter', 'SWQPSArbiter']"

@@ -14,7 +14,7 @@ from repro.config import FIG4_CONFIG
 from repro.core.arbitration import Request
 from repro.core.lrg import LRGState
 from repro.errors import ArbitrationError, ConfigError
-from repro.experiments.common import ARBITER_PRESETS
+from repro.experiments.presets import ARBITER_PRESETS
 from repro.qos import (
     ArrivalStampedVCArbiter,
     CCSPArbiter,

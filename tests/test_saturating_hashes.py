@@ -39,7 +39,8 @@ from dataclasses import replace
 import pytest
 
 from repro.config import FIG4_CONFIG
-from repro.experiments.common import ARBITER_PRESETS, make_simulation, voq_config
+from repro.experiments.common import make_simulation, voq_config
+from repro.experiments.presets import ARBITER_PRESETS
 from repro.faults import FaultPlan, counter_bitflip, packet_drop, packet_dup
 from repro.obs import CountingProbe
 from repro.traffic.flows import Workload, be_flow, gb_flow

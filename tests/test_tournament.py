@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError
-from repro.experiments.common import format_claims
+from repro.experiments.claims import format_claims
 from repro.experiments.tournament import (
     POLICIES,
     POLICY_ARBITERS,
