@@ -9,12 +9,22 @@ are deliberately free of simulator internals so the arbiters in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..types import TrafficClass
 
 
-@dataclass(frozen=True)
-class Request:
+class _RequestFields(NamedTuple):
+    """The fields of :class:`Request`, which validates them."""
+
+    input_port: int
+    traffic_class: TrafficClass
+    packet_flits: int
+    queued_flits: int = 0
+    arrival_cycle: int = 0
+
+
+class Request(_RequestFields):
     """One input's head-of-line candidate for a given output.
 
     Attributes:
@@ -29,19 +39,28 @@ class Request:
         arrival_cycle: cycle the head packet reached the head of its queue;
             informational, used by arrival-stamping arbiters (original
             Virtual Clock semantics) and by tests.
+
+    A tuple of these fields, built once per head and input stamp on the
+    kernel's arbitration path; it hashes as the tuple of its fields.
     """
 
-    input_port: int
-    traffic_class: TrafficClass
-    packet_flits: int
-    queued_flits: int = 0
-    arrival_cycle: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.input_port < 0:
-            raise ValueError(f"input_port must be >= 0, got {self.input_port}")
-        if self.packet_flits <= 0:
-            raise ValueError(f"packet_flits must be positive, got {self.packet_flits}")
+    def __new__(
+        cls,
+        input_port: int,
+        traffic_class: TrafficClass,
+        packet_flits: int,
+        queued_flits: int = 0,
+        arrival_cycle: int = 0,
+    ) -> "Request":
+        if input_port < 0:
+            raise ValueError(f"input_port must be >= 0, got {input_port}")
+        if packet_flits <= 0:
+            raise ValueError(f"packet_flits must be positive, got {packet_flits}")
+        return tuple.__new__(
+            cls, (input_port, traffic_class, packet_flits, queued_flits, arrival_cycle)
+        )
 
 
 @dataclass(frozen=True)

@@ -83,27 +83,47 @@ class StatsCollector:
 
     # -------------------------------------------------------------- feeding
 
-    def on_created(self, packet: Packet) -> None:
-        """Record a packet creation (offered load)."""
-        if packet.created_cycle < self.warmup_cycles:
+    def on_created(self, flow: FlowId, created_cycle: int, flits: int) -> None:
+        """Record one creation of a ``flits``-flit packet (offered load).
+
+        Takes the packet's fields rather than a :class:`Packet`, so a
+        kernel records an arrival that waits at its source before any
+        packet exists for it.
+        """
+        if created_cycle < self.warmup_cycles:
             return
-        stats = self._stats(packet.flow)
+        stats = self._flows.get(flow)
+        if stats is None:
+            stats = self._stats(flow)
         stats.offered_packets += 1
-        stats.offered_flits += packet.flits
+        stats.offered_flits += flits
 
     def on_delivered(self, packet: Packet) -> None:
-        """Record a delivery; filtered by the warmup horizon."""
-        if packet.grant_cycle is None or packet.delivered_cycle is None:
+        """Record a delivery; filtered by the warmup horizon.
+
+        Latency is creation to delivery and waiting is injection (creation,
+        if never injected) to grant, as :attr:`Packet.latency` and
+        :attr:`Packet.waiting_time` define them; both are computed here from
+        the timestamps.
+        """
+        granted = packet.grant_cycle
+        delivered = packet.delivered_cycle
+        if granted is None or delivered is None:
             raise SimulationError(f"packet {packet.packet_id} delivered without timestamps")
-        if packet.grant_cycle < self.warmup_cycles:
+        if granted < self.warmup_cycles:
             return
-        stats = self._stats(packet.flow)
+        stats = self._flows.get(packet.flow)
+        if stats is None:
+            stats = self._stats(packet.flow)
+        flits = packet.flits
+        created = packet.created_cycle
+        injected = packet.injected_cycle
         stats.delivered_packets += 1
-        stats.delivered_flits += packet.flits
-        stats.latency.add(packet.latency)
-        stats.waiting.add(packet.waiting_time)
-        stats.windowed.add(packet.delivered_cycle, packet.flits)
-        self.total_delivered_flits += packet.flits
+        stats.delivered_flits += flits
+        stats.latency.add(delivered - created)
+        stats.waiting.add(granted - (created if injected is None else injected))
+        stats.windowed.add(delivered, flits)
+        self.total_delivered_flits += flits
 
     def finish(self, horizon: int) -> None:
         """Freeze the run length for rate computations."""

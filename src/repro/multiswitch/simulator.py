@@ -432,7 +432,7 @@ class MultiStageSimulation:
                     misses += 1
                     continue
                 packet = source.make_packet(now)
-                stats.on_created(packet)
+                stats.on_created(packet.flow, now, flits)
                 port.try_inject(packet, now)
                 sat_cursor[voq] = pos
                 misses = 0
@@ -452,9 +452,9 @@ class MultiStageSimulation:
             # 1. Scheduled host arrivals, behind their flow's backlog.
             while next_arrival == now:
                 source, port, voq = landing[arrival_sources[cursor]]
-                packet = source.make_packet(now)
-                stats.on_created(packet)
-                overflow.offer(port, voq, packet, now)
+                entry = source.draw(now)
+                stats.on_created(source.flow, now, entry[2])
+                overflow.offer(port, voq, source.flow, entry, now)
                 cursor += 1
                 next_arrival = arrival_times[cursor]
 

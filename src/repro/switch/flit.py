@@ -10,11 +10,11 @@ individual bus beats (:meth:`Packet.expand_flits`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
 from ..errors import SimulationError
-from ..types import FlowId, TrafficClass
+from ..types import FlowId
 
 # Fallback id stream for packets constructed directly (tests, examples).
 # Simulators do NOT use this: each run owns a fresh counter (see
@@ -39,7 +39,6 @@ def skip_packet_ids(ids: Iterator[int], count: int) -> None:
         next(itertools.islice(ids, count - 1, None))
 
 
-@dataclass
 class Packet:
     """One network packet.
 
@@ -53,36 +52,63 @@ class Packet:
         grant_cycle: cycle its arbitration completed (None until granted).
         delivered_cycle: cycle its last flit left the output (None until
             delivered).
+        packet_id: the packet's id; drawn from the process-global fallback
+            stream when not given (simulators always give one).
         src: source input port (``flow.src``).
         dst: destination output port (``flow.dst``).
         traffic_class: the packet's traffic class (``flow.traffic_class``).
 
     ``src``, ``dst`` and ``traffic_class`` are copied from ``flow`` at
     construction: the kernels read them several times per grant, and a
-    plain attribute costs less than a property's call. They stay out of
-    ``repr`` and equality, which ``flow`` already covers.
+    plain attribute costs less than a property's call. A packet is built
+    on every admission, so it is a slotted object compared by identity.
     """
 
-    flow: FlowId
-    flits: int
-    created_cycle: int
-    injected_cycle: Optional[int] = None
-    grant_cycle: Optional[int] = None
-    delivered_cycle: Optional[int] = None
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
-    src: int = field(init=False, repr=False, compare=False)
-    dst: int = field(init=False, repr=False, compare=False)
-    traffic_class: TrafficClass = field(init=False, repr=False, compare=False)
+    __slots__ = (
+        "flow",
+        "flits",
+        "created_cycle",
+        "injected_cycle",
+        "grant_cycle",
+        "delivered_cycle",
+        "packet_id",
+        "src",
+        "dst",
+        "traffic_class",
+    )
 
-    def __post_init__(self) -> None:
-        if self.flits <= 0:
-            raise SimulationError(f"packet must have >= 1 flit, got {self.flits}")
-        if self.created_cycle < 0:
-            raise SimulationError(f"created_cycle must be >= 0, got {self.created_cycle}")
-        flow = self.flow
-        self.src = flow.src
-        self.dst = flow.dst
-        self.traffic_class = flow.traffic_class
+    def __init__(
+        self,
+        flow: FlowId,
+        flits: int,
+        created_cycle: int,
+        injected_cycle: Optional[int] = None,
+        grant_cycle: Optional[int] = None,
+        delivered_cycle: Optional[int] = None,
+        packet_id: Optional[int] = None,
+    ) -> None:
+        if flits <= 0:
+            raise SimulationError(f"packet must have >= 1 flit, got {flits}")
+        if created_cycle < 0:
+            raise SimulationError(f"created_cycle must be >= 0, got {created_cycle}")
+        self.flow = flow
+        self.flits = flits
+        self.created_cycle = created_cycle
+        self.injected_cycle = injected_cycle
+        self.grant_cycle = grant_cycle
+        self.delivered_cycle = delivered_cycle
+        self.packet_id: int = next(_packet_ids) if packet_id is None else packet_id
+        self.src, self.dst, self.traffic_class = flow
+
+    def __repr__(self) -> str:
+        return (
+            f"Packet(flow={self.flow!r}, flits={self.flits!r}, "
+            f"created_cycle={self.created_cycle!r}, "
+            f"injected_cycle={self.injected_cycle!r}, "
+            f"grant_cycle={self.grant_cycle!r}, "
+            f"delivered_cycle={self.delivered_cycle!r}, "
+            f"packet_id={self.packet_id!r})"
+        )
 
     # ------------------------------------------------------------ properties
 

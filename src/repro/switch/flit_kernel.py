@@ -270,7 +270,7 @@ class FlitLevelSimulation:
         arrivals = self._arrivals(horizon)
         for packets in arrivals.values():
             for packet in packets:
-                stats.on_created(packet)
+                stats.on_created(packet.flow, packet.created_cycle, packet.flits)
         events: List[object] = []
         grants = 0
         out_flits = [0] * radix

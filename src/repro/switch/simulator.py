@@ -299,6 +299,11 @@ class _Admits(Protocol):
     def try_inject(self, packet: Packet, now: int) -> bool: ...
 
 
+#: A packet waiting at its source: ``(created_cycle, packet_id, flits)``.
+#: Its flow is the key of the queue it waits in.
+Waiting = Tuple[int, int, int]
+
+
 class _SourceBacklog:
     """Source-side overflow queues, kept per input buffer.
 
@@ -310,6 +315,12 @@ class _SourceBacklog:
     them cannot change an admission. Within a buffer, flows drain in the
     order they (most recently) became backlogged.
 
+    A waiting packet is a :data:`Waiting` entry, not a :class:`Packet`:
+    its id and length were drawn at arrival (:meth:`FlowSource.draw`), so
+    ids and the flow's RNG draws do not depend on how long it waits, and
+    its packet is built only when :meth:`drain` admits it. Under overload
+    most arrivals are still waiting at the horizon and never become one.
+
     Attributes:
         waiting: backlogged flows per buffer; a buffer with no backlog has
             no entry, so ``buffer in waiting`` is the whole cost of a
@@ -320,30 +331,34 @@ class _SourceBacklog:
     """
 
     def __init__(self) -> None:
-        self.waiting: Dict[FlitBuffer, Dict[FlowId, Deque[Packet]]] = {}
+        self.waiting: Dict[FlitBuffer, Dict[FlowId, Deque[Waiting]]] = {}
         self.flows = 0
         self.scans = 0
 
     def offer(
-        self, port: _Admits, buffer: FlitBuffer, packet: Packet, now: int
-    ) -> Optional[Deque[Packet]]:
-        """Admit an arriving ``packet`` into ``buffer``, or queue it.
+        self, port: _Admits, buffer: FlitBuffer, flow: FlowId, entry: Waiting, now: int
+    ) -> Optional[Deque[Waiting]]:
+        """Admit ``flow``'s arriving ``entry`` into ``buffer``, or queue it.
 
-        ``buffer`` is the one the packet lands in at ``port``. Returns the
-        flow's source queue when the packet waits there, ``None`` when it
-        was admitted.
+        ``buffer`` is the one the flow's packets land in at ``port``.
+        Returns the flow's source queue when the entry waits there, ``None``
+        when its packet was admitted.
         """
         flows = self.waiting.get(buffer)
         if flows is not None:
-            queued = flows.get(packet.flow)
+            queued = flows.get(flow)
             if queued is not None:
-                queued.append(packet)  # FIFO behind older packets
+                queued.append(entry)  # FIFO behind older packets
                 return queued
-        if port.try_inject(packet, now):
+        created, packet_id, flits = entry
+        if buffer.occupancy_flits + flits <= buffer.capacity_flits:
+            packet = Packet(flow, flits, created, packet_id=packet_id)
+            if not port.try_inject(packet, now):
+                raise SimulationError("fits() and try_inject() disagree")
             return None
         if flows is None:
             flows = self.waiting[buffer] = {}
-        queued = flows[packet.flow] = deque((packet,))
+        queued = flows[flow] = deque((entry,))
         self.flows += 1
         return queued
 
@@ -355,10 +370,17 @@ class _SourceBacklog:
         """
         flows = self.waiting[buffer]
         self.scans += len(flows)
+        capacity = buffer.capacity_flits
         admitted = 0
         drained = []
         for flow, queued in flows.items():
-            while queued and port.try_inject(queued[0], now):
+            while queued:
+                created, packet_id, flits = queued[0]
+                if buffer.occupancy_flits + flits > capacity:
+                    break
+                packet = Packet(flow, flits, created, packet_id=packet_id)
+                if not port.try_inject(packet, now):
+                    raise SimulationError("fits() and try_inject() disagree")
                 queued.popleft()
                 admitted += 1
             if not queued:
@@ -376,7 +398,7 @@ def _top_up(
     port: InputPort,
     queue: FlitBuffer,
     now: int,
-    on_created: Callable[[Packet], None],
+    on_created: Callable[[FlowId, int, int], None],
 ) -> int:
     """Fill ``queue`` from saturating ``source`` until the next packet won't fit.
 
@@ -390,12 +412,13 @@ def _top_up(
     Returns the number of packets admitted.
     """
     admitted = 0
+    flow = source.flow
     length = source.packet_length
     if isinstance(length, int):
         capacity = queue.capacity_flits
         while queue.occupancy_flits + length <= capacity:
             packet = source.make_packet(now)
-            on_created(packet)
+            on_created(flow, now, length)
             if not port.try_inject(packet, now):
                 raise SimulationError("fits() and try_inject() disagree")
             admitted += 1
@@ -406,7 +429,7 @@ def _top_up(
         if not queue.fits(packet):
             source.created_count -= 1  # not offered after all
             return admitted
-        on_created(packet)
+        on_created(flow, now, packet.flits)
         if not port.try_inject(packet, now):
             raise SimulationError("fits() and try_inject() disagree")
         admitted += 1
@@ -891,9 +914,10 @@ class Simulation:
             # 1. Scheduled arrivals at `now`.
             while next_arrival == now:
                 source, port, queue = landing[arrival_sources[cursor]]
-                packet = source.make_packet(now)
-                on_created(packet)
-                queued = offer(port, queue, packet, now)
+                flow = source.flow
+                entry = source.draw(now)
+                on_created(flow, now, entry[2])
+                queued = offer(port, queue, flow, entry, now)
                 if gauge_hook is not None and queued is not None:
                     if overflow.flows > max_overflow_flows:
                         max_overflow_flows = overflow.flows

@@ -239,6 +239,22 @@ class FlowSource:
             )
         return Packet(flow=self.flow, flits=self._draw_length(), created_cycle=created_cycle)
 
+    def draw(self, created_cycle: int) -> Tuple[int, int, int]:
+        """Draw one arrival as ``(created_cycle, packet_id, flits)``.
+
+        Consumes the id and the length :meth:`make_packet` would, in the
+        same order, but builds no packet: the kernels hold an arrival that
+        must wait at its source in this form and build its :class:`Packet`
+        only when it is admitted. Requires the per-run ``id_source``.
+        """
+        ids = self._ids
+        if ids is None:
+            raise TrafficError(f"source for {self.flow} has no per-run id_source")
+        self.created_count += 1
+        length = self.packet_length
+        flits = length if isinstance(length, int) else self._draw_length()
+        return created_cycle, next(ids), flits
+
     def skip_packet(self) -> None:
         """Consume one packet id without creating a packet.
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TrafficClass(enum.IntEnum):
@@ -56,23 +56,40 @@ class CounterMode(enum.Enum):
             raise ValueError(f"unknown counter mode {name!r}; expected one of: {valid}") from None
 
 
-@dataclass(frozen=True)
-class FlowId:
+class _FlowIdFields(NamedTuple):
+    """The fields of :class:`FlowId`, which validates them."""
+
+    src: int
+    dst: int
+    traffic_class: TrafficClass = TrafficClass.GB
+
+
+class FlowId(_FlowIdFields):
     """Identity of a flow: a (source input, destination output, class) triple.
 
     The paper defines a flow as "a stream of packets that traverse the same
     route from a source to a destination"; in a single-stage switch the route
     is fully determined by the (input, output) pair, and the traffic class
     selects which arbitration plane the flow uses.
+
+    A tuple of its three fields, because kernels hash a flow per packet and
+    a tuple hashes in C. Its hash is ``hash((src, dst, traffic_class))``,
+    the hash a frozen dataclass of the same fields has, so sets of flows
+    iterate in the same order. It also equals the plain tuple of its
+    fields: never key one dict by both.
     """
 
-    src: int
-    dst: int
-    traffic_class: TrafficClass = TrafficClass.GB
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.src < 0 or self.dst < 0:
-            raise ValueError(f"flow endpoints must be non-negative, got {self}")
+    def __new__(
+        cls, src: int, dst: int, traffic_class: TrafficClass = TrafficClass.GB
+    ) -> "FlowId":
+        if src < 0 or dst < 0:
+            raise ValueError(
+                f"flow endpoints must be non-negative, got "
+                f"{traffic_class.short_name}[{src}->{dst}]"
+            )
+        return tuple.__new__(cls, (src, dst, traffic_class))
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.traffic_class.short_name}[{self.src}->{self.dst}]"

@@ -20,6 +20,8 @@ import pytest
 from repro import Simulation, fig4_workload
 from repro.config import FIG4_CONFIG
 from repro.experiments.common import make_simulation
+from repro.faults import FaultPlan, packet_drop, packet_dup
+from repro.traffic.patterns import FIG4_RESERVED_RATES, single_output_workload
 
 HORIZON = 3_000
 
@@ -82,3 +84,52 @@ def test_summary_statistics_replay_identically(seed):
         )
 
     assert run() == run()
+
+
+#: Fig. 4 point whose flows offer far more than output 0 carries: eight
+#: inputs at 0.6 flits/cycle each against the 8/9 flits/cycle of one
+#: channel, so nearly every arrival waits in its flow's source queue.
+OVERLOAD_RATE = 0.6
+
+
+def _overloaded_stream_hash(name: str, kernel: str) -> str:
+    plan = None
+    packet_length: object = 8
+    if name == "range-length":
+        # Lengths come from the flow's RNG at arrival, so a waiting packet
+        # drawn late would shift every later length.
+        packet_length = (2, 8)
+    elif name == "drop-dup":
+        # Drop and dup draws key on packet_id, so renumbered waiting
+        # packets would move them.
+        plan = FaultPlan(
+            seed=3, faults=(packet_drop(0.1, output=0), packet_dup(0.1, output=0))
+        )
+    workload = single_output_workload(
+        num_inputs=len(FIG4_RESERVED_RATES),
+        output=0,
+        reserved_rates=list(FIG4_RESERVED_RATES),
+        packet_length=packet_length,
+        inject_rate=OVERLOAD_RATE,
+    )
+    sim = make_simulation(
+        kernel, FIG4_CONFIG, workload, seed=11, collect_events=True, fault_plan=plan
+    )
+    payload = "\n".join(repr(event) for event in sim.run(HORIZON).events)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+#: Absolute hashes of the overloaded streams, packet ids, latencies and
+#: waiting times included. Same-seed equality alone would not notice a
+#: kernel that renumbered or re-timed the packets waiting at the source.
+PINNED_OVERLOADED = {
+    "fixed-length": "b6a8b76bbe63637379429475bffe54f6ccc3107f47c37b9ffb27908be115698d",
+    "range-length": "64a80a819ea41a8810f87e6bb2bb44f12cffffa32a4fe387dba5c59b78041ecf",
+    "drop-dup": "84cf0383dbb5d4c666acfa137f1dde717e54cf2e5094db92ac1d5e6c32ea2c04",
+}
+
+
+@pytest.mark.parametrize("kernel", ["event", "array"])
+@pytest.mark.parametrize("name", sorted(PINNED_OVERLOADED))
+def test_overloaded_event_stream_hash_is_pinned(name, kernel):
+    assert _overloaded_stream_hash(name, kernel) == PINNED_OVERLOADED[name]

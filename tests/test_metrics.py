@@ -163,8 +163,8 @@ class TestStatsCollector:
         collector = StatsCollector(warmup_cycles=100)
         early = delivered_packet(self.FLOW, 0, 50, 59)
         late = delivered_packet(self.FLOW, 120, 150, 159)
-        collector.on_created(early)
-        collector.on_created(late)
+        for pkt in (early, late):
+            collector.on_created(pkt.flow, pkt.created_cycle, pkt.flits)
         collector.on_delivered(early)
         collector.on_delivered(late)
         stats = collector.flow_stats(self.FLOW)
@@ -180,7 +180,7 @@ class TestStatsCollector:
     def test_accepted_and_offered_rates(self):
         collector = StatsCollector(warmup_cycles=0)
         pkt = delivered_packet(self.FLOW, 10, 20, 29, flits=8)
-        collector.on_created(pkt)
+        collector.on_created(pkt.flow, pkt.created_cycle, pkt.flits)
         collector.on_delivered(pkt)
         collector.finish(100)
         assert collector.accepted_rate(self.FLOW) == pytest.approx(0.08)
