@@ -98,6 +98,16 @@ class StatsCollector:
         stats.offered_packets += 1
         stats.offered_flits += flits
 
+    def add_offered(self, flow: FlowId, packets: int, flits: int) -> None:
+        """Record ``packets`` creations of ``flits`` flits in all at once.
+
+        The caller counts only creations inside the measurement window;
+        a kernel that knows a flow's whole schedule adds it in one call.
+        """
+        stats = self._stats(flow)
+        stats.offered_packets += packets
+        stats.offered_flits += flits
+
     def on_delivered(self, packet: Packet) -> None:
         """Record a delivery; filtered by the warmup horizon.
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from ..metrics.counters import StatsCollector
 from ..obs.probe import Probe, resolve_hooks
 from ..switch.buffers import FlitBuffer
 from ..switch.flit import Packet, fresh_packet_ids
-from ..switch.simulator import _arrival_stream, _SourceBacklog
+from ..switch.simulator import _arrival_stream, _OfferedLoad, _SourceBacklog, Waiting
 from ..traffic.generators import BernoulliInjection, FlowSource, SaturatingInjection
 from ..types import FlowId, TrafficClass
 from .topology import ClosTopology
@@ -289,15 +289,19 @@ class MultiStageSimulation:
                 gs, min(rate, 1.0), egress_flits[(gd, local_dst, gs)]
             )
 
-    def build_sources(self, horizon: int) -> List[FlowSource]:
+    def build_sources(
+        self, horizon: int, packet_ids: Optional[Iterator[int]] = None
+    ) -> List[FlowSource]:
         """One packet source per flow, in flow order, as :meth:`run` builds them.
 
         Each flow draws from its own spawned seed, and all of them share
-        one fresh packet-id stream (replayable traces); a saturating
-        flow's schedule is empty, since top-up feeds it.
+        one packet-id stream (replayable traces), fresh unless
+        ``packet_ids`` is given; a saturating flow's schedule is empty,
+        since top-up feeds it.
         """
         seeds = np.random.SeedSequence(self.seed).spawn(len(self.flows))
-        packet_ids = fresh_packet_ids()
+        if packet_ids is None:
+            packet_ids = fresh_packet_ids()
         return [
             FlowSource(
                 flow=flow.flow_id,
@@ -345,7 +349,8 @@ class MultiStageSimulation:
         ]
         egress_out_busy = [[0] * topo.hosts_per_group for _ in range(topo.groups)]
 
-        sources = self.build_sources(horizon)
+        packet_ids = fresh_packet_ids()
+        sources = self.build_sources(horizon, packet_ids)
         # Each source's host port and the VOQ its flow lands in, and the
         # saturating sources with their packet lengths, grouped by that VOQ
         # in flow order, with the VOQ's round-robin cursor.
@@ -366,9 +371,14 @@ class MultiStageSimulation:
         )
         next_arrival = arrival_times[0]
         cursor = 0
+        # Offered load is counted per flow, not per arrival.
+        offered = _OfferedLoad(sources, stats, horizon)
+        lengths = offered.lengths
+        next_touch = offered.touch(-1)
         # A packet that does not fit its VOQ waits in its flow's source
         # queue; only a grant frees VOQ space, and only that VOQ is retried.
         overflow = _SourceBacklog()
+        source_queues: List[Deque[Waiting]] = [deque() for _ in sources]
         link_heap: List[Tuple[int, int, Packet, int, int]] = []  # (t, seq, pkt, gd, gs)
         link_seq = 0
 
@@ -438,7 +448,9 @@ class MultiStageSimulation:
                 misses = 0
 
         # Wake times are the wake heap's entries merged with the arrival
-        # stream; a cycle in both is one wake.
+        # stream; a cycle in both is one wake. Unlike the single switch,
+        # every arrival cycle stays a wake: egress arbitration counts
+        # ``hol_blocked`` once per wake, so skipping one would change it.
         while True:
             if wake_heap and wake_heap[0] <= next_arrival:
                 now = heapq.heappop(wake_heap)
@@ -451,12 +463,18 @@ class MultiStageSimulation:
 
             # 1. Scheduled host arrivals, behind their flow's backlog.
             while next_arrival == now:
-                source, port, voq = landing[arrival_sources[cursor]]
-                entry = source.draw(now)
-                stats.on_created(source.flow, now, entry[2])
-                overflow.offer(port, voq, source.flow, entry, now)
+                index = arrival_sources[cursor]
+                entry = (now, next(packet_ids), lengths[index])
+                queued = source_queues[index]
+                if queued:
+                    queued.append(entry)
+                else:
+                    source, port, voq = landing[index]
+                    overflow.offer(port, voq, source.flow, queued, entry, now)
                 cursor += 1
                 next_arrival = arrival_times[cursor]
+            if now >= next_touch:
+                next_touch = offered.touch(now)
 
             # 2. Link deliveries reaching egress FIFOs.
             while link_heap and link_heap[0][0] <= now:
@@ -664,6 +682,7 @@ class MultiStageSimulation:
                     if total:
                         count_hook(name, total)
 
+        offered.finish()
         stats.finish(horizon)
         return MultiStageResult(
             stats=stats,

@@ -1,14 +1,19 @@
 """Event-driven simulation kernel with cycle-exact semantics.
 
-The kernel advances between *wake times* — cycles where something can
-happen: a scheduled packet arrival, an output channel (and its sending
-input) becoming free, or a retry after a non-work-conserving arbiter
-declined to grant. At each wake time it (1) admits arrivals into the input
-port buffers (overflow waits in unbounded per-flow source queues — the
-source side of the network interface), (2) tops up saturating sources, and
-(3) arbitrates every idle output in a rotating order. This produces exactly
-the schedule a per-cycle loop would, at a fraction of the cost, because
-nothing observable changes between wake times.
+The kernel advances between *wake times*: cycles where something an
+arbiter reads can change. Those are an output channel (and its sending
+input) becoming free, a retry after an arbiter declined to grant or a
+matching left a requester unmatched, a fault cycle, and a scheduled
+arrival that is admitted into an input buffer. At each one it (1) admits
+arrivals into the input port buffers (overflow waits in per-flow source
+queues — the source side of the network interface), (2) tops up
+saturating sources, and (3) arbitrates every idle output in a rotating
+order. An arrival whose packet only joins its source queue changes no
+request, so its cycle runs step 1 (and step 2, which burns packet ids)
+and skips step 3: after any step 3 every idle output either has no free
+input requesting it or has a retry queued for the next cycle, and only a
+wake or an admission changes that. This produces exactly the schedule a
+per-cycle loop would, at a fraction of the cost.
 
 Arbitration runs in one of three modes. With per-output arbiters (the
 paper's switch) every idle output consults its own
@@ -143,9 +148,9 @@ class SimulationResult:
         )
 
 
-#: Step 3b's reuse entry for one (output, input): ``((stamp, allow_gl),
+#: Step 3b's reuse entry for one (output, input): ``(stamp, allow_gl,
 #: gl_denied, request, head)``.
-_ReuseEntry = Tuple[Tuple[int, bool], bool, Optional[Request], Optional[Packet]]
+_ReuseEntry = Tuple[int, bool, bool, Optional[Request], Optional[Packet]]
 
 #: The run loop's grant bookkeeping: ``book_grant(output, input, packet,
 #: contenders, now)`` pops ``packet``, transmits it and returns its
@@ -316,10 +321,15 @@ class _SourceBacklog:
     order they (most recently) became backlogged.
 
     A waiting packet is a :data:`Waiting` entry, not a :class:`Packet`:
-    its id and length were drawn at arrival (:meth:`FlowSource.draw`), so
-    ids and the flow's RNG draws do not depend on how long it waits, and
-    its packet is built only when :meth:`drain` admits it. Under overload
-    most arrivals are still waiting at the horizon and never become one.
+    its id and length were drawn at arrival, so ids and the flow's RNG
+    draws do not depend on how long it waits, and its packet is built only
+    when :meth:`drain` admits it. Under overload most arrivals are still
+    waiting at the horizon and never become one.
+
+    Each flow owns one source queue for the whole run, empty while the
+    flow does not wait, so a kernel appends an arrival behind a waiting
+    flow's backlog itself (``if queued: queued.append(entry)``) and offers
+    only the arrivals of flows that do not wait.
 
     Attributes:
         waiting: backlogged flows per buffer; a buffer with no backlog has
@@ -336,31 +346,35 @@ class _SourceBacklog:
         self.scans = 0
 
     def offer(
-        self, port: _Admits, buffer: FlitBuffer, flow: FlowId, entry: Waiting, now: int
-    ) -> Optional[Deque[Waiting]]:
-        """Admit ``flow``'s arriving ``entry`` into ``buffer``, or queue it.
+        self,
+        port: _Admits,
+        buffer: FlitBuffer,
+        flow: FlowId,
+        queued: Deque[Waiting],
+        entry: Waiting,
+        now: int,
+    ) -> bool:
+        """Admit ``flow``'s arriving ``entry`` into ``buffer``, or start a wait.
 
-        ``buffer`` is the one the flow's packets land in at ``port``.
-        Returns the flow's source queue when the entry waits there, ``None``
-        when its packet was admitted.
+        ``buffer`` is the one the flow's packets land in at ``port`` and
+        ``queued`` the flow's source queue, which must be empty: an arrival
+        of a flow that already waits belongs behind its backlog. Returns
+        ``True`` when the packet was admitted, ``False`` when ``entry``
+        starts the flow's wait in ``queued``.
         """
-        flows = self.waiting.get(buffer)
-        if flows is not None:
-            queued = flows.get(flow)
-            if queued is not None:
-                queued.append(entry)  # FIFO behind older packets
-                return queued
         created, packet_id, flits = entry
         if buffer.occupancy_flits + flits <= buffer.capacity_flits:
             packet = Packet(flow, flits, created, packet_id=packet_id)
             if not port.try_inject(packet, now):
                 raise SimulationError("fits() and try_inject() disagree")
-            return None
+            return True
+        flows = self.waiting.get(buffer)
         if flows is None:
             flows = self.waiting[buffer] = {}
-        queued = flows[flow] = deque((entry,))
+        queued.append(entry)
+        flows[flow] = queued
         self.flows += 1
-        return queued
+        return False
 
     def drain(self, port: _Admits, buffer: FlitBuffer, now: int) -> int:
         """Admit what now fits into ``buffer``, which a grant just freed.
@@ -408,7 +422,7 @@ def _top_up(
     kernel probes a full buffer. A fixed-length source's fit test is
     arithmetic, so the abandoned attempt only burns its id
     (:meth:`FlowSource.skip_packet`); a range-length source must draw the
-    length from its RNG, so it builds the packet and rolls the count back.
+    length from its RNG, so it builds the packet and drops it.
     Returns the number of packets admitted.
     """
     admitted = 0
@@ -427,8 +441,7 @@ def _top_up(
     while True:
         packet = source.make_packet(now)
         if not queue.fits(packet):
-            source.created_count -= 1  # not offered after all
-            return admitted
+            return admitted  # not offered after all
         on_created(flow, now, packet.flits)
         if not port.try_inject(packet, now):
             raise SimulationError("fits() and try_inject() disagree")
@@ -437,9 +450,9 @@ def _top_up(
 
 def _saturating_refill(
     saturating: Dict[int, List[Tuple["FlowSource", FlitBuffer]]],
-    top_up_input: Callable[[int, int], None],
+    top_up_input: Callable[[int, int], int],
     packet_ids: Iterator[int],
-) -> Callable[[int], None]:
+) -> Callable[[int], bool]:
     """Build step 2 of a wake: keep every saturating buffer full.
 
     Buffer space frees only in :meth:`InputPort.pop_packet`, and a kernel
@@ -452,6 +465,7 @@ def _saturating_refill(
     source's probe draws a length from its flow's RNG and may admit a
     shorter packet, so when any saturating source has range-length packets
     every call probes every saturating input in order, as the first does.
+    The step returns whether it admitted a packet.
     """
     probes = sum(len(entries) for entries in saturating.values())
     per_input = any(
@@ -461,16 +475,91 @@ def _saturating_refill(
     )
     filled = False
 
-    def refill(now: int) -> None:
+    def refill(now: int) -> bool:
         nonlocal filled
         if filled and not per_input:
             skip_packet_ids(packet_ids, probes)
-            return
+            return False
+        admitted = 0
         for port_index in saturating:
-            top_up_input(port_index, now)
+            admitted += top_up_input(port_index, now)
         filled = True
+        return admitted > 0
 
     return refill
+
+
+class _OfferedLoad:
+    """The offered load of a run's scheduled sources, counted per flow.
+
+    Every scheduled arrival at or after warmup is offered load. A flow's
+    packet count comes from its schedule and its flits from its fixed
+    length, or, for range lengths, from the lengths :meth:`draw_length`
+    drew, so a run loop records no arrival one at a time and adds each
+    flow's totals once (:meth:`finish`). :meth:`touch` creates a flow's
+    collector entry at its first counted arrival, where a per-arrival
+    :meth:`StatsCollector.on_created` would have created it, so the
+    collector's flow order, which float sums over its flows follow, does
+    not change.
+
+    Attributes:
+        lengths: each source's fixed packet length, or 0 when it draws
+            lengths from its RNG.
+    """
+
+    def __init__(
+        self, sources: Sequence["FlowSource"], stats: StatsCollector, horizon: int
+    ) -> None:
+        self._sources = sources
+        self._stats = stats
+        self._warmup = warmup = stats.warmup_cycles
+        self._horizon = horizon
+        self.lengths = [
+            source.packet_length if isinstance(source.packet_length, int) else 0
+            for source in sources
+        ]
+        self._counted: List[int] = []
+        self._drawn = [0] * len(sources)
+        firsts: List[Tuple[int, int]] = []
+        for index, source in enumerate(sources):
+            schedule = source.schedule
+            start = int(np.searchsorted(schedule, warmup))
+            self._counted.append(len(schedule) - start)
+            if start < len(schedule):
+                firsts.append((int(schedule[start]), index))
+        # The arrival stream's (cycle, source index) order.
+        self._firsts = sorted(firsts)
+        self._touched = 0
+
+    def draw_length(self, index: int, now: int) -> int:
+        """Draw the length of source ``index``'s arrival at ``now``."""
+        flits = self._sources[index].draw_length()
+        if now >= self._warmup:
+            self._drawn[index] += flits
+        return flits
+
+    def touch(self, now: int) -> int:
+        """Create the entries of flows first counted at or before ``now``.
+
+        Call it after the arrivals at ``now``. Returns the cycle of the
+        next flow's first counted arrival (the horizon when none is left).
+        """
+        firsts = self._firsts
+        k = self._touched
+        while k < len(firsts) and firsts[k][0] <= now:
+            self._stats.flow_stats(self._sources[firsts[k][1]].flow)
+            k += 1
+        self._touched = k
+        return firsts[k][0] if k < len(firsts) else self._horizon
+
+    def finish(self) -> None:
+        """Add every flow's counted packets and flits to the collector."""
+        for index, source in enumerate(self._sources):
+            packets = self._counted[index]
+            if packets:
+                length = self.lengths[index]
+                flits = packets * length if length else self._drawn[index]
+                self._stats.add_offered(source.flow, packets, flits)
 
 
 class Simulation:
@@ -735,10 +824,17 @@ class Simulation:
         arrivals = len(arrival_sources)
         next_arrival = arrival_times[0]
         cursor = 0
+        # Offered load is counted per flow, not per arrival.
+        offered = _OfferedLoad(sources, stats, horizon)
+        lengths = offered.lengths
+        draw_length = offered.draw_length
+        next_touch = offered.touch(-1)
 
-        # Source-side overflow queues. A grant frees space in one buffer
-        # only, and only that buffer's backlog is retried, right after it.
+        # Source-side overflow queues, one per source. A grant frees space
+        # in one buffer only, and only that buffer's backlog is retried,
+        # right after it.
         overflow = _SourceBacklog()
+        source_queues: List[Deque[Waiting]] = [deque() for _ in sources]
         backlogged = overflow.waiting
         offer = overflow.offer
         drain = overflow.drain
@@ -753,36 +849,51 @@ class Simulation:
         wake_heap: List[int] = [0]
         pending_wakes = {0}
 
-        def wake(t: int) -> None:
+        def wake(t: int, now: int) -> None:
+            """Schedule a wake at ``t``, which must come after cycle ``now``.
+
+            A wake at or before the current cycle would never be visited,
+            and whatever it was for would silently not happen.
+            """
             nonlocal heap_pushes
+            if t <= now:
+                raise SimulationError(
+                    f"wake scheduled at cycle {t}, not after the current cycle {now}"
+                )
             if t < horizon and t not in pending_wakes:
                 heapq.heappush(wake_heap, t)
                 pending_wakes.add(t)
                 heap_pushes += 1
 
+        # Without faults, a cycle that only appends arrivals to source
+        # queues skips arbitration. Under a fault plan every cycle
+        # arbitrates: stall and dead-crosspoint masks count per wake.
+        arbitrate_every_cycle = injector is not None
         if injector is not None:
             # Stall boundaries and bit-flip cycles must be wake times so
             # this sparse kernel re-evaluates exactly when the per-cycle
             # flit kernel would (kernel parity under an active plan).
             for t in injector.wake_cycles():
-                wake(t)
+                wake(t, -1)
 
         on_created = stats.on_created
 
-        def top_up_input(port_index: int, now: int) -> None:
+        def top_up_input(port_index: int, now: int) -> int:
             entries = saturating.get(port_index)
+            admitted = 0
             if entries is not None:  # keep buffers full
                 port = inputs[port_index]
                 for source, queue in entries:
-                    _top_up(source, port, queue, now, on_created)
+                    admitted += _top_up(source, port, queue, now, on_created)
+            return admitted
 
         refill_saturating = _saturating_refill(saturating, top_up_input, packet_ids)
 
-        # Request reuse per (output, input): ((stamp, allow_gl), gl_denied,
+        # Request reuse per (output, input): (stamp, allow_gl, gl_denied,
         # request, head). An input's stamp moves on every mutation, so a
-        # matching key proves the head, the masked GL head and the
-        # occupancy the request reports are all unchanged since the entry
-        # was built.
+        # matching stamp and allow_gl prove the head, the masked GL head
+        # and the occupancy the request reports are all unchanged since
+        # the entry was built.
         reuse: List[List[Optional[_ReuseEntry]]] = [[None] * radix for _ in range(radix)]
 
         def book_grant(
@@ -888,49 +999,74 @@ class Simulation:
                             waiting_time=packet.waiting_time,
                         )
                     )
-            wake(delivered)
+            wake(delivered, now)
             # Freed space in this buffer (and only here): admit waiting
             # and saturating packets now so their injection timestamps are
             # exact.
             if freed in backlogged:
                 drain(port, freed, now)
-            top_up_input(in_port, now)
+            if saturating:
+                top_up_input(in_port, now)
             return delivered
 
         step = self._batched_step(book_grant, injector, event_hook)
 
-        # Wake times are the wake heap's entries merged with the arrival
-        # stream; a cycle in both is one wake.
+        # Visited cycles are the wake heap's entries merged with the
+        # arrival stream; a cycle in both is one heap wake.
         while True:
             if wake_heap and wake_heap[0] <= next_arrival:
                 now = heapq.heappop(wake_heap)
                 pending_wakes.discard(now)
+                quiet = False
             elif next_arrival < horizon:
                 now = next_arrival
+                quiet = not arbitrate_every_cycle
             else:
                 break
-            wakes += 1
 
-            # 1. Scheduled arrivals at `now`.
+            # 1. Scheduled arrivals at `now`. An arrival of a flow that
+            #    already waits joins its source queue; only the others are
+            #    offered to their buffer. Ids and lengths are drawn here,
+            #    in arrival order.
             while next_arrival == now:
-                source, port, queue = landing[arrival_sources[cursor]]
-                flow = source.flow
-                entry = source.draw(now)
-                on_created(flow, now, entry[2])
-                queued = offer(port, queue, flow, entry, now)
-                if gauge_hook is not None and queued is not None:
-                    if overflow.flows > max_overflow_flows:
-                        max_overflow_flows = overflow.flows
-                    if len(queued) > max_overflow_depth:
+                index = arrival_sources[cursor]
+                entry = (
+                    now,
+                    next(packet_ids),
+                    lengths[index] or draw_length(index, now),
+                )
+                queued = source_queues[index]
+                if queued:
+                    queued.append(entry)  # FIFO behind older packets
+                    if gauge_hook is not None and len(queued) > max_overflow_depth:
                         max_overflow_depth = len(queued)
+                else:
+                    source, port, queue = landing[index]
+                    if offer(port, queue, source.flow, queued, entry, now):
+                        quiet = False
+                    elif gauge_hook is not None:
+                        max_overflow_flows = max(max_overflow_flows, overflow.flows)
+                        max_overflow_depth = max(max_overflow_depth, 1)
                 cursor += 1
                 next_arrival = arrival_times[cursor]
+            if now >= next_touch:
+                next_touch = offered.touch(now)
 
             # 2. Top up saturating sources. Backlogged overflow needs no
             #    retry here: no space freed in its buffer since that
             #    buffer's last drain, right after its last grant.
-            if saturating:
-                refill_saturating(now)
+            if saturating and refill_saturating(now):
+                quiet = False
+
+            if quiet:
+                # Nothing an arbiter reads changed since the last step 3:
+                # every idle output then had no free requester or a retry
+                # queued, and a retry is a heap wake. Only a refill that
+                # burned packet ids makes this cycle a wake.
+                if saturating:
+                    wakes += 1
+                continue
+            wakes += 1
 
             # 2b. Counter bit-flips fire before any arbitration this cycle,
             #     mirroring the flit kernel's per-cycle ordering.
@@ -1024,33 +1160,28 @@ class Simulation:
                     # iterations, a sampling collision, or a stale window
                     # slot): retry next cycle like a declining arbiter.
                     # A Matching names each input at most once.
-                    wake(now + 1)
+                    wake(now + 1, now)
                 continue
 
             # 3b. Per-output arbiters: arbitrate idle outputs, rotating the
             #     start to avoid bias. Only free inputs holding a packet for
             #     the output are visited: any other input has no head, no
             #     masked GL head and no fault-masked request for it, so an
-            #     output no input holds a packet for is skipped whole
-            #     (GLPolicer.eligible is pure, so skipping it is too).
+            #     output no input holds a packet for is skipped whole.
+            #     GLPolicer.eligible is pure, so asking it for an output
+            #     whose holders are all busy changes nothing.
             for k in range(radix):
                 o = (now + k) % radix
                 if not demand[o] or outputs[o].busy_until > now:
                     continue
-                holders = [
-                    port
-                    for port in inputs
-                    if port.to_output[o] and port.busy_until <= now
-                ]
-                if not holders:
-                    continue
-                arbiter = arbiters[o]
                 policer = policers[o]
                 allow_gl = policer is None or policer.eligible(now)
                 reuse_o = reuse[o]
                 requests = []
                 gl_denied_inputs = []
-                for port in holders:
+                for port in inputs:
+                    if not port.to_output[o] or port.busy_until > now:
+                        continue
                     if faults_stall and injector.stalled(port.port, now):
                         # A stalled input raises nothing this cycle: no
                         # request and no policer-throttle decision either.
@@ -1063,9 +1194,9 @@ class Simulation:
                         if port.head_for_output(o, allow_gl=True) is not None:
                             fault_dead_masks += 1
                         continue
-                    key = (port.stamp, allow_gl)
+                    stamp = port.stamp
                     entry = reuse_o[port.port]
-                    if entry is None or entry[0] != key:
+                    if entry is None or entry[0] != stamp or entry[1] is not allow_gl:
                         head = port.head_for_output(o, allow_gl=allow_gl)
                         # A GL head masked by the policer is a throttle
                         # decision even though it never becomes a request
@@ -1084,10 +1215,12 @@ class Simulation:
                                     else head.created_cycle
                                 ),
                             )
-                        entry = reuse_o[port.port] = (key, gl_denied, request, head)
-                    _, gl_denied, request, _ = entry
-                    if gl_denied:
+                        entry = reuse_o[port.port] = (
+                            stamp, allow_gl, gl_denied, request, head
+                        )
+                    if entry[2]:
                         gl_denied_inputs.append(port.port)
+                    request = entry[3]
                     if request is not None:
                         requests.append(request)
                 if gl_denied_inputs and policer is not None:
@@ -1102,17 +1235,18 @@ class Simulation:
                 if not requests:
                     continue
                 arbitrations += 1
+                arbiter = arbiters[o]
                 winner = arbiter.select(requests, now)
                 if winner is None:
                     declines += 1
-                    wake(now + 1)  # non-work-conserving decline: retry
+                    wake(now + 1, now)  # non-work-conserving decline: retry
                     continue
                 arbiter.commit(winner, now)
                 # The winner's entry was built or matched at its input's
                 # current stamp above, so it holds the head the request
                 # describes; pop_packet checks that it still is the head.
                 entry = reuse_o[winner.input_port]
-                packet = entry[3] if entry is not None else None
+                packet = entry[4] if entry is not None else None
                 if packet is None or packet.flits != winner.packet_flits:
                     raise SimulationError(
                         f"arbiter granted a request that is no longer head-of-line "
@@ -1171,6 +1305,7 @@ class Simulation:
             if max_overflow_depth:
                 gauge_hook("kernel.overflow_queue_depth", max_overflow_depth)
 
+        offered.finish()
         stats.finish(horizon)
         gl_throttle_events: Dict[int, int] = {}
         for o in range(radix):

@@ -199,11 +199,10 @@ class FlowSource:
         self.packet_length = packet_length
         self._rng = rng
         self._ids = id_source
-        self.created_count = 0
         #: sorted creation cycles in ``[0, horizon)``; empty when saturating.
         #: The kernels merge every source's schedule into one stream and
-        #: create its packets with :meth:`make_packet`, so :meth:`peek_time`
-        #: does not follow their progress.
+        #: draw its packets' ids and lengths themselves, so
+        #: :meth:`peek_time` does not follow their progress.
         self.schedule: np.ndarray = (
             np.empty(0, dtype=np.int64)
             if process.saturating
@@ -216,7 +215,8 @@ class FlowSource:
         """True when the simulator should keep this flow's buffer full."""
         return self.process.saturating
 
-    def _draw_length(self) -> int:
+    def draw_length(self) -> int:
+        """This flow's next packet length: fixed, or one draw from its RNG."""
         if isinstance(self.packet_length, int):
             return self.packet_length
         lo, hi = self.packet_length
@@ -229,41 +229,23 @@ class FlowSource:
         packet id comes from it (replayable event traces); otherwise the
         process-global fallback stream is used.
         """
-        self.created_count += 1
         if self._ids is not None:
             return Packet(
                 flow=self.flow,
-                flits=self._draw_length(),
+                flits=self.draw_length(),
                 created_cycle=created_cycle,
                 packet_id=next(self._ids),
             )
-        return Packet(flow=self.flow, flits=self._draw_length(), created_cycle=created_cycle)
-
-    def draw(self, created_cycle: int) -> Tuple[int, int, int]:
-        """Draw one arrival as ``(created_cycle, packet_id, flits)``.
-
-        Consumes the id and the length :meth:`make_packet` would, in the
-        same order, but builds no packet: the kernels hold an arrival that
-        must wait at its source in this form and build its :class:`Packet`
-        only when it is admitted. Requires the per-run ``id_source``.
-        """
-        ids = self._ids
-        if ids is None:
-            raise TrafficError(f"source for {self.flow} has no per-run id_source")
-        self.created_count += 1
-        length = self.packet_length
-        flits = length if isinstance(length, int) else self._draw_length()
-        return created_cycle, next(ids), flits
+        return Packet(flow=self.flow, flits=self.draw_length(), created_cycle=created_cycle)
 
     def skip_packet(self) -> None:
         """Consume one packet id without creating a packet.
 
         A saturating top-up always ends with one abandoned attempt that
         burns an id from the shared stream. For fixed packet lengths, where
-        :meth:`_draw_length` consumes no randomness, the kernels precheck
+        :meth:`draw_length` consumes no randomness, the kernels precheck
         capacity arithmetically and call this instead of building the
-        packet and rolling ``created_count`` back, so packet ids are the
-        same either way.
+        packet and dropping it, so packet ids are the same either way.
         """
         if not isinstance(self.packet_length, int):
             raise TrafficError(

@@ -4,7 +4,9 @@ Used only by tests: it advances one cycle at a time with no event skipping,
 applying exactly the documented switch semantics — arrivals enqueue (with
 source-side overflow), every idle output arbitrates over the head-of-line
 requests of free inputs in rotating order, a grant occupies channel and
-input for ``arbitration_cycles + flits`` cycles. If the production
+input for ``arbitration_cycles + flits`` cycles. An output whose arbiter
+has a GL policer asks it every cycle whether GL keeps its priority, and
+offers a throttled GL head last, as the kernel does. If the production
 event-driven kernel is cycle-exact, its grant schedule must match this one
 grant for grant.
 
@@ -84,11 +86,14 @@ def naive_simulate(
             o = (now + k) % radix
             if out_busy[o] > now:
                 continue
+            arbiter = arbiters[o]
+            policer = getattr(arbiter, "gl_policer", None)
+            allow_gl = policer is None or policer.eligible(now)
             requests = []
             for port in inputs:
                 if port.busy_until > now:
                     continue
-                head = port.head_for_output(o)
+                head = port.head_for_output(o, allow_gl=allow_gl)
                 if head is None:
                     continue
                 requests.append(
@@ -106,13 +111,12 @@ def naive_simulate(
                 )
             if not requests:
                 continue
-            arbiter = arbiters[o]
             winner = arbiter.select(requests, now)
             if winner is None:
                 continue
             arbiter.commit(winner, now)
             port = inputs[winner.input_port]
-            packet = port.head_for_output(o)
+            packet = port.head_for_output(o, allow_gl=allow_gl)
             port.pop_packet(packet)
             arb_cycles = (
                 arbiter.arbitration_cycles

@@ -301,6 +301,62 @@ def test_mixed_class_backlog_schedules_match(seed, radix):
     assert kernel == reference
 
 
+def _gl_policed_config(radix, burst_window):
+    """8-flit buffers and a 10% GL reservation with a short burst window."""
+    return dataclasses.replace(
+        small_config(radix),
+        gl_buffer_flits=8,
+        be_buffer_flits=8,
+        gl_policer=GLPolicerConfig(reserved_rate=0.1, burst_window=burst_window),
+    )
+
+
+def _gl_backlog_arrivals(seed, radix, horizon):
+    """A cycle-0 GL and BE burst at every input, then random GL and BE.
+
+    Every input's GL and BE queues overfill at once, so GL heads wait
+    behind the policer while BE heads contend for the same outputs.
+    """
+    burst = []
+    for src in range(radix):
+        for _ in range(3):
+            burst.append((0, FlowId(src, (src + 1) % radix, TrafficClass.GL), 8))
+            burst.append((0, FlowId(src, (src + 1) % radix, TrafficClass.BE), 8))
+    rng = np.random.default_rng(seed)
+    drawn = draw_arrivals(rng, radix, horizon, n_packets=15 * radix,
+                          classes=(TrafficClass.GL, TrafficClass.BE))
+    flits_of = {flow: flits for _, flow, flits in burst}
+    return burst + [
+        (created, flow, flits_of.setdefault(flow, flits))
+        for created, flow, flits in drawn
+    ]
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10_000), burst_window=st.integers(1, 39),
+       radix=st.sampled_from([2, 4]))
+def test_gl_policer_schedules_match(seed, burst_window, radix):
+    """Time-dependent GL eligibility, grant for grant.
+
+    A 10% GL reservation charges 10 cycles per GL flit, so a burst window
+    under 40 cycles throttles the class after one or two GL grants and
+    restores it as time passes. The reference asks the policer at every
+    cycle; the kernel arbitrates only at its wakes, so any cycle where
+    eligibility alone would change a grant shows up as a divergence.
+    """
+    horizon = 500
+    config = _gl_policed_config(radix, burst_window)
+    arrivals = _gl_backlog_arrivals(seed, radix, horizon)
+    probe = CountingProbe()
+    kernel = run_kernel(config, arrivals, None, horizon, probe=probe)
+    twin = Simulation(config, _trace_workload(config, arrivals))
+    twin._program_switch()
+    reference = naive_simulate(config, arrivals, twin.switch.arbiters, horizon)
+    assert probe.value("kernel.gl_throttles") > 0
+    assert kernel == reference
+
+
 def _range_refill_workload(radix):
     """Range-length GB/BE flows offering 1.15 flits/cycle at every input.
 
